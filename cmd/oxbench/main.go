@@ -7,6 +7,7 @@
 //	oxbench -run fig3,fig7 -csv out/
 //	oxbench -run fig3,gc -executor pipelined
 //	oxbench -run scale
+//	oxbench -run gc -cpuprofile /tmp/gc.cpu -memprofile /tmp/gc.mem
 package main
 
 import (
@@ -14,6 +15,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"repro/internal/exp"
@@ -28,7 +31,23 @@ func main() {
 	executor := flag.String("executor", "serial", "host command-service engine: serial | pipelined | batched (tables are bit-identical any way)")
 	workers := flag.Int("workers", 0, "pipelined/batched executor worker-pool size (0 = GOMAXPROCS)")
 	addr := flag.String("addr", "", "oxfabd address for -run fabric (default: in-process loopback server; remote runs are not deterministic)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (must lie outside -csv)")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file when the run ends (must lie outside -csv)")
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile, *csvDir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "oxbench:", err)
+		os.Exit(1)
+	}
+	defer stopProfiles()
+	// Every failure leaves through fatal, so the profiles are complete
+	// files whether the run ends here or at the bottom of main.
+	fatal := func(err error) {
+		stopProfiles()
+		fmt.Fprintln(os.Stderr, "oxbench:", err)
+		os.Exit(1)
+	}
 
 	var ex hostif.ExecutorKind
 	switch *executor {
@@ -243,7 +262,63 @@ func main() {
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "oxbench:", err)
-	os.Exit(1)
+// startProfiles begins the CPU profile and arranges the heap profile;
+// the returned stop writes both out and is safe to call more than once.
+// Profile files may not lie inside the CSV directory: CI byte-diffs that
+// directory between runs, and a profile never repeats.
+func startProfiles(cpuPath, memPath, csvDir string) (stop func(), err error) {
+	for _, p := range []string{cpuPath, memPath} {
+		if p != "" && csvDir != "" && within(csvDir, p) {
+			return nil, fmt.Errorf("profile %s lies inside the CSV directory %s", p, csvDir)
+		}
+	}
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	done := false
+	return func() {
+		if done {
+			return
+		}
+		done = true
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "oxbench: cpuprofile:", err)
+			}
+		}
+		if memPath != "" {
+			if err := writeHeapProfile(memPath); err != nil {
+				fmt.Fprintln(os.Stderr, "oxbench: memprofile:", err)
+			}
+		}
+	}, nil
+}
+
+// within reports whether file lies in dir (or is dir itself).
+func within(dir, file string) bool {
+	d, err1 := filepath.Abs(dir)
+	f, err2 := filepath.Abs(file)
+	rel, err3 := filepath.Rel(d, f)
+	return err1 == nil && err2 == nil && err3 == nil && filepath.IsLocal(rel)
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // so the profile shows what is live, not what is garbage
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -213,6 +213,7 @@ func main() {
 		log, err := admin.ExecutorStats(last)
 		fail(err)
 		printExecutor(log)
+		host.Close()
 	case "faults":
 		// Hammer the device with writes and reads until chunks grow
 		// bad, then read the LogFaults admin page back over queue 0 —

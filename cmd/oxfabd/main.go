@@ -25,6 +25,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hostif"
 	"repro/internal/lightlsm"
+	"repro/internal/ox"
 	"repro/internal/oxblock"
 	"repro/internal/vclock"
 	"repro/internal/zns"
@@ -64,36 +65,15 @@ func main() {
 	_, ctrl, err := rig.Build()
 	fail(err)
 
-	var (
-		ns  hostif.Namespace
-		now vclock.Time
-	)
-	switch *ftl {
-	case "block":
-		d, _, at, err := oxblock.New(ctrl, oxblock.Config{LogicalPages: *pages}, 0)
-		fail(err)
-		ns, now = hostif.NewBlockNamespace(d), at
-	case "zns":
-		tgt, err := zns.New(ctrl, zns.Config{})
-		fail(err)
-		ns = hostif.NewZoneNamespace(tgt)
-	case "lsm":
-		p := lightlsm.Horizontal
-		if *placement == "vertical" {
-			p = lightlsm.Vertical
-		}
-		env, err := lightlsm.New(ctrl, lightlsm.Config{Placement: p})
-		fail(err)
-		ns = hostif.NewLSMNamespace(env)
-	default:
-		fail(fmt.Errorf("unknown -ftl %q (block | zns | lsm)", *ftl))
-	}
+	ns, now, err := buildNamespace(ctrl, *ftl, *pages, *placement)
+	fail(err)
 
 	host := hostif.NewHost(ctrl, hostif.HostConfig{
 		ChargeHostLink: true,
 		Executor:       ex,
 		Workers:        *workers,
 	})
+	defer host.Close()
 	nsid, err := host.Admin().AttachNamespace(now, ns)
 	fail(err)
 
@@ -117,6 +97,49 @@ func main() {
 		fail(err)
 	}
 	fmt.Println("oxfabd: drained, exiting")
+}
+
+// blockCheckpointInterval is how often the served OX-Block namespace
+// checkpoints, in virtual time. The library's zero value disables
+// checkpointing (Figure 3's "no checkpoint" line needs that), which in
+// a daemon means the WAL is never truncated and the namespace dies with
+// "WAL out of chunks" after some 70 k small writes; a served FTL must
+// not have a time-to-death.
+const blockCheckpointInterval = vclock.Second
+
+// buildNamespace opens the FTL the daemon serves on the controller's
+// media and wraps it as a host-interface namespace. It returns the
+// virtual instant at which the FTL finished opening.
+func buildNamespace(ctrl *ox.Controller, ftl string, pages int64, placement string) (hostif.Namespace, vclock.Time, error) {
+	switch ftl {
+	case "block":
+		d, _, at, err := oxblock.New(ctrl, oxblock.Config{
+			LogicalPages:       pages,
+			CheckpointInterval: blockCheckpointInterval,
+		}, 0)
+		if err != nil {
+			return nil, 0, err
+		}
+		return hostif.NewBlockNamespace(d), at, nil
+	case "zns":
+		tgt, err := zns.New(ctrl, zns.Config{})
+		if err != nil {
+			return nil, 0, err
+		}
+		return hostif.NewZoneNamespace(tgt), 0, nil
+	case "lsm":
+		p := lightlsm.Horizontal
+		if placement == "vertical" {
+			p = lightlsm.Vertical
+		}
+		env, err := lightlsm.New(ctrl, lightlsm.Config{Placement: p})
+		if err != nil {
+			return nil, 0, err
+		}
+		return hostif.NewLSMNamespace(env), 0, nil
+	default:
+		return nil, 0, fmt.Errorf("unknown -ftl %q (block | zns | lsm)", ftl)
+	}
 }
 
 func fail(err error) {

@@ -274,6 +274,7 @@ func crashstormBlock(cfg CrashstormConfig, dir string) (CrashstormPoint, error) 
 			return p, fmt.Errorf("cycle %d: %w", cycle, err)
 		}
 		p.GrownBad = dev.FaultLog().GrownBadChunks
+		host.Close()
 		dev.Close()
 	}
 	return p, nil

@@ -103,6 +103,7 @@ func figure3Run(cfg Fig3Config, interval, failAt vclock.Duration) (Fig3Point, er
 	// is pure control plane: namespace attach and queue-pair creation
 	// are admin commands over queue 0.
 	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{}, cfg.Executor, cfg.Workers))
+	defer host.Close()
 	admin := host.Admin()
 	nsid, err := admin.AttachNamespace(now, hostif.NewBlockNamespace(d))
 	if err != nil {

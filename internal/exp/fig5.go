@@ -105,6 +105,7 @@ func figure5Run(cfg Fig5Config, placement lightlsm.Placement, clients int) ([]Fi
 	// all admin-queue commands; cfg.Notify swaps Reap-polling for
 	// interrupt-style completion delivery.
 	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{}, cfg.Executor, cfg.Workers))
+	defer host.Close()
 	cli, err := hostif.AttachLSM(host, env)
 	if err != nil {
 		return nil, err

@@ -88,6 +88,7 @@ func figure7Run(cfg Fig7Config, threads int) (Fig7Point, error) {
 	// resumes the thread whose command completes first (ReapAny) — the
 	// queue-pair incarnation of the old smallest-clock DES loop.
 	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{ChargeHostLink: true}, cfg.Executor, cfg.Workers))
+	defer host.Close()
 	admin := host.Admin()
 	nsid, err := admin.AttachNamespace(0, hostif.NewEleosNamespace(store))
 	if err != nil {

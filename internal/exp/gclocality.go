@@ -96,6 +96,7 @@ func gcLocalityRun(cfg GCLocalityConfig, channels int) (GCLocalityPoint, error) 
 	// stream is consumed in deterministic completion order.
 	data := make([]byte, cfg.TxnPages*4096)
 	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{}, cfg.Executor, cfg.Workers))
+	defer host.Close()
 	admin := host.Admin()
 	nsid, err := admin.AttachNamespace(now, hostif.NewBlockNamespace(d))
 	if err != nil {

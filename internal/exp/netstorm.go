@@ -229,6 +229,7 @@ func netstormPass(cfg NetstormConfig, build func(NetstormConfig) (*netstormBench
 	if err != nil {
 		return res, netfault.Stats{}, err
 	}
+	defer b.host.Close()
 	srv := fabrics.NewServer(b.host)
 	defer srv.Close()
 

@@ -181,12 +181,14 @@ func offloadLSMRig(cfg OffloadConfig, fabric bool) (*ox.Controller, offloadEnv, 
 	if !fabric {
 		cli, err := hostif.AttachLSM(host, env)
 		if err != nil {
+			host.Close()
 			return nil, nil, nil, 0, nil, err
 		}
-		return ctrl, cli, host.Admin(), cli.NSID(), func() {}, nil
+		return ctrl, cli, host.Admin(), cli.NSID(), host.Close, nil
 	}
 	nsid, err := host.Admin().AttachNamespace(0, hostif.NewLSMNamespace(env))
 	if err != nil {
+		host.Close()
 		return nil, nil, nil, 0, nil, err
 	}
 	srv := fabrics.NewServer(host)
@@ -194,17 +196,20 @@ func offloadLSMRig(cfg OffloadConfig, fabric bool) (*ox.Controller, offloadEnv, 
 	fenv, err := cli.OpenLSM(0, nsid)
 	if err != nil {
 		srv.Close()
+		host.Close()
 		return nil, nil, nil, 0, nil, err
 	}
 	admin, err := cli.Admin()
 	if err != nil {
 		srv.Close()
+		host.Close()
 		return nil, nil, nil, 0, nil, err
 	}
 	cleanup := func() {
 		admin.Close()
 		fenv.Close()
 		srv.Close()
+		host.Close()
 	}
 	return ctrl, fenv, admin, nsid, cleanup, nil
 }
@@ -304,22 +309,25 @@ func offloadScanPoint(cfg OffloadConfig, mask byte, fabric bool) (OffloadPoint, 
 		host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{ChargeHostLink: true}, cfg.Executor, cfg.Workers))
 		nsid, err := host.Admin().AttachNamespace(now, hostif.NewBlockNamespace(dev))
 		if err != nil {
+			host.Close()
 			return p, err
 		}
 		var qp pushSession
-		cleanup := func() {}
+		cleanup := host.Close
 		if fabric {
 			srv := fabrics.NewServer(host)
 			fqp, err := fabrics.Loopback(srv).QueuePair(now, 1, hostif.ClassMedium, 1)
 			if err != nil {
 				srv.Close()
+				host.Close()
 				return p, err
 			}
 			qp = fqp
-			cleanup = func() { fqp.Close(); srv.Close() }
+			cleanup = func() { fqp.Close(); srv.Close(); host.Close() }
 		} else {
 			lqp, err := host.Admin().CreateIOQueuePair(now, 1, hostif.ClassMedium)
 			if err != nil {
+				host.Close()
 				return p, err
 			}
 			qp = lqp

@@ -185,6 +185,7 @@ func qdRun(cfg QDSweepConfig, depth int) (QDPoint, error) {
 	if err != nil {
 		return QDPoint{}, err
 	}
+	defer host.Close()
 	qp, err := host.Admin().CreateIOQueuePair(now, depth, hostif.ClassMedium)
 	if err != nil {
 		return QDPoint{}, err
@@ -200,6 +201,7 @@ func qdRunFabric(cfg QDSweepConfig, depth int) (QDPoint, error) {
 	if err != nil {
 		return QDPoint{}, err
 	}
+	defer host.Close()
 	srv := fabrics.NewServer(host)
 	defer srv.Close()
 	qp, err := fabrics.Loopback(srv).QueuePair(now, depth, hostif.ClassMedium, 1)

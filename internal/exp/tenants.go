@@ -135,6 +135,7 @@ func tenantsRun(cfg TenantsConfig, active []bool) ([]TenantPoint, error) {
 		return nil, err
 	}
 	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{ChargeHostLink: true}, cfg.Executor, cfg.Workers))
+	defer host.Close()
 	admin := host.Admin()
 
 	type tenant struct {

@@ -93,6 +93,7 @@ func wrrRun(cfg WRRSweepConfig, class hostif.Class) (WRRPoint, error) {
 		return WRRPoint{}, err
 	}
 	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{ChargeHostLink: true}, cfg.Executor, cfg.Workers))
+	defer host.Close()
 	admin := host.Admin()
 
 	type actor struct {

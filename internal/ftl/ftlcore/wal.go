@@ -132,7 +132,7 @@ type WAL struct {
 	mu       sync.Mutex
 	segments []walSegment // in log order; last is active
 	buf      []byte       // record bytes not yet appended to media
-	unitBuf  []byte       // reusable scratch for the padded sync unit
+	syncUnit PadScratch   // the buffered tail zero-padded to a unit on sync
 	zeroUnit []byte       // one ws_min unit of zeros for segment fill
 	nextLSN  LSN
 	headLSN  LSN // smallest retained LSN
@@ -158,7 +158,6 @@ func NewWAL(media ox.Media, ctrl *ox.Controller, alloc *Allocator, cfg WALConfig
 		cfg.CPUPerRecordReplay = 5 * vclock.Microsecond
 	}
 	w := &WAL{media: media, ctrl: ctrl, alloc: alloc, cfg: cfg, geo: media.Geometry()}
-	w.unitBuf = make([]byte, w.unitBytes())
 	w.zeroUnit = make([]byte, w.unitBytes())
 	id, err := alloc.Alloc(cfg.Target)
 	if err != nil {
@@ -273,11 +272,8 @@ func (w *WAL) appendUnit(now vclock.Time, unit []byte) (vclock.Time, error) {
 func (w *WAL) syncLocked(now vclock.Time) (vclock.Time, error) {
 	unit := w.unitBytes()
 	if len(w.buf) > 0 {
-		padded := w.unitBuf
-		n := copy(padded, w.buf)
-		clear(padded[n:])
 		pad := unit - len(w.buf)
-		end, err := w.appendUnit(now, padded)
+		end, err := w.appendUnit(now, w.syncUnit.Fill(w.buf, unit))
 		if err != nil {
 			return now, err
 		}

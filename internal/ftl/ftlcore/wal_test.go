@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/ocssd"
@@ -427,5 +428,29 @@ func TestWALTornRecordFromCrash(t *testing.T) {
 	}
 	if n != 1 || len(got) != 1 || got[0] != 1 {
 		t.Fatalf("want only the synced record: n=%d got=%v", n, got)
+	}
+}
+
+// TestPadScratchKeepsTailZero fills the scratch with payloads of rising
+// and falling length and unit size: every returned slice is the payload
+// followed by zeros, whatever the previous, longer payload left behind.
+func TestPadScratchKeepsTailZero(t *testing.T) {
+	var p PadScratch
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		n := 4096 * (1 + rng.Intn(8))
+		data := make([]byte, rng.Intn(n+1))
+		for j := range data {
+			data[j] = byte(1 + rng.Intn(255))
+		}
+		got := p.Fill(data, n)
+		if len(got) != n || !bytes.Equal(got[:len(data)], data) {
+			t.Fatalf("fill %d: payload not at the front of %d bytes", i, len(got))
+		}
+		for j, v := range got[len(data):] {
+			if v != 0 {
+				t.Fatalf("fill %d: pad byte %d of %d is %#x", i, len(data)+j, n, v)
+			}
+		}
 	}
 }

@@ -3,8 +3,10 @@ package hostif
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/nand"
 	"repro/internal/ocssd"
@@ -55,7 +57,37 @@ func (ns *slowNS) Execute(now vclock.Time, cmd *Command) Result {
 // test controller.
 func pipelinedHost(t testing.TB, workers int) *Host {
 	t.Helper()
-	return NewHost(testController(t), HostConfig{Executor: ExecutorPipelined, Workers: workers})
+	h := NewHost(testController(t), HostConfig{Executor: ExecutorPipelined, Workers: workers})
+	t.Cleanup(h.Close)
+	return h
+}
+
+// TestClosedEngineHostIsCollectable pins Close as the whole lifetime
+// contract of an engine host: once closed and dropped, the host and
+// everything attached to it are garbage. (NewHost used to set a
+// finalizer on the host; the host sits on a cycle with its domains, Go
+// never frees a cycle holding a finalizer, and every engine rig leaked
+// with the device under it.)
+func TestClosedEngineHostIsCollectable(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		ns := newSlowNS(1, vclock.Microsecond)
+		runtime.SetFinalizer(ns, func(*slowNS) { close(freed) })
+		h := NewHost(testController(t), HostConfig{Executor: ExecutorBatched, Workers: 2})
+		if _, err := h.Admin().AttachNamespace(0, ns); err != nil {
+			t.Fatal(err)
+		}
+		h.Close()
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a closed engine host is still reachable after its last reference was dropped")
 }
 
 // compKey is the comparable projection of a Completion used by the

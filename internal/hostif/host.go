@@ -3,7 +3,6 @@ package hostif
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -162,7 +161,6 @@ func NewHost(ctrl *ox.Controller, cfg HostConfig) *Host {
 		panic(fmt.Sprintf("hostif: unknown executor %q", cfg.Executor))
 	}
 	h.domains = make([]*domain, cfg.Domains)
-	var engines []*engine
 	for i := range h.domains {
 		d := &domain{h: h, id: i}
 		d.credits = [3]int{h.weights.High, h.weights.Medium, h.weights.Low}
@@ -170,22 +168,11 @@ func NewHost(ctrl *ox.Controller, cfg HostConfig) *Host {
 		d.notes = (*d.noteBox)[:0]
 		if cfg.Executor == ExecutorPipelined || cfg.Executor == ExecutorBatched {
 			d.eng = newEngine(cfg.Workers, batch)
-			engines = append(engines, d.eng)
 		}
 		h.domains[i] = d
 	}
 	h.adminQP = h.openQueuePair(0, cfg.AdminDepth, ClassMedium)
 	h.adminQP.admin = true
-	if engines != nil {
-		// Workers idle on the jobs channel between drains; stop them
-		// when the host itself becomes unreachable (the pipeline is
-		// always empty outside a drain, so no work can be lost).
-		runtime.SetFinalizer(h, func(*Host) {
-			for _, eng := range engines {
-				eng.stop()
-			}
-		})
-	}
 	return h
 }
 
@@ -363,10 +350,11 @@ func (h *Host) deleteQueuePair(qid int) error {
 // (diagnostics; admin commands are not counted).
 func (h *Host) Executed() int64 { return h.executed.Load() }
 
-// Close releases the host's execution engine: the pipelined executor's
-// worker goroutines exit immediately instead of waiting for the
-// garbage collector's finalizer backstop. Programs that build hosts in
-// a loop (sweeps, benchmarks) should Close each one when done with it.
+// Close releases the host's execution engine: the worker goroutines of
+// a pipelined or batched executor exit. Close is the only thing that
+// stops them — there is no finalizer — so whoever builds a host with an
+// engine must Close it, or its workers (and, through them, the host and
+// the device under it) stay reachable for the life of the process.
 // Closing a serial host is a no-op; Close is idempotent. The host must
 // be idle — no Drain/Reap in progress and none issued afterwards.
 func (h *Host) Close() {

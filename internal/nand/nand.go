@@ -11,6 +11,8 @@
 package nand
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -179,7 +181,7 @@ type page struct {
 // buffers instead of dropping them, so steady-state program/erase
 // cycles (GC, chunk resets) reuse page storage; the memory retained is
 // bounded by the pages that last held non-zero data (all-zero programs
-// release their buffer, see Program).
+// release their buffer, see program).
 func (p *page) programmed() bool { return len(p.data) > 0 || p.zero }
 
 type block struct {
@@ -315,6 +317,12 @@ func (c *Chip) WritePointer(plane, blk int) int {
 // It enforces: the block is not bad, the page is the block's next
 // sequential page, and the payload is exactly one page. A program
 // failure (injected) marks the block grown-bad and returns ErrProgramFail.
+//
+// The payload is copied once, into the page buffer that stores it. A
+// payload that turns out to be all zeros is stored as a flag instead
+// and releases the page's buffer, so host-written zeros cost no
+// simulator memory; a caller that already knows the page is zero (stripe
+// padding) uses ProgramZero and skips both the scan and the copy.
 func (c *Chip) Program(plane, blk, pg int, data, oob []byte) error {
 	if err := c.checkAddr(plane, blk, pg); err != nil {
 		return err
@@ -325,6 +333,23 @@ func (c *Chip) Program(plane, blk, pg int, data, oob []byte) error {
 	if len(oob) > c.geo.OOBPerPage {
 		return fmt.Errorf("%w: oob %d exceeds %d", ErrDataSize, len(oob), c.geo.OOBPerPage)
 	}
+	return c.program(plane, blk, pg, data, oob)
+}
+
+// ProgramZero programs one page of zeros with no OOB: exactly
+// Program(plane, blk, pg, make([]byte, PageBytes), nil) — same rules,
+// same failure injection, same counters, same Read result — without a
+// zero page ever being built, scanned or copied.
+func (c *Chip) ProgramZero(plane, blk, pg int) error {
+	if err := c.checkAddr(plane, blk, pg); err != nil {
+		return err
+	}
+	return c.program(plane, blk, pg, nil, nil)
+}
+
+// program is the body shared by Program and ProgramZero; nil data means
+// a page of zeros. The address and sizes are already validated.
+func (c *Chip) program(plane, blk, pg int, data, oob []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	b := &c.planes[plane][blk]
@@ -344,10 +369,10 @@ func (c *Chip) Program(plane, blk, pg int, data, oob []byte) error {
 		return ErrProgramFail
 	}
 	p := &b.pages[pg]
-	if isZero(data) {
-		// WAL padding and chunk pads program whole zero pages; dedup
-		// them so padding never consumes simulator memory — including
-		// any buffer retained from a previous program/erase cycle.
+	if data == nil || isZero(data) {
+		// Zero pages are deduplicated so padding never consumes
+		// simulator memory — including any buffer retained from a
+		// previous program/erase cycle.
 		p.data = nil
 		p.zero = true
 	} else {
@@ -362,19 +387,21 @@ func (c *Chip) Program(plane, blk, pg int, data, oob []byte) error {
 	return nil
 }
 
+// isZero reports whether b is all zeros. Real payloads almost always
+// fail on the first word; a page of host-written zeros is compared with
+// itself shifted by one word — b[i] == b[i-8] for every i, starting from
+// a zero word, means every byte is zero — which runs at memequal speed
+// instead of a byte loop.
 func isZero(b []byte) bool {
-	for len(b) >= 8 {
-		if b[0]|b[1]|b[2]|b[3]|b[4]|b[5]|b[6]|b[7] != 0 {
-			return false
+	if len(b) < 8 {
+		for _, v := range b {
+			if v != 0 {
+				return false
+			}
 		}
-		b = b[8:]
+		return true
 	}
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
+	return binary.LittleEndian.Uint64(b) == 0 && bytes.Equal(b[8:], b[:len(b)-8])
 }
 
 // Read returns the data payload and OOB of a page. It enforces the

@@ -3,6 +3,7 @@ package nand
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -549,5 +550,126 @@ func TestDurationForHelper(t *testing.T) {
 	d := vclock.DurationFor(16384, 800)
 	if d < 20*vclock.Microsecond || d > 21*vclock.Microsecond {
 		t.Fatalf("transfer time = %v", d)
+	}
+}
+
+// TestProgramZeroEquivalence drives two chips with the same seed through
+// one random sequence of program attempts — in order, out of order, onto
+// programmed pages, out of range, onto blocks the injected failures
+// retired — one with ProgramZero, one with Program of a zero page. Every
+// error, counter, write pointer and read-back must agree: ProgramZero is
+// Program minus the bytes.
+func TestProgramZeroEquivalence(t *testing.T) {
+	geo := testGeo(TLC, 2)
+	rel := Reliability{ProgramFailRate: 0.05}
+	a, err := New(geo, DefaultTiming(TLC), rel, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(geo, DefaultTiming(TLC), rel, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, geo.PageBytes())
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 4000; i++ {
+		plane, blk := rng.Intn(geo.Planes), rng.Intn(geo.BlocksPerPlane)
+		pg := a.WritePointer(plane, blk)
+		switch rng.Intn(10) {
+		case 0:
+			pg = rng.Intn(geo.PagesPerBlock + 2) // any page, sometimes out of range
+		case 1:
+			plane = geo.Planes // out of range
+		case 2:
+			if ea, eb := a.Erase(plane, blk), b.Erase(plane, blk); !sameErr(ea, eb) {
+				t.Fatalf("erase %d/%d: %v vs %v", plane, blk, ea, eb)
+			}
+			continue
+		}
+		ea := a.ProgramZero(plane, blk, pg)
+		eb := b.Program(plane, blk, pg, zeros, nil)
+		if !sameErr(ea, eb) {
+			t.Fatalf("op %d program %d/%d/%d: ProgramZero %v, Program(zeros) %v", i, plane, blk, pg, ea, eb)
+		}
+	}
+	if a.Stats() != b.Stats() {
+		t.Fatalf("stats differ: %+v vs %+v", a.Stats(), b.Stats())
+	}
+	if a.Stats().Programs == 0 || a.Stats().GrownBad == 0 {
+		t.Fatalf("sequence exercised nothing: %+v", a.Stats())
+	}
+	for plane := 0; plane < geo.Planes; plane++ {
+		for blk := 0; blk < geo.BlocksPerPlane; blk++ {
+			if a.WritePointer(plane, blk) != b.WritePointer(plane, blk) || a.IsBad(plane, blk) != b.IsBad(plane, blk) {
+				t.Fatalf("block %d/%d state differs", plane, blk)
+			}
+			for pg := 0; pg < geo.PagesPerBlock; pg++ {
+				da, oa, ea := a.Read(plane, blk, pg)
+				db, ob, eb := b.Read(plane, blk, pg)
+				if !sameErr(ea, eb) || !bytes.Equal(da, db) || !bytes.Equal(oa, ob) {
+					t.Fatalf("read %d/%d/%d differs: %v vs %v", plane, blk, pg, ea, eb)
+				}
+				if ea == nil && !bytes.Equal(da, zeros) {
+					t.Fatalf("read %d/%d/%d: zero page reads non-zero", plane, blk, pg)
+				}
+			}
+		}
+	}
+}
+
+func sameErr(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return a.Error() == b.Error()
+}
+
+// TestZeroProgramsReleasePageBuffer pins the memory rule the 512-PU scale
+// sweep relies on: a page that held data keeps its buffer across an
+// erase for reuse, but programming zeros over it — by ProgramZero or by a
+// payload that scans as zero — lets the buffer go.
+func TestZeroProgramsReleasePageBuffer(t *testing.T) {
+	c := newChip(t, SLC, 1)
+	geo := c.Geometry()
+	for pg := 0; pg < 2; pg++ {
+		if err := c.Program(0, 0, pg, pageData(geo, 0xAB), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Erase(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	pages := c.planes[0][0].pages
+	if cap(pages[0].data) == 0 || cap(pages[1].data) == 0 {
+		t.Fatal("erase should retain page buffers for reuse")
+	}
+	if err := c.ProgramZero(0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Program(0, 0, 1, make([]byte, geo.PageBytes()), nil); err != nil {
+		t.Fatal(err)
+	}
+	for pg := 0; pg < 2; pg++ {
+		if pages[pg].data != nil || !pages[pg].zero {
+			t.Fatalf("page %d: zero program kept its %d-byte buffer", pg, cap(pages[pg].data))
+		}
+	}
+}
+
+// TestIsZero checks the zero-page detector at every length around its
+// word size and with the single non-zero byte at every position.
+func TestIsZero(t *testing.T) {
+	for n := 0; n <= 64; n++ {
+		b := make([]byte, n)
+		if !isZero(b) {
+			t.Fatalf("%d zero bytes reported non-zero", n)
+		}
+		for i := range b {
+			b[i] = 1
+			if isZero(b) {
+				t.Fatalf("length %d with byte %d set reported zero", n, i)
+			}
+			b[i] = 0
+		}
 	}
 }

@@ -181,6 +181,13 @@ func TestReplayDedupAcrossKillOffsets(t *testing.T) {
 			if fired != 1 {
 				t.Fatalf("%s@%d: %d faults fired, want 1", label, k, fired)
 			}
+			// A fault on the workload's last frame is noticed by the
+			// client's reader after the last completion was delivered,
+			// so the redial may still be under way: wait for it.
+			deadline := time.Now().Add(2 * time.Second)
+			for qp.Stats().Redials == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
 			if s := qp.Stats(); s.Redials != 1 {
 				t.Fatalf("%s@%d: redials = %d, want 1", label, k, s.Redials)
 			}

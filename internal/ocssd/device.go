@@ -223,10 +223,6 @@ type Device struct {
 
 	pus []puState // flat [group*PUsPerGroup + pu]
 
-	// zeroStripe is one stripe of zero bytes shared by every pad path;
-	// it is never written to.
-	zeroStripe []byte
-
 	// copyBufs recycles the staging buffers of device-side Copy.
 	copyBufs sync.Pool
 
@@ -308,7 +304,6 @@ func newDevice(geo Geometry, opts Options) (*Device, error) {
 		pus:      make([]puState, geo.Groups*geo.PUsPerGroup),
 		asyncC:   make(chan AsyncError, 1024),
 	}
-	d.zeroStripe = make([]byte, geo.WSOpt*geo.Chip.SectorSize)
 	var cacheBytes int64
 	if geo.CacheMB > 0 {
 		cacheBytes = int64(geo.CacheMB) << 20
@@ -661,16 +656,24 @@ func (d *Device) Report() []ChunkInfo {
 // stripeBytes is the size of one ws_opt stripe in bytes.
 func (d *Device) stripeBytes() int { return d.geo.WSOpt * d.geo.Chip.SectorSize }
 
-// programStripe writes one complete wordline stripe (ws_opt sectors,
-// already assembled in buf) to NAND and accounts its virtual timing.
+// programStripe writes one complete wordline stripe (ws_opt sectors) to
+// NAND and accounts its virtual timing. buf is one stripe long, but only
+// buf[:payload] holds bytes: the rest is padding, which is a length, not
+// data — its pages are programmed with the chip's zero-page call and its
+// bytes are written nowhere. payload is a whole number of pages because
+// writes are ws_min multiples and ws_min is one page. Only the durable
+// backend stores pads as bytes (and a power cut mid-program re-reads the
+// buffer to persist it), so that is the one place the tail is cleared.
 // The caller holds the PU lock. It returns the virtual completion
 // instant.
-func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSector int, buf []byte) (vclock.Time, error) {
+func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSector int, buf []byte, payload int) (vclock.Time, error) {
 	geo := d.geo
 	chip := d.chips[id.Group][id.PU]
 	bits := geo.Chip.Cell.BitsPerCell()
-	spp := geo.Chip.SectorsPerPage
 	pageBytes := geo.Chip.PageBytes()
+	if d.backend != nil {
+		clear(buf[payload:])
+	}
 
 	// Timing: the whole stripe crosses the channel bus once, then the
 	// chip programs bits paired pages (planes program in parallel).
@@ -695,12 +698,18 @@ func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSect
 		}
 	}
 
-	// State: program each (plane, paired) page of the stripe.
+	// State: program each (plane, paired) page of the stripe. This is the
+	// one copy a payload byte gets, into the page that stores it.
 	for p := 0; p < geo.Chip.Planes; p++ {
 		for b := 0; b < bits; b++ {
-			off := (p*bits + b) * spp * geo.Chip.SectorSize
-			page := firstPage + b
-			if err := chip.Program(p, id.Chunk, page, buf[off:off+pageBytes], nil); err != nil {
+			off := (p*bits + b) * pageBytes
+			var err error
+			if off < payload {
+				err = chip.Program(p, id.Chunk, firstPage+b, buf[off:off+pageBytes], nil)
+			} else {
+				err = chip.ProgramZero(p, id.Chunk, firstPage+b)
+			}
+			if err != nil {
 				d.retireChunk(pu, id, err)
 				return progEnd, fmt.Errorf("program %v: %w", id, err)
 			}
@@ -729,13 +738,20 @@ func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSect
 	return progEnd, nil
 }
 
-// writeChunk appends n sectors of data to a chunk at its write pointer.
-// The caller holds the PU lock. Returns the client-visible completion
-// time.
-func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int, data []byte) (vclock.Time, error) {
+// writeChunk appends to a chunk at its write pointer: the payload in
+// data, or — when data is nil, which is how Pad calls it — pad bytes of
+// padding, which only ever exist as a length (writers pass pad 0). A
+// whole stripe arriving with nothing buffered is programmed
+// straight from the caller's slice, its one copy being the one into the
+// NAND pages; anything less is gathered in the chunk's stripe buffer,
+// where it stays readable, and programmed from there. Either way the
+// device keeps no reference to data once it returns. The caller holds
+// the PU lock. Returns the client-visible completion time.
+func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int, data []byte, pad int) (vclock.Time, error) {
 	geo := d.geo
 	m := &pu.chunks[id.Chunk]
-	n := len(data) / geo.Chip.SectorSize
+	sz := geo.Chip.SectorSize
+	size := len(data) + pad
 
 	switch m.state {
 	case ChunkOffline:
@@ -757,7 +773,7 @@ func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int
 	if sector != int(m.wp) {
 		return now, fmt.Errorf("%w: %v sector %d, wp %d", ErrWritePointer, id, sector, m.wp)
 	}
-	if int(m.wp)+n > geo.SectorsPerChunk() {
+	if int(m.wp)+size/sz > geo.SectorsPerChunk() {
 		return now, fmt.Errorf("%w: %v", ErrChunkFull, id)
 	}
 
@@ -766,27 +782,45 @@ func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int
 	// waits for every stripe program it completes.
 	completeAt := now
 	if d.cache.enabled() {
-		completeAt = d.cache.admit(now, int64(len(data)))
+		completeAt = d.cache.admit(now, int64(size))
 	}
-	copyDur := vclock.DurationFor(int64(len(data)), geo.CacheMBps)
+	copyDur := vclock.DurationFor(int64(size), geo.CacheMBps)
 	completeAt = completeAt.Add(copyDur)
 
 	stripe := d.stripeBytes()
 	slot := m.bufSlot
 	var lastProg vclock.Time
-	for len(data) > 0 {
-		room := stripe - len(pu.bufs[slot])
-		take := len(data)
-		if take > room {
-			take = room
+	for size > 0 {
+		buf := pu.bufs[slot]
+		take := min(size, stripe-len(buf))
+		size -= take
+		m.wp += int32(take / sz)
+		// img is the stripe as far as it is filled; img[:payload] holds
+		// bytes, anything past it is padding.
+		var img []byte
+		payload := len(buf)
+		switch {
+		case data == nil:
+			// Padding extends the buffer by a length; nobody writes it.
+			img = buf[:len(buf)+take]
+			pu.bufs[slot] = img
+		case len(buf) == 0 && take == stripe && d.backend == nil:
+			// A whole stripe with nothing buffered bypasses the buffer. The
+			// durable backend keeps the staged path: a power cut that lands
+			// on the program persists the stripe from the buffer.
+			img, payload = data[:take], take
+		default:
+			img = append(buf, data[:take]...)
+			pu.bufs[slot] = img
+			payload = len(img)
 		}
-		pu.bufs[slot] = append(pu.bufs[slot], data[:take]...)
-		data = data[take:]
-		m.wp += int32(take / geo.Chip.SectorSize)
-		if len(pu.bufs[slot]) == stripe {
-			// The buffer holds a full stripe, so its base is exactly one
-			// stripe behind the (already advanced) write pointer.
-			progEnd, err := d.programStripe(completeAt, pu, id, int(m.wp)-geo.WSOpt, pu.bufs[slot])
+		if data != nil {
+			data = data[take:]
+		}
+		if len(img) == stripe {
+			// The stripe is complete, so its base is exactly one stripe
+			// behind the (already advanced) write pointer.
+			progEnd, err := d.programStripe(completeAt, pu, id, int(m.wp)-geo.WSOpt, img, payload)
 			if err != nil {
 				return completeAt, err
 			}
@@ -852,7 +886,7 @@ func (d *Device) VectorWrite(now vclock.Time, ppas []PPA, data []byte) (vclock.T
 		sz := geo.Chip.SectorSize
 		pu := d.pu(ppas[i].Group, ppas[i].PU)
 		pu.mu.Lock()
-		t, err := d.writeChunk(now, pu, ppas[i].ChunkOf(), ppas[i].Sector, data[i*sz:j*sz])
+		t, err := d.writeChunk(now, pu, ppas[i].ChunkOf(), ppas[i].Sector, data[i*sz:j*sz], 0)
 		pu.mu.Unlock()
 		if err != nil {
 			return now, err
@@ -883,7 +917,7 @@ func (d *Device) Append(now vclock.Time, id ChunkID, data []byte) (int, vclock.T
 	pu := d.pu(id.Group, id.PU)
 	pu.mu.Lock()
 	start := int(pu.chunks[id.Chunk].wp)
-	end, err := d.writeChunk(now, pu, id, start, data)
+	end, err := d.writeChunk(now, pu, id, start, data, 0)
 	pu.mu.Unlock()
 	if err != nil {
 		return 0, now, err
@@ -896,7 +930,11 @@ func (d *Device) Append(now vclock.Time, id ChunkID, data []byte) (int, vclock.T
 // Pad fills the open partial stripe of a chunk with zero sectors so that
 // everything appended so far becomes durable (programmed to NAND). It is
 // how a WAL achieves synchronous commit on an append-only device. The
-// padded sectors are wasted space accounted in Stats.PadSectors.
+// padded sectors are wasted space accounted in Stats.PadSectors, and
+// they cost what a write of that many zeros costs in virtual time — cache
+// admission, DRAM copy, channel transfer, program — but in host time
+// they are only a count: no zero byte is built, copied or scanned (the
+// pad's pages are programmed with nand.Chip.ProgramZero).
 func (d *Device) Pad(now vclock.Time, id ChunkID) (vclock.Time, error) {
 	geo := d.geo
 	if err := d.alive(); err != nil {
@@ -914,7 +952,7 @@ func (d *Device) Pad(now vclock.Time, id ChunkID) (vclock.Time, error) {
 	}
 	padBytes := d.stripeBytes() - len(pu.buffered(m))
 	padSectors := padBytes / geo.Chip.SectorSize
-	end, err := d.writeChunk(now, pu, id, int(m.wp), d.zeroStripe[:padBytes])
+	end, err := d.writeChunk(now, pu, id, int(m.wp), nil, padBytes)
 	if err != nil {
 		return now, err
 	}
@@ -1209,8 +1247,7 @@ func (d *Device) Crash() {
 				if d.opts.PowerLossProtected {
 					// Capacitors flush the partial stripe with padding.
 					padBytes := d.stripeBytes() - len(buffered)
-					buf := append(buffered, d.zeroStripe[:padBytes]...)
-					if _, err := d.programStripe(0, pu, ChunkID{g, u, c}, base, buf); err == nil {
+					if _, err := d.programStripe(0, pu, ChunkID{g, u, c}, base, buffered[:d.stripeBytes()], len(buffered)); err == nil {
 						m.wp = int32(base + d.geo.WSOpt)
 					}
 					d.stats.padSectors.Add(int64(padBytes / d.geo.Chip.SectorSize))

@@ -382,3 +382,83 @@ func TestCrossGroupTimingCommutes(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentFullStripeAppends is the race regression for the
+// buffer-bypassing write path: one goroutine per parallel unit appends
+// whole stripes — programmed straight from the caller's slice — and a
+// sub-stripe tail plus Pad per round, rewriting its one buffer in place
+// the moment each call returns, while every goroutine also appends from
+// a single shared read-only stripe. If the device kept a caller's slice
+// past the call, -race sees the rewrite collide with the later read, and
+// the read-back at the end sees the wrong round's bytes.
+func TestConcurrentFullStripeAppends(t *testing.T) {
+	geo := raceGeometry()
+	d, err := New(geo, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	secSize := geo.Chip.SectorSize
+	stripe := geo.WSOpt * secSize
+	unit := geo.WSMin * secSize
+	// Per round and chunk: own stripe, shared stripe, one-unit tail, pad.
+	rounds := geo.SectorsPerChunk() / (3 * geo.WSOpt)
+	shared := bytes.Repeat([]byte{0xC3}, stripe)
+	fill := func(buf []byte, w, round int) {
+		for i := range buf {
+			buf[i] = byte(w*31 + round*7 + i)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < geo.TotalPUs(); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			id := ChunkID{Group: w % geo.Groups, PU: w / geo.Groups, Chunk: w % geo.ChunksPerPU}
+			buf := make([]byte, stripe)
+			var now vclock.Time
+			for round := 0; round < rounds; round++ {
+				fill(buf, w, round)
+				for _, src := range [][]byte{buf, shared, buf[:unit]} {
+					_, end, err := d.Append(now, id, src)
+					if err != nil {
+						t.Errorf("worker %d round %d: %v", w, round, err)
+						return
+					}
+					now = end
+				}
+				fill(buf, w, -1) // reuse the buffer at once
+				end, err := d.Pad(now, id)
+				if err != nil {
+					t.Errorf("worker %d round %d: pad: %v", w, round, err)
+					return
+				}
+				now = end
+			}
+			want := make([]byte, stripe)
+			got := make([]byte, stripe)
+			ppas := make([]PPA, geo.WSOpt)
+			for round := 0; round < rounds; round++ {
+				fill(want, w, round)
+				for s, expect := range [][]byte{want, shared, append(append([]byte(nil), want[:unit]...), make([]byte, stripe-unit)...)} {
+					for i := range ppas {
+						ppas[i] = id.PPAOf((round*3+s)*geo.WSOpt + i)
+					}
+					if _, err := d.VectorRead(now, ppas, got); err != nil {
+						t.Errorf("worker %d round %d: read: %v", w, round, err)
+						return
+					}
+					if !bytes.Equal(got, expect) {
+						t.Errorf("worker %d round %d stripe %d: read-back differs from what was appended", w, round, s)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	want := int64(geo.TotalPUs() * rounds * (2*geo.WSOpt + geo.WSMin))
+	if s := d.Stats(); s.SectorsWritten != want || s.PadSectors != int64(geo.TotalPUs()*rounds*(geo.WSOpt-geo.WSMin)) {
+		t.Errorf("stats %+v: want %d sectors written", s, want)
+	}
+}

@@ -144,6 +144,12 @@ type Device struct {
 	gcEnd    vclock.Time // virtual completion of the background collector
 	stats    Stats
 	offl     *offload.Engine
+
+	// Scratch of Write, guarded by mu: the payload zero-padded to a ws_min
+	// unit, and the commit record's mapping updates. Neither the stripe
+	// writer nor the WAL keeps a reference past its call.
+	padded ftlcore.PadScratch
+	commit []byte
 }
 
 // ckptSlots picks the reserved checkpoint chunks deterministically: slot
@@ -396,8 +402,7 @@ func (d *Device) Write(now vclock.Time, lpn int64, data []byte) (vclock.Time, er
 	// map only the real pages.
 	padded := data
 	if rem := pages % d.geo.WSMin; rem != 0 {
-		padded = make([]byte, (pages+d.geo.WSMin-rem)*secSize)
-		copy(padded, data)
+		padded = d.padded.Fill(data, (pages+d.geo.WSMin-rem)*secSize)
 	}
 	ppas, end, err := d.writer.Append(now, padded)
 	if err != nil {
@@ -406,7 +411,10 @@ func (d *Device) Write(now vclock.Time, lpn int64, data []byte) (vclock.Time, er
 	d.noteAppIOs(ppas, now)
 
 	// Mapping updates + commit record payload.
-	payload := make([]byte, pages*16)
+	if cap(d.commit) < pages*16 {
+		d.commit = make([]byte, pages*16)
+	}
+	payload := d.commit[:pages*16]
 	for i := 0; i < pages; i++ {
 		old, had, err := d.pmap.Update(lpn+int64(i), ppas[i])
 		if err != nil {
@@ -478,29 +486,48 @@ func (d *Device) readLocked(now vclock.Time, lpn int64, pages int) ([]byte, vclo
 	secSize := d.geo.Chip.SectorSize
 	out := make([]byte, pages*secSize)
 
-	var ppas []ocssd.PPA
-	var dsts []int
+	ppas := make([]ocssd.PPA, 0, pages)
 	for i := 0; i < pages; i++ {
 		if ppa, ok := d.pmap.Lookup(lpn + int64(i)); ok {
 			ppas = append(ppas, ppa)
-			dsts = append(dsts, i)
 		}
 	}
 	end := d.ctrl.CPUWork(now, vclock.Duration(pages)*d.cfg.CPUPerMapUpdate)
 	if len(ppas) > 0 {
 		d.noteAppIOs(ppas, now)
-		buf := make([]byte, len(ppas)*secSize)
+		// Fully mapped (the common case): the device reads straight into
+		// the buffer that is returned. With holes, the mapped pages are
+		// read packed at the front and then spread out to their places.
 		var err error
-		end, err = d.media.VectorRead(end, ppas, buf)
+		end, err = d.media.VectorRead(end, ppas, out[:len(ppas)*secSize])
 		if err != nil {
 			return nil, end, err
 		}
-		for j, i := range dsts {
-			copy(out[i*secSize:(i+1)*secSize], buf[j*secSize:(j+1)*secSize])
+		if len(ppas) < pages {
+			d.spreadMapped(out, lpn, pages, len(ppas))
 		}
 	}
 	d.stats.PagesRead += int64(pages)
 	return out, end, nil
+}
+
+// spreadMapped moves the mapped pages of an extent, read packed at the
+// front of out, to their positions, leaving zeros at the unmapped ones.
+// It walks backwards so that no page is overwritten before it has moved
+// (page j's position is never below j). Caller holds mu.
+func (d *Device) spreadMapped(out []byte, lpn int64, pages, mapped int) {
+	secSize := d.geo.Chip.SectorSize
+	j := mapped
+	for i := pages - 1; i >= 0; i-- {
+		dst := out[i*secSize : (i+1)*secSize]
+		if _, ok := d.pmap.Lookup(lpn + int64(i)); !ok {
+			clear(dst)
+			continue
+		}
+		if j--; j != i {
+			copy(dst, out[j*secSize:(j+1)*secSize])
+		}
+	}
 }
 
 // Offload returns the device's in-device compute engine (stats and

@@ -453,3 +453,72 @@ func TestGCLocalityCounters(t *testing.T) {
 		t.Fatalf("affected %d > total %d", gs.AffectedAppIOs, gs.TotalAppIOs)
 	}
 }
+
+// TestReadExtentWithHoles reads a six-page extent under every pattern of
+// mapped and unmapped pages: mapped pages come back with their own
+// bytes, holes as zeros. The fully mapped pattern takes the direct path
+// (the device reads into the returned buffer); every other one reads the
+// mapped pages packed and spreads them in place.
+func TestReadExtentWithHoles(t *testing.T) {
+	const extent = 6
+	ctrl := testRig(t, 1)
+	d, now := newBlockDev(t, ctrl, Config{LogicalPages: 2048})
+	var err error
+	for pattern := 0; pattern < 1<<extent; pattern++ {
+		base := int64(pattern * extent)
+		want := make([]byte, extent*4096)
+		for i := 0; i < extent; i++ {
+			if pattern&(1<<i) == 0 {
+				continue
+			}
+			fill := byte(1 + pattern + 37*i)
+			if fill == 0 {
+				fill = 0xFF
+			}
+			if now, err = d.Write(now, base+int64(i), pagesOf(1, fill)); err != nil {
+				t.Fatal(err)
+			}
+			copy(want[i*4096:], pagesOf(1, fill))
+		}
+		got, _, err := d.Read(now, base, extent)
+		if err != nil {
+			t.Fatalf("pattern %06b: %v", pattern, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("pattern %06b: extent read back wrong", pattern)
+		}
+	}
+}
+
+// TestWriteDoesNotRetainCallerBuffer scribbles over the caller's buffer
+// after each Write of a mix of sub-unit and whole-unit sizes: the pad
+// scratch, the stripe writer and the device must all have copied.
+func TestWriteDoesNotRetainCallerBuffer(t *testing.T) {
+	ctrl := testRig(t, 1)
+	d, now := newBlockDev(t, ctrl, Config{LogicalPages: 2048})
+	var err error
+	lpn := int64(0)
+	var sizes []int
+	for _, pages := range []int{1, 3, 1, 4, 24, 2, 7, 48, 1} {
+		buf := pagesOf(pages, byte(0x10+len(sizes)))
+		if now, err = d.Write(now, lpn, buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xEE
+		}
+		sizes = append(sizes, pages)
+		lpn += int64(pages)
+	}
+	lpn = 0
+	for i, pages := range sizes {
+		got, _, err := d.Read(now, lpn, pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, pagesOf(pages, byte(0x10+i))) {
+			t.Fatalf("write %d (%d pages) changed after the caller reused its buffer", i, pages)
+		}
+		lpn += int64(pages)
+	}
+}
