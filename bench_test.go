@@ -380,7 +380,9 @@ func BenchmarkFabricReconnect(b *testing.B) {
 // determinism contract (exp.Scale fails the run otherwise); the
 // benchmark tracks wall-clock. speedup_x is serial wall over pipelined
 // wall — above 1 when GOMAXPROCS allows real parallelism, around 1 on
-// a single-core runner where overlap cannot buy wall-clock time.
+// a single-core runner where overlap cannot buy wall-clock time. Each
+// executor's point is matched by kind and filed under its own name
+// (serial_ms, pipelined_ms, batched_ms).
 func BenchmarkHostPipelinedExecutor(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 {
@@ -394,16 +396,20 @@ func BenchmarkHostPipelinedExecutor(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var serial, pipelined exp.ScalePoint
+		var serial, pipelined, batched exp.ScalePoint
 		for _, p := range points {
-			if p.Executor == hostif.ExecutorPipelined {
-				pipelined = p
-			} else {
+			switch p.Executor {
+			case hostif.ExecutorSerial:
 				serial = p
+			case hostif.ExecutorPipelined:
+				pipelined = p
+			case hostif.ExecutorBatched:
+				batched = p
 			}
 		}
 		b.ReportMetric(float64(serial.Wall.Microseconds())/1000, "serial_ms")
 		b.ReportMetric(float64(pipelined.Wall.Microseconds())/1000, "pipelined_ms")
+		b.ReportMetric(float64(batched.Wall.Microseconds())/1000, "batched_ms")
 		b.ReportMetric(pipelined.Speedup, "speedup_x")
 		b.ReportMetric(float64(pipelined.Overlapped), "overlapped")
 		if i == 0 {

@@ -98,6 +98,9 @@ func main() {
 		}
 		fmt.Printf("  %s = %s\n", k, v)
 	}
+	if err := it.Err(); err != nil {
+		log.Fatal(err)
+	}
 
 	s := db.Stats()
 	// FTL counters come back as an admin log page.

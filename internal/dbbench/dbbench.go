@@ -195,13 +195,14 @@ func Run(db *lsm.DB, w Workload, cfg Config, start vclock.Time) (Result, error) 
 			c.now, err = db.Put(c.now, c.key, c.value)
 		case ReadSequential:
 			_, _, ok := c.iter.Next()
-			if !ok {
+			if !ok && c.iter.Err() == nil {
 				// Wrap: restart the scan (keeps op counts comparable).
 				c.iter = db.NewIterator(&c.now)
-				if _, _, ok = c.iter.Next(); !ok {
+				if _, _, ok = c.iter.Next(); !ok && c.iter.Err() == nil {
 					return res, errors.New("dbbench: database is empty; run fill first")
 				}
 			}
+			err = c.iter.Err()
 		case ReadRandom:
 			idx := c.rng.Int63n(totalKeys)
 			c.key = KeyInto(c.key, idx, cfg.KeySize)

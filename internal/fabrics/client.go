@@ -409,6 +409,11 @@ func (qp *QueuePair) Submit(cmd *hostif.Command) (uint64, error) {
 	if cmd.Op.IsAdmin() {
 		return 0, hostif.ErrAdminOnly
 	}
+	if len(cmd.Key) > 0 {
+		// The wire has no encoding for Key: sent anyway, the command
+		// would run as a plain read and report the key as not found.
+		return 0, fmt.Errorf("%w: searching %v has no wire encoding", hostif.ErrUnsupported, cmd.Op)
+	}
 	qp.mu.Lock()
 	defer qp.mu.Unlock()
 	if err := qp.termErrLocked(); err != nil {

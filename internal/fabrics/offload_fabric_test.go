@@ -46,7 +46,7 @@ func lsmRig(t *testing.T) (*hostif.Host, *lightlsm.Env, lsm.TableHandle, vclock.
 	}
 	host := hostif.NewHost(ctrl, hostif.HostConfig{})
 
-	// One raw SSTable block in the entry format lsm.SearchBlock scans:
+	// One raw SSTable block in the entry format lsm.BlockSearch scans:
 	// u16 key length, u32 value length, u64 sequence, key, value.
 	key, value := "key-7", "offloaded-value"
 	block := make([]byte, env.BlockSize())
@@ -182,5 +182,48 @@ func TestOffloadCorruptRequestRejectedOverFabric(t *testing.T) {
 	value, del, found, err := offload.DecodeGetResult(comp.Data)
 	if err != nil || del || !found || string(value) != "offloaded-value" {
 		t.Fatalf("follow-up get = (%q, %v, %v, %v)", value, del, found, err)
+	}
+}
+
+// TestFabricRejectsSearchingTableRead: the searching form of
+// OpTableRead (Command.Key) has no wire encoding. Sent anyway it would
+// run as a plain read and answer "not found"; the client must refuse it
+// with ErrUnsupported, hold no slot for it, and stay usable — and the
+// fabric Env must not offer lsm.BlockSearcher, so a DB over it copies
+// the block across the wire and searches its copy.
+func TestFabricRejectsSearchingTableRead(t *testing.T) {
+	host, env, h, now := lsmRig(t)
+	nsid, err := host.Admin().AttachNamespace(0, hostif.NewLSMNamespace(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := fabrics.NewServer(host)
+	t.Cleanup(srv.Close)
+	qp, err := fabrics.Loopback(srv).QueuePair(now, 1, hostif.ClassMedium, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qp.Close()
+
+	read := hostif.Command{
+		Op: hostif.OpTableRead, NSID: nsid,
+		Handle: uint64(h.ID), Length: int64(h.Blocks), LPN: 0,
+	}
+	searching := read
+	searching.Key = []byte("key-7")
+	if err := qp.Push(now, &searching); !errors.Is(err, hostif.ErrUnsupported) {
+		t.Fatalf("searching table read over fabric: %v, want ErrUnsupported", err)
+	}
+	// The depth-1 queue is still free: the plain read goes through.
+	read.Dst = make([]byte, env.BlockSize())
+	if err := qp.Push(now, &read); err != nil {
+		t.Fatal(err)
+	}
+	if c := qp.MustReap(); c.Err != nil || !bytes.Contains(read.Dst[:64], []byte("offloaded-value")) {
+		t.Fatalf("plain read after the rejection: %v", c.Err)
+	}
+	var fabricEnv lsm.Env = &fabrics.EnvClient{}
+	if _, ok := fabricEnv.(lsm.BlockSearcher); ok {
+		t.Fatal("fabrics.EnvClient offers SearchBlock; over a wire the block must really cross")
 	}
 }

@@ -33,8 +33,12 @@ type EnvClient struct {
 	gotComp bool
 }
 
-// Statically assert EnvClient implements lsm.Env.
-var _ lsm.Env = (*EnvClient)(nil)
+// Statically assert EnvClient implements lsm.Env and can search in
+// place (in process the namespace sees the caller's key and buffer).
+var (
+	_ lsm.Env           = (*EnvClient)(nil)
+	_ lsm.BlockSearcher = (*EnvClient)(nil)
+)
 
 // NewEnvClient builds a client over qp for the namespace attached
 // under nsid, with the block geometry from its admin identity.
@@ -133,6 +137,25 @@ func (c *EnvClient) ReadBlock(now vclock.Time, h lsm.TableHandle, block int, dst
 		Dst:    dst,
 	})
 	return comp.Done, err
+}
+
+// SearchBlock implements lsm.BlockSearcher with the searching form of
+// OpTableRead: the same opcode, cost and host-link bytes as ReadBlock,
+// but the namespace searches the block where it lies and copies only
+// key's value, into dst.
+func (c *EnvClient) SearchBlock(now vclock.Time, h lsm.TableHandle, block int, key, dst []byte) (value []byte, deleted, found bool, end vclock.Time, err error) {
+	comp, err := c.do(now, Command{
+		Op:     OpTableRead,
+		Handle: uint64(h.ID),
+		Length: int64(h.Blocks),
+		LPN:    int64(block),
+		Key:    key,
+		Dst:    dst,
+	})
+	if err != nil {
+		return nil, false, false, comp.Done, err
+	}
+	return comp.Data, comp.Deleted, comp.Found, comp.Done, nil
 }
 
 // OffloadGet issues an in-device point lookup: the device searches one

@@ -498,10 +498,12 @@ func (h *Host) exec(qp *QueuePair, e sqe) Completion {
 		res = ns[nsid-1].Execute(start, cmd)
 	}
 	if h.cfg.ChargeHostLink && res.Err == nil {
-		if n := len(res.Data); n > 0 {
-			res.End = h.ctrl.HostTransfer(res.End, int64(n))
-		} else if cmd.Op == OpTableRead && len(cmd.Dst) > 0 {
-			res.End = h.ctrl.HostTransfer(res.End, int64(len(cmd.Dst)))
+		n := res.Transfer
+		if n == 0 {
+			n = int64(len(res.Data))
+		}
+		if n > 0 {
+			res.End = h.ctrl.HostTransfer(res.End, n)
 		}
 	}
 	res.Status = StatusOf(res.Err)

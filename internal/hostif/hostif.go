@@ -281,6 +281,15 @@ type Command struct {
 	// Dst receives OpTableRead data (the lsm.Env contract reads into a
 	// caller-owned buffer).
 	Dst []byte
+	// Key, when set on an OpTableRead, makes it a searching read: the
+	// namespace reads the block and the host link carries all of it, as
+	// for a plain read, but the block is searched for Key where it lies
+	// and only the value is copied — appended to Dst[:0] and returned in
+	// Result.Data with Result.Found/Deleted. The search form exists in
+	// process only: the fabrics wire has no encoding for Key and rejects
+	// a command that sets it, because over a wire the block really
+	// crosses and the client searches its copy.
+	Key []byte
 	// Descs are the page descriptors of an OX-ELEOS buffer flush.
 	Descs []PageDesc
 	// Admin carries admin-command parameters (admin opcodes only).
@@ -296,8 +305,18 @@ type Result struct {
 	// Status classifies Err (StatusOK when nil); filled by the
 	// completion path, so namespace adapters may leave it zero.
 	Status Status
-	// Data holds read results (OpRead).
+	// Data holds read results (OpRead), or the value a searching
+	// OpTableRead found.
 	Data []byte
+	// Found and Deleted are a searching OpTableRead's answer: whether
+	// Command.Key is in the block, and whether its newest version is a
+	// tombstone.
+	Found, Deleted bool
+	// Transfer is the number of bytes the command moved to the host when
+	// that is not len(Data): an OpTableRead moves a whole block, whether
+	// into Command.Dst or — searched in place — only to be charged.
+	// Zero means len(Data).
+	Transfer int64
 	// Offset is where an OpZoneAppend landed.
 	Offset int64
 	// Handle is a created writer (OpTableCreate), committed table

@@ -127,8 +127,14 @@ func (n *LSMNamespace) Execute(now vclock.Time, cmd *Command) Result {
 		return Result{End: end, Err: err}
 	case OpTableRead:
 		h := lsm.TableHandle{ID: lsm.TableID(cmd.Handle), Blocks: int(cmd.Length)}
+		if len(cmd.Key) > 0 {
+			// Searching read: same cost, same bytes over the host link,
+			// but only the value is materialised.
+			v, del, found, end, err := n.env.SearchBlock(now, h, int(cmd.LPN), cmd.Key, cmd.Dst)
+			return Result{End: end, Err: err, Data: v, Found: found, Deleted: del, Transfer: int64(n.env.BlockSize())}
+		}
 		end, err := n.env.ReadBlock(now, h, int(cmd.LPN), cmd.Dst)
-		return Result{End: end, Err: err}
+		return Result{End: end, Err: err, Transfer: int64(len(cmd.Dst))}
 	case OpTableDelete:
 		h := lsm.TableHandle{ID: lsm.TableID(cmd.Handle), Blocks: int(cmd.Length)}
 		end, err := n.env.DeleteTable(now, h)

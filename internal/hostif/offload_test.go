@@ -43,7 +43,7 @@ func offloadController(t testing.TB, inj *fault.Injector) *ox.Controller {
 
 // sstBlock builds one raw SSTable block of the environment's block size
 // holding a single key/value entry (the on-media entry format that
-// lsm.SearchBlock scans: u16 key length, u32 flags+value length, u64
+// lsm.BlockSearch scans: u16 key length, u32 flags+value length, u64
 // sequence, key, value; a zero key length terminates the block).
 func sstBlock(size int, key, value string) []byte {
 	b := make([]byte, size)

@@ -94,9 +94,22 @@ type Env struct {
 	nextGroup int
 	stats     Stats
 
-	ppaPool  sync.Pool // recycled []ocssd.PPA stripes for block reads
-	blockBuf sync.Pool // recycled block buffers for in-device lookups
-	offl     *offload.Engine
+	reads sync.Pool // recycled *blockRead states
+	offl  *offload.Engine
+}
+
+// blockRead is the reusable state of one block read: the PPA stripe
+// naming the block's sectors and, for the searching reads, the search
+// fed from the device's view. It is pooled rather than a field of Env
+// because OffloadGet carries a group footprint: lookups on disjoint
+// groups run concurrently. The visitor is bound once per state — a
+// closure built per call would escape through the ox.Media interface
+// and cost an allocation per Get.
+type blockRead struct {
+	ppas   []ocssd.PPA
+	search lsm.BlockSearch
+	visit  func(i int, sector []byte)
+	val    []byte // OffloadGet's value scratch
 }
 
 type tableInfo struct {
@@ -104,8 +117,11 @@ type tableInfo struct {
 	blocks int
 }
 
-// Statically assert Env implements lsm.Env.
-var _ lsm.Env = (*Env)(nil)
+// Statically assert Env implements lsm.Env and can search in place.
+var (
+	_ lsm.Env           = (*Env)(nil)
+	_ lsm.BlockSearcher = (*Env)(nil)
+)
 
 // baseEnv builds the environment skeleton shared by New and Recover.
 func baseEnv(ctrl *ox.Controller, cfg Config) (*Env, error) {
@@ -472,47 +488,86 @@ func (w *tableWriter) Abort(now vclock.Time) (vclock.Time, error) {
 	return end, nil
 }
 
-// ReadBlock implements lsm.Env: one block is one VectorRead of a whole
-// wordline stripe (the unit of read forced up to the unit of write that
-// §4.2 and §5's interface fallacy discuss).
-func (e *Env) ReadBlock(now vclock.Time, h lsm.TableHandle, block int, dst []byte) (vclock.Time, error) {
+// openBlock is the prologue every block read shares: it resolves block
+// of table h to its chunk and returns a pooled read state whose PPA
+// stripe names the block's sectors. The caller hands the state to
+// closeBlock when the read is over.
+func (e *Env) openBlock(h lsm.TableHandle, block int) (*blockRead, error) {
 	e.mu.Lock()
 	t, ok := e.tables[h.ID]
 	e.mu.Unlock()
 	if !ok {
-		return now, fmt.Errorf("%w: %d", ErrUnknownTable, h.ID)
+		return nil, fmt.Errorf("%w: %d", ErrUnknownTable, h.ID)
 	}
 	if block < 0 || block >= t.blocks {
-		return now, fmt.Errorf("%w: %d of %d", ErrBlockRange, block, t.blocks)
-	}
-	if len(dst) < e.BlockSize() {
-		return now, fmt.Errorf("lightlsm: dst %d bytes, want %d", len(dst), e.BlockSize())
+		return nil, fmt.Errorf("%w: %d of %d", ErrBlockRange, block, t.blocks)
 	}
 	chunk := t.chunks[block%len(t.chunks)]
 	stripe := block / len(t.chunks)
-	// Recycle the boxed slice header along with the stripe storage:
-	// Put(&local) would heap-allocate a fresh header per read.
-	pp, _ := e.ppaPool.Get().(*[]ocssd.PPA)
-	if pp == nil {
-		s := make([]ocssd.PPA, e.geo.WSOpt)
-		pp = &s
+	r, _ := e.reads.Get().(*blockRead)
+	if r == nil {
+		r = &blockRead{ppas: make([]ocssd.PPA, e.geo.WSOpt)}
+		r.visit = func(_ int, sector []byte) { r.search.Feed(sector) }
 	}
-	ppas := *pp
 	base := stripe * e.geo.WSOpt
-	for i := range ppas {
-		ppas[i] = chunk.PPAOf(base + i)
+	for i := range r.ppas {
+		r.ppas[i] = chunk.PPAOf(base + i)
 	}
-	end := e.dispatchIO(now)
-	end, err := e.media.VectorRead(end, ppas, dst[:e.BlockSize()])
-	e.ppaPool.Put(pp)
+	return r, nil
+}
+
+// closeBlock recycles r and, when the read succeeded (err is nil),
+// counts it.
+func (e *Env) closeBlock(r *blockRead, err error) {
+	r.search.Reset(nil, nil) // drop the caller's key and buffer
+	e.reads.Put(r)
 	if err != nil {
-		return end, err
+		return
 	}
 	e.mu.Lock()
 	e.stats.BlocksRead++
 	e.mu.Unlock()
 	e.ctrl.NoteUserIO()
-	return end, nil
+}
+
+// ReadBlock implements lsm.Env: one block is one VectorRead of a whole
+// wordline stripe (the unit of read forced up to the unit of write that
+// §4.2 and §5's interface fallacy discuss).
+func (e *Env) ReadBlock(now vclock.Time, h lsm.TableHandle, block int, dst []byte) (vclock.Time, error) {
+	r, err := e.openBlock(h, block)
+	if err != nil {
+		return now, err
+	}
+	if len(dst) < e.BlockSize() {
+		err = fmt.Errorf("lightlsm: dst %d bytes, want %d", len(dst), e.BlockSize())
+		e.closeBlock(r, err)
+		return now, err
+	}
+	end := e.dispatchIO(now)
+	end, err = e.media.VectorRead(end, r.ppas, dst[:e.BlockSize()])
+	e.closeBlock(r, err)
+	return end, err
+}
+
+// SearchBlock implements lsm.BlockSearcher: a ReadBlock that searches
+// the block where it lies. It costs exactly what ReadBlock costs — the
+// dispatch thread, the media and channel time of the whole stripe, one
+// block read, one user I/O — but the sectors are fed to the search from
+// the device's own memory and only key's value is copied, appended to
+// dst[:0].
+func (e *Env) SearchBlock(now vclock.Time, h lsm.TableHandle, block int, key, dst []byte) (value []byte, del, found bool, end vclock.Time, err error) {
+	r, err := e.openBlock(h, block)
+	if err != nil {
+		return nil, false, false, now, err
+	}
+	r.search.Reset(key, dst)
+	end = e.dispatchIO(now)
+	end, err = e.media.VectorView(end, r.ppas, r.visit)
+	if err == nil {
+		value, del, found = r.search.Result()
+	}
+	e.closeBlock(r, err)
+	return value, del, found, end, err
 }
 
 // DeleteTable implements lsm.Env: §4.3 — "Each SSTable deletion only
@@ -588,7 +643,7 @@ func (e *Env) BlockGroup(id lsm.TableID, block int) (int, bool) {
 }
 
 // OffloadGet resolves a point lookup inside the device (OpOffloadGet):
-// the block is read from NAND into device RAM, searched by the offload
+// the block is read from NAND, searched where it lies by the offload
 // engine's per-group lane, and only the EncodeGetResult frame — flags
 // plus the value — is returned for the host link. The path deliberately
 // bypasses the host-facing dispatch thread and every other device-wide
@@ -598,47 +653,23 @@ func (e *Env) BlockGroup(id lsm.TableID, block int) (int, bool) {
 // surface as the injector's typed errors (wrapped with %w), so
 // hostif.StatusOf classifies them exactly as host-side block reads.
 func (e *Env) OffloadGet(now vclock.Time, h lsm.TableHandle, block int, key []byte) (res []byte, end vclock.Time, err error) {
-	e.mu.Lock()
-	t, ok := e.tables[h.ID]
-	e.mu.Unlock()
-	if !ok {
-		return nil, now, fmt.Errorf("%w: %d", ErrUnknownTable, h.ID)
-	}
-	if block < 0 || block >= t.blocks {
-		return nil, now, fmt.Errorf("%w: %d of %d", ErrBlockRange, block, t.blocks)
-	}
-	chunk := t.chunks[block%len(t.chunks)]
-	stripe := block / len(t.chunks)
-	bp, _ := e.blockBuf.Get().(*[]byte)
-	if bp == nil {
-		s := make([]byte, e.BlockSize())
-		bp = &s
-	}
-	buf := (*bp)[:e.BlockSize()]
-	pp, _ := e.ppaPool.Get().(*[]ocssd.PPA)
-	if pp == nil {
-		s := make([]ocssd.PPA, e.geo.WSOpt)
-		pp = &s
-	}
-	ppas := *pp
-	base := stripe * e.geo.WSOpt
-	for i := range ppas {
-		ppas[i] = chunk.PPAOf(base + i)
-	}
-	end, err = e.media.VectorRead(now, ppas, buf)
-	e.ppaPool.Put(pp)
+	r, err := e.openBlock(h, block)
 	if err != nil {
-		e.blockBuf.Put(bp)
+		return nil, now, err
+	}
+	r.search.Reset(key, r.val)
+	end, err = e.media.VectorView(now, r.ppas, r.visit)
+	if err != nil {
+		e.closeBlock(r, err)
 		return nil, end, fmt.Errorf("lightlsm: offload get: %w", err)
 	}
-	end = e.offl.GetCost(end, chunk.Group, e.BlockSize())
-	value, del, found := lsm.SearchBlock(buf, key)
+	end = e.offl.GetCost(end, r.ppas[0].Group, e.BlockSize())
+	value, del, found := r.search.Result()
 	res = offload.EncodeGetResult(value, del, found)
-	e.blockBuf.Put(bp)
-	e.mu.Lock()
-	e.stats.BlocksRead++
-	e.mu.Unlock()
-	e.ctrl.NoteUserIO()
+	if found && !del {
+		r.val = value[:0] // keep the grown scratch
+	}
+	e.closeBlock(r, nil)
 	e.offl.NoteGet(found, len(res), e.BlockSize())
 	return res, end, nil
 }

@@ -49,8 +49,8 @@ type Options struct {
 	// link and searching it host-side, the device searches block in
 	// place and returns only the value. Bloom probe and block-index
 	// lookup stay host-side either way (table metadata lives in
-	// controller RAM). The returned value must remain valid until the
-	// next Lookup or ReadBlock call. Nil selects the host-side path.
+	// controller RAM). The returned value is copied out before the DB
+	// makes another Env call. Nil selects the host-side path.
 	Lookup func(now vclock.Time, h TableHandle, block int, key []byte) (value []byte, del, found bool, end vclock.Time, err error)
 	// Compactor, when set, runs table merges inside the device
 	// (OpOffloadCompact): inputs are merged newest-first device-side
@@ -129,8 +129,17 @@ type DB struct {
 	compactEnd   vclock.Time
 	lastFlushEnd vclock.Time
 	l1Cursor     int
-	readBuf      []byte // reusable Get block buffer (guarded by mu)
 	stats        Stats
+
+	// lookup resolves a positive table probe: it charges the read of one
+	// whole block and appends the key's value to dst[:0]. Open binds it
+	// once — to Options.Lookup, else to the Env's BlockSearcher, else to
+	// readAndSearch — so searchTable has one call site.
+	lookup func(now vclock.Time, h TableHandle, block int, key, dst []byte) (value []byte, del, found bool, end vclock.Time, err error)
+	// readBuf and search serve readAndSearch only (guarded by mu); the
+	// block buffer is never allocated when lookups go elsewhere.
+	readBuf []byte
+	search  BlockSearch
 }
 
 // immEntry is a memtable whose flush completes at end (virtual time).
@@ -153,6 +162,21 @@ func Open(opts Options) (*DB, error) {
 	}
 	if opts.RateLimitMBps > 0 {
 		db.rate = vclock.NewResource("lsm-rate")
+	}
+	if offloaded := opts.Lookup; offloaded != nil {
+		// Offloaded probe: the device searches the block in place and
+		// only the value crosses the host link.
+		db.lookup = func(now vclock.Time, h TableHandle, block int, key, dst []byte) ([]byte, bool, bool, vclock.Time, error) {
+			v, del, found, end, err := offloaded(now, h, block, key)
+			if err != nil || !found || del {
+				return nil, del, found, end, err
+			}
+			return append(dst[:0], v...), false, true, end, nil
+		}
+	} else if s, ok := opts.Env.(BlockSearcher); ok {
+		db.lookup = s.SearchBlock
+	} else {
+		db.lookup = db.readAndSearch
 	}
 	return db, nil
 }
@@ -520,13 +544,13 @@ func (db *DB) GetInto(now vclock.Time, key, dst []byte) ([]byte, vclock.Time, er
 	}
 	// L0: newest first, ranges overlap.
 	for _, t := range db.l0 {
-		v, del, found, end, err := db.searchTable(now, t, key)
+		v, del, found, end, err := db.searchTable(now, t, key, dst)
 		if err != nil {
 			return nil, end, err
 		}
 		now = end
 		if found {
-			return db.answer(v, del, now, dst)
+			return tableAnswer(v, del, now)
 		}
 	}
 	for _, level := range [][]*TableMeta{db.l1, db.l2} {
@@ -534,19 +558,20 @@ func (db *DB) GetInto(now vclock.Time, key, dst []byte) ([]byte, vclock.Time, er
 			return bytes.Compare(level[i].Largest, key) >= 0
 		})
 		if idx < len(level) && level[idx].Overlaps(key, key) {
-			v, del, found, end, err := db.searchTable(now, level[idx], key)
+			v, del, found, end, err := db.searchTable(now, level[idx], key, dst)
 			if err != nil {
 				return nil, end, err
 			}
 			now = end
 			if found {
-				return db.answer(v, del, now, dst)
+				return tableAnswer(v, del, now)
 			}
 		}
 	}
 	return nil, now, ErrNotFound
 }
 
+// answer copies a memtable hit into dst.
 func (db *DB) answer(v []byte, del bool, now vclock.Time, dst []byte) ([]byte, vclock.Time, error) {
 	if del {
 		return nil, now, ErrNotFound
@@ -560,10 +585,18 @@ func (db *DB) answer(v []byte, del bool, now vclock.Time, dst []byte) ([]byte, v
 	return dst, now, nil
 }
 
-// searchTable probes one table for key. The returned value aliases the
-// DB's reusable read buffer (valid until the next searchTable call);
-// answer copies it before it escapes.
-func (db *DB) searchTable(now vclock.Time, t *TableMeta, key []byte) (v []byte, del, found bool, end vclock.Time, err error) {
+// tableAnswer returns a table hit: the lookup already left the value in
+// the caller's buffer.
+func tableAnswer(v []byte, del bool, now vclock.Time) ([]byte, vclock.Time, error) {
+	if del {
+		return nil, now, ErrNotFound
+	}
+	return v, now, nil
+}
+
+// searchTable probes one table for key; a found value is appended to
+// dst[:0].
+func (db *DB) searchTable(now vclock.Time, t *TableMeta, key, dst []byte) (v []byte, del, found bool, end vclock.Time, err error) {
 	now = now.Add(200) // bloom probe CPU
 	if !t.Filter.mayContain(key) {
 		db.stats.BloomSkips++
@@ -573,27 +606,29 @@ func (db *DB) searchTable(now vclock.Time, t *TableMeta, key []byte) (v []byte, 
 	if blockIdx < 0 {
 		return nil, false, false, now, nil
 	}
-	if db.opts.Lookup != nil {
-		// Offloaded probe: the device searches the block in place and
-		// only the value crosses the host link.
-		v, del, found, end, err = db.opts.Lookup(now, t.Handle, blockIdx, key)
-		if err != nil {
-			return nil, false, false, end, err
-		}
-		db.stats.BlockReads++
-		return v, del, found, end, nil
+	v, del, found, end, err = db.lookup(now, t.Handle, blockIdx, key, dst)
+	if err != nil {
+		return nil, false, false, end, err
 	}
+	db.stats.BlockReads++
+	return v, del, found, end, nil
+}
+
+// readAndSearch is the lookup of an Env that can only hand blocks over:
+// the block is copied into the DB's buffer (over a fabric it really
+// crosses a wire) and searched there as one segment.
+func (db *DB) readAndSearch(now vclock.Time, h TableHandle, block int, key, dst []byte) (v []byte, del, found bool, end vclock.Time, err error) {
 	if len(db.readBuf) < db.env.BlockSize() {
 		db.readBuf = make([]byte, db.env.BlockSize())
 	}
-	buf := db.readBuf
-	now, err = db.env.ReadBlock(now, t.Handle, blockIdx, buf)
+	end, err = db.env.ReadBlock(now, h, block, db.readBuf)
 	if err != nil {
-		return nil, false, false, now, err
+		return nil, false, false, end, err
 	}
-	db.stats.BlockReads++
-	v, del, found = searchBlock(buf, key)
-	return v, del, found, now, nil
+	db.search.Reset(key, dst)
+	db.search.Feed(db.readBuf)
+	v, del, found = db.search.Result()
+	return v, del, found, end, nil
 }
 
 // Iterator streams live keys in order, merging all levels. It snapshots
@@ -629,9 +664,10 @@ func (db *DB) NewIterator(clock *vclock.Time) *Iterator {
 	return &Iterator{db: db, merge: newDedupIterator(newMergeIterator(its)), clock: clock}
 }
 
-// Next returns the next live key/value; ok=false at the end. The
-// returned slices are zero-copy views into the iterator's buffers and
-// stay valid only until the next call — copy them to retain.
+// Next returns the next live key/value; ok=false at the end, or when a
+// block read failed — Err tells the two apart. The returned slices are
+// zero-copy views into the iterator's buffers and stay valid only until
+// the next call — copy them to retain.
 func (it *Iterator) Next() (key, value []byte, ok bool) {
 	for {
 		e, more := it.merge.next()
@@ -646,6 +682,10 @@ func (it *Iterator) Next() (key, value []byte, ok bool) {
 	}
 }
 
+// Err returns the block-read error that ended the scan early, or nil
+// if Next reported false because every live key was returned.
+func (it *Iterator) Err() error { return it.merge.err() }
+
 // memIterator walks a skiplist.
 type memIterator struct {
 	node *slNode
@@ -659,3 +699,5 @@ func (m *memIterator) next() (Entry, bool) {
 	m.node = n.next[0]
 	return Entry{Key: n.key, Seq: n.seq, Value: n.value, Del: n.del}, true
 }
+
+func (m *memIterator) err() error { return nil }

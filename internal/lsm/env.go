@@ -31,6 +31,9 @@ type TableHandle struct {
 // Env is the storage environment the LSM runs on (§4.2: "LightLSM
 // exposes Open-Channel SSDs as a RocksDB environment supporting SSTable
 // flush and block reads").
+//
+// An Env that can search a block where it is stored also implements
+// BlockSearcher; DB.Open probes for it once.
 type Env interface {
 	// BlockSize is the unit of transfer for reads and writes (§4.2: on a
 	// dual-plane TLC drive it must be a multiple of 96 KB).
@@ -43,6 +46,20 @@ type Env interface {
 	ReadBlock(now vclock.Time, h TableHandle, block int, dst []byte) (vclock.Time, error)
 	// DeleteTable releases a table's storage (chunk resets on LightLSM).
 	DeleteTable(now vclock.Time, h TableHandle) (vclock.Time, error)
+}
+
+// BlockSearcher is the optional capability of an Env that can answer a
+// point lookup without handing the block over: SearchBlock charges
+// exactly what ReadBlock of the same block charges — the whole block is
+// read and transferred in virtual time — but feeds the block to a
+// BlockSearch where it lies and copies only key's value, appended to
+// dst[:0]. When the Env has it, DB.Get uses it and never allocates a
+// block buffer; otherwise Get falls back to ReadBlock plus a search of
+// the copy, which is what a networked Env must do. It is deliberately
+// not part of Env: a wrapper that embeds Env does not forward it, and
+// so keeps observing every lookup as a ReadBlock.
+type BlockSearcher interface {
+	SearchBlock(now vclock.Time, h TableHandle, block int, key, dst []byte) (value []byte, del, found bool, end vclock.Time, err error)
 }
 
 // TableWriter accumulates the blocks of one SSTable flush and commits

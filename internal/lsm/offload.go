@@ -9,17 +9,11 @@ import (
 
 // This file is the LSM side of the computational-storage subsystem
 // (internal/offload): the primitives a device-resident engine needs to
-// resolve point lookups and run compactions without the host. They are
-// deliberately thin exports over the same block-search and
-// merge/build machinery the host-side paths use, so an offloaded
-// operation produces bit-identical tables and values.
-
-// SearchBlock scans one raw SSTable block for key in place — the
-// in-device half of an offloaded point lookup (OpOffloadGet). The
-// returned value aliases block.
-func SearchBlock(block, key []byte) (value []byte, del, found bool) {
-	return searchBlock(block, key)
-}
+// resolve point lookups and run compactions without the host: the
+// in-device lookup feeds the same BlockSearch (sstable.go) as the host
+// Get, and MergeTables below is a thin export over the host's own
+// merge/build machinery, so an offloaded operation produces
+// bit-identical tables and values.
 
 // MergeTables merges the given committed tables into fresh tables on
 // env, newest-first inputs shadowing older ones, and returns the output

@@ -100,32 +100,129 @@ func decodeBlock(block []byte) []Entry {
 	return out
 }
 
-// searchBlock scans a block for key in place, with no decoding
-// allocations. Entries are (key asc, seq desc), so the first match is
-// the newest version. The returned value aliases block.
-func searchBlock(block, key []byte) (value []byte, del, found bool) {
-	off := 0
-	for off+entryHeader <= len(block) {
-		keyLen := int(binary.LittleEndian.Uint16(block[off:]))
-		if keyLen == 0 {
-			break
-		}
-		fv := binary.LittleEndian.Uint32(block[off+2:])
-		valLen := int(fv &^ delFlag)
-		off += entryHeader
-		if off+keyLen+valLen > len(block) {
-			break // torn block
-		}
-		if bytes.Equal(block[off:off+keyLen], key) {
-			off += keyLen
-			if fv&delFlag != 0 {
-				return nil, true, true
+// BlockSearch scans one SSTable block for a key without needing the
+// block in one piece: Reset arms it, Feed hands it the block's bytes as
+// consecutive segments of any length — one device sector at a time when
+// the block is searched where it lies, the whole block at once after a
+// ReadBlock — and Result reports the answer. A header, key or value may
+// straddle segments. Entries are (key asc, seq desc), so the first match
+// is the newest version; its value is the only thing copied, appended
+// to the dst given to Reset. The rules of the block format hold
+// whatever the split: a zero keyLen terminates the block, and an entry
+// the block ends inside (a torn block) ends the scan without a match.
+//
+// It is the one block-search routine: the host Get, the ReadBlock
+// fallback and the in-device lookup (OpOffloadGet) all feed it. The zero
+// value is ready for Reset; a BlockSearch is reused across lookups and
+// never allocates beyond growing dst.
+type BlockSearch struct {
+	key, dst []byte
+	state    searchState
+	hdr      [entryHeader]byte
+	// n counts bytes within the current state: header or key bytes
+	// gathered, value bytes consumed, or (searchSkip) bytes of a
+	// non-matching entry still ahead.
+	n      int
+	valLen int
+	del    bool
+}
+
+type searchState uint8
+
+const (
+	searchHeader searchState = iota // gathering an entry header
+	searchKey                       // comparing an entry key of the right length
+	searchSkip                      // passing over the rest of a non-matching entry
+	searchValue                     // consuming the matching entry's value
+	searchMiss                      // terminator reached: key is not in the block
+	searchHit                       // the matching entry lies wholly inside the block
+)
+
+// Reset arms the search for key. A found value is appended to dst[:0];
+// both slices are referenced until the next Reset.
+func (s *BlockSearch) Reset(key, dst []byte) {
+	s.key, s.dst = key, dst[:0]
+	s.state, s.n = searchHeader, 0
+}
+
+// Feed consumes the next segment of the block. Segments after the
+// answer is known are ignored, so a visitor may keep feeding. seg is
+// only read, and not retained.
+func (s *BlockSearch) Feed(seg []byte) {
+	for len(seg) > 0 {
+		switch s.state {
+		case searchHeader:
+			hdr := s.hdr[:]
+			if s.n == 0 && len(seg) >= entryHeader {
+				hdr, seg = seg[:entryHeader], seg[entryHeader:]
+			} else {
+				c := copy(s.hdr[s.n:], seg)
+				s.n, seg = s.n+c, seg[c:]
+				if s.n < entryHeader {
+					return
+				}
 			}
-			return block[off : off+valLen : off+valLen], false, true
+			keyLen := int(binary.LittleEndian.Uint16(hdr))
+			if keyLen == 0 {
+				s.state = searchMiss
+				return
+			}
+			fv := binary.LittleEndian.Uint32(hdr[2:])
+			s.valLen, s.del = int(fv&^delFlag), fv&delFlag != 0
+			if keyLen == len(s.key) {
+				s.state, s.n = searchKey, 0
+			} else {
+				s.state, s.n = searchSkip, keyLen+s.valLen
+			}
+		case searchKey:
+			c := min(len(seg), len(s.key)-s.n)
+			if !bytes.Equal(seg[:c], s.key[s.n:s.n+c]) {
+				// The skip restarts at seg, which is not consumed here.
+				s.state, s.n = searchSkip, len(s.key)-s.n+s.valLen
+				continue
+			}
+			s.n, seg = s.n+c, seg[c:]
+			if s.n == len(s.key) {
+				s.state, s.n = searchValue, 0
+				if s.valLen == 0 {
+					s.state = searchHit
+					return
+				}
+			}
+		case searchSkip:
+			c := min(len(seg), s.n)
+			s.n, seg = s.n-c, seg[c:]
+			if s.n == 0 {
+				s.state = searchHeader
+			}
+		case searchValue:
+			c := min(len(seg), s.valLen-s.n)
+			if !s.del {
+				s.dst = append(s.dst, seg[:c]...)
+			}
+			s.n, seg = s.n+c, seg[c:]
+			if s.n == s.valLen {
+				s.state = searchHit
+				return
+			}
+		default:
+			return
 		}
-		off += keyLen + valLen
 	}
-	return nil, false, false
+}
+
+// Result reports the answer once the whole block has been fed: the
+// newest version's value (backed by Reset's dst; nil for a tombstone),
+// whether it is a tombstone, and whether the key was found at all. A
+// search the block ended inside of reports not found.
+func (s *BlockSearch) Result() (value []byte, del, found bool) {
+	if s.state != searchHit {
+		return nil, false, false
+	}
+	if s.del {
+		return nil, true, true
+	}
+	return s.dst, false, true
 }
 
 // TableMeta is the in-memory metadata of one SSTable: block index
@@ -173,14 +270,23 @@ func (t *TableMeta) blockFor(key []byte) int {
 
 // entryIterator yields entries in internal-key order.
 type entryIterator interface {
-	// next returns the next entry; ok=false at exhaustion.
+	// next returns the next entry; ok=false at exhaustion or on a read
+	// error, which err then reports.
 	next() (Entry, bool)
+	// err returns the first error that ended the iteration early, nil
+	// if the input was (or can still be) read to its end. A consumer
+	// must check it after next reports false: stopping short is not
+	// exhaustion, and treating it as such drops every later entry.
+	err() error
 }
 
 // buildTables drains iter into one or more SSTables of at most
 // maxBlocks blocks each, returning their metadata. bitsPerKey sizes the
 // bloom filters; dropDeletes elides tombstones (bottom level only).
-// Each table flush is atomic (Commit).
+// Each table flush is atomic (Commit). If iter stops on a read error
+// the outputs built so far hold a truncated merge: they are discarded
+// (open writer aborted, committed tables deleted) and the error is
+// returned, so the caller's inputs remain the only copy and stay valid.
 func buildTables(env Env, now vclock.Time, iter entryIterator, bitsPerKey int, dropDeletes bool) ([]*TableMeta, vclock.Time, error) {
 	blockSize := env.BlockSize()
 	maxBlocks := env.MaxTableBlocks()
@@ -281,6 +387,17 @@ func buildTables(env Env, now vclock.Time, iter entryIterator, bitsPerKey int, d
 		meta.Largest = append(meta.Largest[:0], e.Key...)
 		hashes = append(hashes, bloomHash(e.Key))
 	}
+	if err := iter.err(); err != nil {
+		// Best-effort release of the partial outputs; the read error is
+		// what the caller needs to see.
+		if w != nil {
+			end, _ = w.Abort(end)
+		}
+		for _, m := range metas {
+			end, _ = env.DeleteTable(end, m.Handle)
+		}
+		return nil, end, err
+	}
 	if err := finishTable(); err != nil {
 		return metas, end, err
 	}
@@ -302,6 +419,7 @@ type tableIterator struct {
 	pos      int
 	bufs     [2][]byte
 	cur      int
+	readErr  error // first ReadBlock failure; the iterator stays stopped
 }
 
 // newTableIterator creates an iterator over one table. Block read time
@@ -312,7 +430,7 @@ func newTableIterator(env Env, meta *TableMeta, now *vclock.Time) *tableIterator
 
 func (it *tableIterator) next() (Entry, bool) {
 	for it.pos >= len(it.entries) {
-		if it.blockIdx >= it.meta.Handle.Blocks {
+		if it.readErr != nil || it.blockIdx >= it.meta.Handle.Blocks {
 			return Entry{}, false
 		}
 		it.cur ^= 1
@@ -322,6 +440,7 @@ func (it *tableIterator) next() (Entry, bool) {
 		buf := it.bufs[it.cur]
 		end, err := it.env.ReadBlock(*it.now, it.meta.Handle, it.blockIdx, buf)
 		if err != nil {
+			it.readErr = fmt.Errorf("lsm: table %d block %d: %w", it.meta.Handle.ID, it.blockIdx, err)
 			return Entry{}, false
 		}
 		*it.now = end
@@ -334,6 +453,8 @@ func (it *tableIterator) next() (Entry, bool) {
 	return e, true
 }
 
+func (it *tableIterator) err() error { return it.readErr }
+
 // mergeIterator merges several entryIterators in internal-key order;
 // inputs must each be internally sorted. On ties (same key and seq),
 // earlier inputs win (callers order inputs newest-first). Heads are
@@ -341,20 +462,34 @@ func (it *tableIterator) next() (Entry, bool) {
 // allocates (an Entry box per merged entry used to dominate the flush
 // path's allocation profile).
 type mergeIterator struct {
-	its   []entryIterator
-	heads []Entry
-	live  []bool
+	its    []entryIterator
+	heads  []Entry
+	live   []bool
+	failed error // first input error; the merge stops there
 }
 
 func newMergeIterator(its []entryIterator) *mergeIterator {
 	m := &mergeIterator{its: its, heads: make([]Entry, len(its)), live: make([]bool, len(its))}
 	for i := range its {
-		m.heads[i], m.live[i] = its[i].next()
+		m.advance(i)
 	}
 	return m
 }
 
+// advance refills input i's head. An input that stops on an error stops
+// the whole merge: carrying on without it would emit a merge that
+// silently lacks its remaining entries.
+func (m *mergeIterator) advance(i int) {
+	m.heads[i], m.live[i] = m.its[i].next()
+	if !m.live[i] && m.failed == nil {
+		m.failed = m.its[i].err()
+	}
+}
+
 func (m *mergeIterator) next() (Entry, bool) {
+	if m.failed != nil {
+		return Entry{}, false
+	}
 	best := -1
 	for i := range m.heads {
 		if !m.live[i] {
@@ -368,9 +503,11 @@ func (m *mergeIterator) next() (Entry, bool) {
 		return Entry{}, false
 	}
 	e := m.heads[best]
-	m.heads[best], m.live[best] = m.its[best].next()
+	m.advance(best)
 	return e, true
 }
+
+func (m *mergeIterator) err() error { return m.failed }
 
 // dedupIterator keeps only the newest version of each key.
 type dedupIterator struct {
@@ -404,6 +541,8 @@ func (d *dedupIterator) next() (Entry, bool) {
 	}
 }
 
+func (d *dedupIterator) err() error { return d.in.err() }
+
 // sliceIterator iterates a pre-built entry slice.
 type sliceIterator struct {
 	entries []Entry
@@ -418,3 +557,5 @@ func (s *sliceIterator) next() (Entry, bool) {
 	s.pos++
 	return e, true
 }
+
+func (s *sliceIterator) err() error { return nil }

@@ -979,13 +979,37 @@ type chargedPage struct {
 // (len(ppas) sectors). Reads served from the controller buffer or the
 // write-back cache cost DRAM time; media reads cost tR per distinct page
 // plus the channel transfer. Returns the virtual completion instant.
+// It is VectorView with a visitor that copies every sector out.
 func (d *Device) VectorRead(now vclock.Time, ppas []PPA, dst []byte) (vclock.Time, error) {
-	geo := d.geo
 	if err := d.alive(); err != nil {
 		return now, err
 	}
-	if len(dst) != len(ppas)*geo.Chip.SectorSize {
+	sz := d.geo.Chip.SectorSize
+	if len(dst) != len(ppas)*sz {
 		return now, fmt.Errorf("%w: %d bytes for %d sectors", ErrDataSize, len(dst), len(ppas))
+	}
+	return d.VectorView(now, ppas, func(i int, sector []byte) {
+		copy(dst[i*sz:(i+1)*sz], sector)
+	})
+}
+
+// VectorView is the borrowed-view read: it executes the same scatter-
+// gather read as VectorRead — same validation, fault hooks, chip reads,
+// resource reservations and counters, in the same order — but instead of
+// copying each sector out it hands visit the sector's bytes where they
+// lie (controller stripe buffer or NAND page), in vector order, i being
+// the sector's index in ppas. The read is charged in full whatever visit
+// keeps: virtual time models the transfer, the host pays only for the
+// bytes a caller copies.
+//
+// visit runs under the sector's PU lock. The slice it receives is device
+// memory: it is valid only for that call, must not be retained or
+// written, and visit must not call back into the device. Sectors visited
+// before an error are not undone; the caller discards what it gathered.
+func (d *Device) VectorView(now vclock.Time, ppas []PPA, visit func(i int, sector []byte)) (vclock.Time, error) {
+	geo := d.geo
+	if err := d.alive(); err != nil {
+		return now, err
 	}
 	for _, p := range ppas {
 		if err := geo.CheckPPA(p); err != nil {
@@ -1039,11 +1063,10 @@ func (d *Device) VectorRead(now vclock.Time, ppas []PPA, dst []byte) (vclock.Tim
 					return now, fmt.Errorf("read %v: %w", p, v.Err)
 				}
 			}
-			out := dst[k*sz : (k+1)*sz]
 			// Still in the partial-stripe controller buffer?
 			if base, buf := d.bufBase(pu, m), pu.buffered(m); m.state == ChunkOpen && p.Sector >= base && (p.Sector-base+1)*sz <= len(buf) {
 				off := (p.Sector - base) * sz
-				copy(out, buf[off:off+sz])
+				visit(k, buf[off:off+sz:off+sz])
 				t := now.Add(vclock.DurationFor(int64(sz), geo.CacheMBps))
 				if t > end {
 					end = t
@@ -1057,7 +1080,7 @@ func (d *Device) VectorRead(now vclock.Time, ppas []PPA, dst []byte) (vclock.Tim
 				pu.mu.Unlock()
 				return now, fmt.Errorf("read %v: %w", p, err)
 			}
-			copy(out, data[loc.sector*sz:(loc.sector+1)*sz])
+			visit(k, data[loc.sector*sz:(loc.sector+1)*sz:(loc.sector+1)*sz])
 			// Write-back cache window: data not yet drained reads at DRAM speed.
 			if d.cache.enabled() && m.flushEnd > now {
 				t := now.Add(vclock.DurationFor(int64(sz), geo.CacheMBps))

@@ -32,6 +32,9 @@ type Media interface {
 	Geometry() ocssd.Geometry
 	VectorWrite(now vclock.Time, ppas []ocssd.PPA, data []byte) (vclock.Time, error)
 	VectorRead(now vclock.Time, ppas []ocssd.PPA, dst []byte) (vclock.Time, error)
+	// VectorView is VectorRead without the copy: visit borrows each
+	// sector's bytes for the duration of its call (see ocssd.Device).
+	VectorView(now vclock.Time, ppas []ocssd.PPA, visit func(i int, sector []byte)) (vclock.Time, error)
 	Append(now vclock.Time, id ocssd.ChunkID, data []byte) (int, vclock.Time, error)
 	Pad(now vclock.Time, id ocssd.ChunkID) (vclock.Time, error)
 	Reset(now vclock.Time, id ocssd.ChunkID) (vclock.Time, error)
