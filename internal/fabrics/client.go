@@ -111,12 +111,21 @@ func (c *Client) WithConfig(cfg Config) *Client {
 
 // connect dials and runs the handshake, returning the accepted
 // queue-pair ID, depth and session token. token 0 requests a fresh
-// session; non-zero resumes a retained one.
-func (c *Client) connect(kind uint8, now vclock.Time, depth int, class hostif.Class, coalesce int, token uint64) (net.Conn, int, int, uint64, error) {
+// session; non-zero resumes a retained one. The accept is read through
+// fr, reset onto the new connection, and the caller keeps reading
+// through it: a frame the server pushed right behind the accept is
+// already buffered there.
+func (c *Client) connect(fr *frameReader, kind uint8, now vclock.Time, depth int, class hostif.Class, coalesce int, token uint64) (_ net.Conn, qid, dep int, tok uint64, err error) {
 	conn, err := c.dial()
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
+	defer func() {
+		if err != nil {
+			conn.Close()
+		}
+	}()
+	fr.reset(conn)
 	if ht := resolveTimeout(c.cfg.AdminTimeout, DefaultAdminTimeout); ht > 0 {
 		conn.SetDeadline(time.Now().Add(ht))
 		defer conn.SetDeadline(time.Time{})
@@ -131,36 +140,23 @@ func (c *Client) connect(kind uint8, now vclock.Time, depth int, class hostif.Cl
 	f.u32(uint32(c.cfg.KeepAlive / time.Millisecond))
 	f.u64(token)
 	if _, err := conn.Write(f.finish()); err != nil {
-		conn.Close()
 		return nil, 0, 0, 0, wrapTimeout(err)
 	}
-	var rbuf []byte
-	ftype, payload, err := readFrame(conn, &rbuf)
+	ftype, payload, err := fr.readFrame()
 	if err != nil {
-		conn.Close()
 		return nil, 0, 0, 0, wrapTimeout(err)
 	}
-	d := decoder{b: payload}
 	switch ftype {
 	case frameAccept:
-		qid := int(d.u32())
-		dep := int(d.u32())
-		tok := d.u64()
+		d := decoder{b: payload}
+		qid, dep, tok = int(d.u32()), int(d.u32()), d.u64()
 		if err := d.done(); err != nil {
-			conn.Close()
 			return nil, 0, 0, 0, err
 		}
 		return conn, qid, dep, tok, nil
 	case frameError:
-		code := d.u16()
-		msg := d.str()
-		conn.Close()
-		if code == errSessionUnknown {
-			return nil, 0, 0, 0, fmt.Errorf("%w: %s", ErrSessionUnknown, msg)
-		}
-		return nil, 0, 0, 0, fmt.Errorf("%w: %s", ErrRejected, msg)
+		return nil, 0, 0, 0, wireError(payload)
 	default:
-		conn.Close()
 		return nil, 0, 0, 0, fmt.Errorf("%w: %d in handshake", ErrBadFrameType, ftype)
 	}
 }
@@ -203,8 +199,15 @@ type recvEntry struct {
 // synchronously) and returns false only when nothing is in flight;
 // server-side submission rejections surface as error completions
 // (Status/Err set, echoing the command) rather than Submit errors. A
-// reaped completion's Data is valid until its command storage is
-// recycled by a later completion.
+// reaped completion's Data is lent: it stays valid, whatever lands
+// meanwhile, until the next Reap, ReapEarliest or MustReap of the pair.
+//
+// Threading: whoever waits, reads. A goroutine blocked in a reap takes
+// the pair's reader role and pulls frames off the socket itself, so a
+// completion is decoded by the goroutine that wanted it and nobody is
+// woken; other waiters sit on cond until the reader lands something,
+// and whoever holds the role handles a connection loss. A reader of
+// last resort holds it only while no reaper does (see lastResort).
 //
 // Resilience: when the client was built with a Redial budget, a lost
 // connection is not terminal — the pair redials with capped
@@ -228,14 +231,19 @@ type QueuePair struct {
 	wmu  sync.Mutex // write side: ring frames, keep-alives, disconnect
 	wbuf frameBuf
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	conn   net.Conn
-	gen    int   // bumped per reconnect; guards breakConn
-	werr   error // first write error on the current conn (redial context)
-	rerr   error // terminal reader error (sticky)
-	closed bool
-	kaStop chan struct{}
+	mu      sync.Mutex
+	cond    *sync.Cond
+	conn    net.Conn
+	fr      frameReader   // owned by the holder of the reader role
+	reading bool          // the reader role: one goroutine reads conn
+	waiting int           // reapers parked on cond behind the reader
+	reaps   uint64        // reap calls so far: tells the last-resort reader the pair is driven
+	summon  chan struct{} // cuts the last-resort reader's back-off short
+	gen     int           // bumped per reconnect; guards breakConn
+	werr    error         // first write error on the current conn (redial context)
+	rerr    error         // terminal reader error (sticky)
+	closed  bool
+	done    chan struct{} // closed with the pair, however it ends
 
 	// Local command arena with the in-process misuse detection.
 	free  []*hostif.Command
@@ -245,8 +253,7 @@ type QueuePair struct {
 	// never repeat; ack is the highest seq below which every completion
 	// has been received (carried on ring frames so the server can prune
 	// its replay cache).
-	pending  map[uint64]*pendingCmd
-	pendFree []*pendingCmd
+	pending  map[uint64]pendingCmd
 	staged   []uint64
 	nextSeq  uint64
 	rung     int // rung, completion not yet received
@@ -258,6 +265,7 @@ type QueuePair struct {
 	nextSlot uint64
 	cq       []recvEntry
 	dataFree [][]byte
+	lent     []byte // buffer behind the completion last handed out
 
 	redials  int
 	replayed int
@@ -272,26 +280,27 @@ func (c *Client) QueuePair(now vclock.Time, depth int, class hostif.Class, coale
 	if depth < 1 {
 		depth = 1
 	}
-	conn, qid, dep, token, err := c.connect(connKindIO, now, depth, class, coalesce, 0)
-	if err != nil {
-		return nil, err
-	}
 	qp := &QueuePair{
 		cli:      c,
-		conn:     conn,
-		id:       qid,
-		depth:    dep,
 		class:    class,
 		coalesce: coalesce,
-		token:    token,
+		summon:   make(chan struct{}, 1),
+		done:     make(chan struct{}),
 		state:    make(map[*hostif.Command]uint8),
-		pending:  make(map[uint64]*pendingCmd, dep),
 		ackAhead: make(map[uint64]struct{}),
 		lastRing: now,
 	}
+	var err error
+	qp.conn, qp.id, qp.depth, qp.token, err = c.connect(&qp.fr, connKindIO, now, depth, class, coalesce, 0)
+	if err != nil {
+		return nil, err
+	}
+	qp.pending = make(map[uint64]pendingCmd, qp.depth)
 	qp.cond = sync.NewCond(&qp.mu)
-	qp.startKA(conn)
-	go qp.sessionLoop(conn)
+	if kato := c.cfg.KeepAlive; kato > 0 {
+		go qp.keepAlive(max(kato/3, time.Millisecond))
+	}
+	go qp.lastResort()
 	return qp, nil
 }
 
@@ -309,10 +318,8 @@ func (qp *QueuePair) Token() uint64 { return qp.token }
 
 // ReconnectStats counts session-resumption work over the pair's life.
 type ReconnectStats struct {
-	// Redials is the number of successful session resumptions.
-	Redials int
-	// Replayed is the total commands re-sent across all resumptions.
-	Replayed int
+	Redials  int // successful session resumptions
+	Replayed int // commands re-sent across all resumptions
 }
 
 // Stats reports the pair's resumption counters.
@@ -361,22 +368,6 @@ func (qp *QueuePair) recycleLocked(cmd *hostif.Command) {
 	*cmd = hostif.Command{}
 	qp.state[cmd] = cmdFree
 	qp.free = append(qp.free, cmd)
-}
-
-// getPendingLocked pops a pooled pending entry. Caller holds mu.
-func (qp *QueuePair) getPendingLocked() *pendingCmd {
-	if n := len(qp.pendFree); n > 0 {
-		pc := qp.pendFree[n-1]
-		qp.pendFree = qp.pendFree[:n-1]
-		return pc
-	}
-	return new(pendingCmd)
-}
-
-// putPendingLocked recycles a pending entry. Caller holds mu.
-func (qp *QueuePair) putPendingLocked(pc *pendingCmd) {
-	*pc = pendingCmd{}
-	qp.pendFree = append(qp.pendFree, pc)
 }
 
 // Err reports the queue pair's terminal error: nil while healthy (or
@@ -433,9 +424,7 @@ func (qp *QueuePair) Submit(cmd *hostif.Command) (uint64, error) {
 	}
 	qp.nextSeq++
 	seq := qp.nextSeq
-	pc := qp.getPendingLocked()
-	pc.cmd = cmd
-	qp.pending[seq] = pc
+	qp.pending[seq] = pendingCmd{cmd: cmd}
 	qp.staged = append(qp.staged, seq)
 	qp.held++
 	slot := qp.nextSlot
@@ -462,13 +451,16 @@ func (qp *QueuePair) Ring(now vclock.Time) int {
 		return 0
 	}
 	conn, gen := qp.conn, qp.gen
+	// With commands already in flight and nobody reading, the peer may
+	// be blocked pushing their completions and never get to this frame.
+	unread := qp.rung > 0 && !qp.reading
 	qp.wbuf.start(frameRing)
 	qp.wbuf.u64(qp.ack)
 	qp.wbuf.u32(uint32(n))
 	for _, seq := range qp.staged {
 		pc := qp.pending[seq]
-		pc.rung = true
-		pc.at = now
+		pc.rung, pc.at = true, now
+		qp.pending[seq] = pc
 		encodeCommand(&qp.wbuf, seq, now, pc.cmd)
 	}
 	qp.rung += n
@@ -476,39 +468,38 @@ func (qp *QueuePair) Ring(now vclock.Time) int {
 	qp.lastRing = now
 	frame := qp.wbuf.finish()
 	// Release mu (but not wmu) before the blocking write: the reader
-	// goroutine needs mu to land completions, and a stalled write only
-	// drains once the peer's pushes are being consumed.
+	// needs mu to land completions, and a stalled write only drains once
+	// the peer's pushes are being consumed.
 	qp.mu.Unlock()
+	if unread { // cut the last-resort reader's yield short
+		select {
+		case qp.summon <- struct{}{}:
+		default:
+		}
+	}
 	qp.writeConn(conn, gen, frame)
 	return n
 }
 
-// writeConn writes one frame under the configured write deadline.
-// Failures break the connection (waking the reader) rather than
-// failing the pair: the session loop decides whether the cause is
-// redial-eligible. Caller holds wmu.
-func (qp *QueuePair) writeConn(conn net.Conn, gen int, frame []byte) error {
+// writeConn writes one frame under the configured write deadline,
+// armed per write and never cleared: every write path arms its own. A
+// failure does not fail the pair: it is recorded against the connection
+// generation it happened on (a stale one, the session having moved on,
+// is ignored) and the connection closed, so whoever reads observes the
+// loss and decides whether the cause is redial-eligible. Caller holds
+// wmu.
+func (qp *QueuePair) writeConn(conn net.Conn, gen int, frame []byte) {
 	if wt := resolveTimeout(qp.cli.cfg.WriteTimeout, DefaultWriteTimeout); wt > 0 {
 		conn.SetWriteDeadline(time.Now().Add(wt))
-		defer conn.SetWriteDeadline(time.Time{})
 	}
 	if _, err := conn.Write(frame); err != nil {
-		qp.breakConn(conn, gen, wrapTimeout(err))
-		return err
+		qp.mu.Lock()
+		if qp.gen == gen && qp.werr == nil && !qp.closed {
+			qp.werr = wrapTimeout(err)
+		}
+		qp.mu.Unlock()
+		conn.Close()
 	}
-	return nil
-}
-
-// breakConn records a write failure against the connection generation
-// it happened on and closes that connection so the reader observes the
-// loss. A stale generation (the session already moved on) is ignored.
-func (qp *QueuePair) breakConn(conn net.Conn, gen int, err error) {
-	qp.mu.Lock()
-	if qp.gen == gen && qp.werr == nil && !qp.closed {
-		qp.werr = err
-	}
-	qp.mu.Unlock()
-	conn.Close()
 }
 
 // Push submits cmd and rings the doorbell at now — the single-command
@@ -529,13 +520,73 @@ func (qp *QueuePair) Push(now vclock.Time, cmd *hostif.Command) error {
 func (qp *QueuePair) Reap() (hostif.Completion, bool) {
 	qp.mu.Lock()
 	defer qp.mu.Unlock()
+	qp.reaps++
 	for len(qp.cq) == 0 {
 		if qp.rung == 0 || qp.rerr != nil || qp.closed {
 			return hostif.Completion{}, false
 		}
-		qp.cond.Wait()
+		qp.waitLocked()
 	}
 	return qp.takeLocked(0), true
+}
+
+// waitLocked blocks until the pair's state may have changed. If nobody
+// is reading the socket the caller takes the reader role for one frame:
+// read it, land it, and on a connection loss classify the cause and
+// resume or fail the pair, all on the calling goroutine, with mu
+// released meanwhile. Otherwise it parks on cond behind whoever reads.
+// Caller holds mu.
+func (qp *QueuePair) waitLocked() {
+	if qp.reading {
+		qp.waiting++
+		qp.cond.Wait()
+		qp.waiting--
+		return
+	}
+	qp.reading = true
+	conn := qp.conn
+	qp.mu.Unlock()
+	if err := qp.readOne(conn); err != nil {
+		qp.lost(conn, err)
+	}
+	qp.mu.Lock()
+	qp.reading = false
+	qp.cond.Broadcast()
+}
+
+// lastResortYield is how long lastResort stays off a socket a reaper wants.
+const lastResortYield = 5 * time.Millisecond
+
+// lastResort is the reader of last resort: it reads whenever no reaper
+// does, so an idle pair still notices goaway, EOF and keep-alive silence
+// (parked in Read, it costs nothing), and a pair that rang and is not
+// being reaped cannot hold up a peer blocked pushing to it. It yields —
+// stays away for lastResortYield, which Ring and Close cut short — when
+// it finds the role taken, a reaper parked behind it, or the pair driven
+// (somebody reaped meanwhile) with nothing left in flight, so a busy
+// reaper loses a frame or two per interval to it.
+func (qp *QueuePair) lastResort() {
+	t := time.NewTimer(lastResortYield)
+	defer t.Stop()
+	qp.mu.Lock()
+	defer qp.mu.Unlock()
+	for qp.rerr == nil && !qp.closed {
+		if !qp.reading {
+			seen := qp.reaps
+			qp.waitLocked() // the role is free: this reads
+			if qp.waiting == 0 && (qp.reaps == seen || qp.rung > 0) {
+				continue // nobody behind us would read what may still come
+			}
+		}
+		qp.mu.Unlock()
+		t.Reset(lastResortYield)
+		select {
+		case <-t.C:
+		case <-qp.summon:
+		case <-qp.done:
+		}
+		qp.mu.Lock()
+	}
 }
 
 // MustReap is Reap for drivers whose protocol guarantees a completion
@@ -558,8 +609,9 @@ func (qp *QueuePair) MustReap() hostif.Completion {
 func (qp *QueuePair) ReapEarliest() (hostif.Completion, bool) {
 	qp.mu.Lock()
 	defer qp.mu.Unlock()
+	qp.reaps++
 	for qp.rung > 0 && qp.rerr == nil && !qp.closed {
-		qp.cond.Wait()
+		qp.waitLocked()
 	}
 	if len(qp.cq) == 0 {
 		return hostif.Completion{}, false
@@ -574,14 +626,16 @@ func (qp *QueuePair) ReapEarliest() (hostif.Completion, bool) {
 	return qp.takeLocked(best), true
 }
 
-// takeLocked removes cq[i], recycling its arena command and data
-// buffer. Caller holds mu.
+// takeLocked removes cq[i], recycling its arena command and lending
+// its data buffer to the caller: the buffer lent with the previous
+// completion goes back to the pool only now. Caller holds mu.
 func (qp *QueuePair) takeLocked(i int) hostif.Completion {
 	e := qp.cq[i]
 	qp.cq = append(qp.cq[:i], qp.cq[i+1:]...)
-	if e.data != nil {
-		qp.dataFree = append(qp.dataFree, e.data)
+	if qp.lent != nil {
+		qp.dataFree = append(qp.dataFree, qp.lent)
 	}
+	qp.lent = e.data
 	qp.recycleLocked(e.cmd)
 	qp.held--
 	return e.comp
@@ -599,19 +653,9 @@ func (qp *QueuePair) Outstanding() int {
 // server this is a clean close — tear the session down now rather than
 // retain it for resumption; locally, blocked Reaps return false.
 func (qp *QueuePair) Close() error {
-	qp.mu.Lock()
-	if qp.closed {
-		qp.mu.Unlock()
+	conn := qp.end(nil)
+	if conn == nil {
 		return nil
-	}
-	qp.closed = true
-	conn := qp.conn
-	ka := qp.kaStop
-	qp.kaStop = nil
-	qp.cond.Broadcast()
-	qp.mu.Unlock()
-	if ka != nil {
-		close(ka)
 	}
 	qp.wmu.Lock()
 	qp.wbuf.start(frameDisconnect)
@@ -621,73 +665,48 @@ func (qp *QueuePair) Close() error {
 	return conn.Close()
 }
 
-// fail records a terminal error and wakes every waiter.
-func (qp *QueuePair) fail(err error) {
+// fail records a terminal error, wakes every waiter and hangs up.
+func (qp *QueuePair) fail(err error) { qp.end(err).Close() }
+
+// end marks the pair dead — closed when err is nil, failed with err
+// otherwise — and wakes every waiter and both helper goroutines. It
+// returns the connection to tear down, nil for a repeated Close.
+func (qp *QueuePair) end(err error) net.Conn {
 	qp.mu.Lock()
-	if qp.rerr == nil && !qp.closed {
+	defer qp.mu.Unlock()
+	if err == nil && qp.closed {
+		return nil
+	}
+	if !qp.closed && qp.rerr == nil {
+		close(qp.done)
 		qp.rerr = err
 	}
-	conn := qp.conn
-	ka := qp.kaStop
-	qp.kaStop = nil
+	qp.closed = qp.closed || err == nil
 	qp.cond.Broadcast()
-	qp.mu.Unlock()
-	if ka != nil {
-		close(ka)
-	}
-	conn.Close()
+	return qp.conn
 }
 
-// startKA spawns the keep-alive sender for conn: one heartbeat frame
-// every KATO/3 so the server's session timer (KATO + slack) never
-// expires while the client is healthy. No-op when keep-alive is off.
-func (qp *QueuePair) startKA(conn net.Conn) {
-	kato := qp.cli.cfg.KeepAlive
-	if kato <= 0 {
-		return
-	}
-	interval := kato / 3
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	stop := make(chan struct{})
-	qp.mu.Lock()
-	if qp.closed || qp.rerr != nil {
-		qp.mu.Unlock()
-		return
-	}
-	gen := qp.gen
-	qp.kaStop = stop
-	qp.mu.Unlock()
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		var f frameBuf
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				f.start(frameKeepAlive)
-				qp.wmu.Lock()
-				err := qp.writeConn(conn, gen, f.finish())
-				qp.wmu.Unlock()
-				if err != nil {
-					return
-				}
-			}
+// keepAlive sends one heartbeat frame every interval (KATO/3) on
+// whatever connection is current, so the server's session timer (KATO
+// plus slack) never expires while the client is healthy. A failed write
+// breaks that connection like any other.
+func (qp *QueuePair) keepAlive(interval time.Duration) {
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	var f frameBuf
+	for {
+		select {
+		case <-qp.done:
+			return
+		case <-t.C:
 		}
-	}()
-}
-
-// stopKA halts the current keep-alive sender, if any.
-func (qp *QueuePair) stopKA() {
-	qp.mu.Lock()
-	ka := qp.kaStop
-	qp.kaStop = nil
-	qp.mu.Unlock()
-	if ka != nil {
-		close(ka)
+		qp.mu.Lock()
+		conn, gen := qp.conn, qp.gen
+		qp.mu.Unlock()
+		f.start(frameKeepAlive)
+		qp.wmu.Lock()
+		qp.writeConn(conn, gen, f.finish())
+		qp.wmu.Unlock()
 	}
 }
 
@@ -708,86 +727,70 @@ func terminalCause(err error) bool {
 	return false
 }
 
-// sessionLoop owns the pair's read side across connections: it
-// consumes completion pushes until the connection dies, classifies the
-// cause, and either resumes the session (redial, re-handshake with the
-// token, replay un-acked commands) or fails the pair terminally.
-func (qp *QueuePair) sessionLoop(conn net.Conn) {
-	var rbuf []byte
-	for {
-		err := qp.readConn(conn, &rbuf)
-		conn.Close()
-		qp.stopKA()
-		qp.mu.Lock()
-		if qp.closed {
-			qp.mu.Unlock()
-			return
-		}
-		werr := qp.werr
-		qp.werr = nil
+// lost handles the death of conn on the goroutine that was reading it:
+// classify the cause, then resume the session (redial, re-handshake
+// with the token, replay un-acked commands) or fail the pair
+// terminally. A terminal cause is recorded before the connection is
+// closed, so a peer that saw us hang up can already read it off Err.
+// Caller holds the reader role.
+func (qp *QueuePair) lost(conn net.Conn, err error) {
+	qp.mu.Lock()
+	if qp.closed {
 		qp.mu.Unlock()
+		return
+	}
+	werr := qp.werr
+	qp.werr = nil
+	qp.mu.Unlock()
 
-		// Classify. A local write error is the richer cause when the
-		// read side only saw the connection close under it.
-		cause := err
-		switch {
-		case errors.Is(err, ErrGoaway):
-			cause = ErrGoaway
-		case terminalCause(err):
-			qp.fail(err)
-			return
-		default:
-			if werr != nil && !terminalCause(werr) {
-				cause = werr
-			}
-			cause = fmt.Errorf("%w: %w", ErrDisconnected, cause)
+	// Classify. A local write error is the richer cause when the read
+	// side only saw the connection close under it.
+	cause := err
+	switch {
+	case errors.Is(err, ErrGoaway):
+		cause = ErrGoaway
+	case terminalCause(err):
+		qp.fail(err)
+		return
+	default:
+		if werr != nil && !terminalCause(werr) {
+			cause = werr
 		}
-		if qp.cli.cfg.Redial.MaxAttempts <= 0 {
-			qp.fail(cause)
-			return
-		}
-		next, rerr := qp.resume(cause)
-		if rerr != nil {
-			qp.fail(rerr)
-			return
-		}
-		conn = next
+		cause = fmt.Errorf("%w: %w", ErrDisconnected, cause)
+	}
+	if qp.cli.cfg.Redial.MaxAttempts <= 0 {
+		qp.fail(cause)
+		return
+	}
+	conn.Close()
+	if rerr := qp.resume(cause); rerr != nil {
+		qp.fail(rerr)
 	}
 }
 
-// readConn consumes frames from one connection until it dies, applying
-// the keep-alive read deadline: any KATO of silence counts as a lost
-// connection. Always returns a non-nil reason.
-func (qp *QueuePair) readConn(conn net.Conn, rbuf *[]byte) error {
-	kato := qp.cli.cfg.KeepAlive
-	for {
-		if kato > 0 {
-			conn.SetReadDeadline(time.Now().Add(kato))
-		}
-		ftype, payload, err := readFrame(conn, rbuf)
-		if err != nil {
-			return wrapTimeout(err)
-		}
-		switch ftype {
-		case frameCompletions:
-			if err := qp.handleCompletions(payload); err != nil {
-				return err
-			}
-		case frameKeepAlive:
-			// Server heartbeat echo; the read itself reset the deadline.
-		case frameGoaway:
-			return ErrGoaway
-		case frameError:
-			d := decoder{b: payload}
-			code := d.u16()
-			msg := d.str()
-			if code == errSessionUnknown {
-				return fmt.Errorf("%w: %s", ErrSessionUnknown, msg)
-			}
-			return fmt.Errorf("%w: %s", ErrRejected, msg)
-		default:
-			return fmt.Errorf("%w: %d on I/O connection", ErrBadFrameType, ftype)
-		}
+// readOne reads one frame from conn and lands it, applying the
+// keep-alive read deadline: any KATO of silence counts as a lost
+// connection. Caller holds the reader role.
+func (qp *QueuePair) readOne(conn net.Conn) error {
+	if kato := qp.cli.cfg.KeepAlive; kato > 0 {
+		conn.SetReadDeadline(time.Now().Add(kato))
+	}
+	ftype, payload, err := qp.fr.readFrame()
+	if err != nil {
+		return wrapTimeout(err)
+	}
+	switch ftype {
+	case frameCompletions:
+		return qp.handleCompletions(payload)
+	case frameKeepAlive:
+		// Server heartbeat echo; the read itself reset the deadline.
+		return nil
+	case frameGoaway:
+		return ErrGoaway
+	case frameError:
+		return wireError(payload)
+	default:
+		return fmt.Errorf("%w: %d on I/O connection", ErrBadFrameType, ftype)
 	}
 }
 
@@ -796,7 +799,9 @@ func (qp *QueuePair) readConn(conn net.Conn, rbuf *[]byte) error {
 // rung command at its original doorbell instant in one ring frame.
 // The server dedups already-executed sequence numbers from its session
 // cache, so replay is idempotent and virtual timing is unperturbed.
-func (qp *QueuePair) resume(cause error) (net.Conn, error) {
+// Caller holds the reader role: connect resets the frame reader onto
+// the new connection, dropping what the dead one left buffered.
+func (qp *QueuePair) resume(cause error) error {
 	r := qp.cli.cfg.Redial
 	base := r.Base
 	if base <= 0 {
@@ -820,15 +825,15 @@ func (qp *QueuePair) resume(cause error) (net.Conn, error) {
 		qp.mu.Lock()
 		if qp.closed {
 			qp.mu.Unlock()
-			return nil, ErrClosed
+			return ErrClosed
 		}
 		token, at := qp.token, qp.lastRing
 		qp.mu.Unlock()
 
-		conn, qid, _, _, err := qp.cli.connect(connKindIO, at, qp.depth, qp.class, qp.coalesce, token)
+		conn, qid, _, _, err := qp.cli.connect(&qp.fr, connKindIO, at, qp.depth, qp.class, qp.coalesce, token)
 		if err != nil {
 			if errors.Is(err, ErrSessionUnknown) {
-				return nil, err
+				return err
 			}
 			last = err
 			continue
@@ -843,11 +848,12 @@ func (qp *QueuePair) resume(cause error) (net.Conn, error) {
 			qp.mu.Unlock()
 			qp.wmu.Unlock()
 			conn.Close()
-			return nil, ErrClosed
+			return ErrClosed
 		}
 		qp.conn = conn
 		qp.gen++
 		gen := qp.gen
+		qp.werr = nil // a heartbeat may have hit the dead connection meanwhile
 		qp.id = qid
 		qp.redials++
 		replay := make([]uint64, 0, len(qp.pending))
@@ -877,10 +883,9 @@ func (qp *QueuePair) resume(cause error) (net.Conn, error) {
 		// so the server prunes its cache promptly.
 		qp.writeConn(conn, gen, frame)
 		qp.wmu.Unlock()
-		qp.startKA(conn)
-		return conn, nil
+		return nil
 	}
-	return nil, fmt.Errorf("fabrics: session resume abandoned after %d attempts: %w", r.MaxAttempts, last)
+	return fmt.Errorf("fabrics: session resume abandoned after %d attempts: %w", r.MaxAttempts, last)
 }
 
 // handleCompletions lands one completion push: resolve each entry's
@@ -905,12 +910,11 @@ func (qp *QueuePair) handleCompletions(payload []byte) error {
 		if !ok {
 			return fmt.Errorf("%w: completion for unknown seq %d", ErrBadPayload, seq)
 		}
-		cmd := pc.cmd
+		e.cmd = pc.cmd
 		delete(qp.pending, seq)
 		if pc.rung {
 			qp.rung--
 		}
-		qp.putPendingLocked(pc)
 		// Advance the cumulative ack across any out-of-order arrivals.
 		if seq == qp.ack+1 {
 			qp.ack++
@@ -924,38 +928,19 @@ func (qp *QueuePair) handleCompletions(payload []byte) error {
 		} else if seq > qp.ack {
 			qp.ackAhead[seq] = struct{}{}
 		}
-		e.cmd = cmd
 		if len(data) > 0 {
 			if e.comp.Op == hostif.OpTableRead {
 				// The lsm.Env contract reads into the caller's buffer.
-				copy(cmd.Dst, data)
+				copy(e.cmd.Dst, data)
 			} else {
-				e.data = qp.getDataLocked(len(data))
+				e.data = popBuf(&qp.dataFree, len(data))
 				copy(e.data, data)
 				e.comp.Data = e.data
 			}
-		} else {
-			e.comp.Data = nil
 		}
 		qp.cq = append(qp.cq, e)
 	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	qp.cond.Broadcast()
-	return nil
-}
-
-// getDataLocked pops a pooled completion-data buffer. Caller holds mu.
-func (qp *QueuePair) getDataLocked(n int) []byte {
-	for i := len(qp.dataFree) - 1; i >= 0; i-- {
-		if cap(qp.dataFree[i]) >= n {
-			b := qp.dataFree[i][:n]
-			qp.dataFree = append(qp.dataFree[:i], qp.dataFree[i+1:]...)
-			return b
-		}
-	}
-	return make([]byte, n)
+	return d.done() // the reader wakes the waiters as it gives up the role
 }
 
 // AdminClient issues identify and log-page commands to a remote
@@ -970,26 +955,24 @@ type AdminClient struct {
 	conn    net.Conn
 	timeout time.Duration
 	wbuf    frameBuf
-	rbuf    []byte
+	fr      frameReader
 }
 
 // Admin opens an admin connection to the remote controller.
 func (c *Client) Admin() (*AdminClient, error) {
-	conn, _, _, _, err := c.connect(connKindAdmin, 0, 0, 0, 0, 0)
-	if err != nil {
+	a := &AdminClient{timeout: resolveTimeout(c.cfg.AdminTimeout, DefaultAdminTimeout)}
+	var err error
+	if a.conn, _, _, _, err = c.connect(&a.fr, connKindAdmin, 0, 0, 0, 0, 0); err != nil {
 		return nil, err
 	}
-	return &AdminClient{
-		conn:    conn,
-		timeout: resolveTimeout(c.cfg.AdminTimeout, DefaultAdminTimeout),
-	}, nil
+	return a, nil
 }
 
 // Close closes the admin connection.
 func (a *AdminClient) Close() error { return a.conn.Close() }
 
-// do issues one admin request and decodes the reply synchronously.
-func (a *AdminClient) do(now vclock.Time, op hostif.Op, nsid int, handle uint64, log hostif.LogPage) (any, hostif.Completion, error) {
+// do issues one admin request and decodes the reply's payload.
+func (a *AdminClient) do(now vclock.Time, op hostif.Op, nsid int, handle uint64, log hostif.LogPage) (any, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.timeout > 0 {
@@ -1003,49 +986,39 @@ func (a *AdminClient) do(now vclock.Time, op hostif.Op, nsid int, handle uint64,
 	a.wbuf.u8(uint8(log))
 	a.wbuf.i64(int64(now))
 	if _, err := a.conn.Write(a.wbuf.finish()); err != nil {
-		return nil, hostif.Completion{}, wrapTimeout(err)
+		return nil, wrapTimeout(err)
 	}
-	ftype, payload, err := readFrame(a.conn, &a.rbuf)
+	ftype, payload, err := a.fr.readFrame()
 	if err != nil {
-		return nil, hostif.Completion{}, wrapTimeout(err)
+		return nil, wrapTimeout(err)
 	}
-	d := decoder{b: payload}
 	switch ftype {
 	case frameAdminReply:
 	case frameError:
-		code := d.u16()
-		msg := d.str()
-		if code == errSessionUnknown {
-			return nil, hostif.Completion{}, fmt.Errorf("%w: %s", ErrSessionUnknown, msg)
-		}
-		return nil, hostif.Completion{}, fmt.Errorf("%w: %s", ErrRejected, msg)
+		return nil, wireError(payload)
 	default:
-		return nil, hostif.Completion{}, fmt.Errorf("%w: %d on admin connection", ErrBadFrameType, ftype)
+		return nil, fmt.Errorf("%w: %d on admin connection", ErrBadFrameType, ftype)
 	}
+	d := decoder{b: payload}
 	code := d.u16()
 	msg := d.str()
-	var comp hostif.Completion
-	comp.Op, comp.NSID = op, nsid
-	comp.Done = vclock.Time(d.i64())
-	comp.Handle = d.u64()
-	comp.Blocks = int(d.i32())
+	d.i64() // Done, Handle and Blocks: the typed surface returns payloads only
+	d.u64()
+	d.i32()
 	gobBytes := d.bytes()
 	if err := d.done(); err != nil {
-		return nil, hostif.Completion{}, err
+		return nil, err
 	}
 	if cerr := errorFor(code, msg); cerr != nil {
-		comp.Err = cerr
-		comp.Status = hostif.StatusOf(cerr)
-		return nil, comp, cerr
+		return nil, cerr
 	}
 	var box payloadBox
 	if len(gobBytes) > 0 {
 		if err := gob.NewDecoder(bytes.NewReader(gobBytes)).Decode(&box); err != nil {
-			return nil, comp, fmt.Errorf("%w: admin payload: %v", ErrBadPayload, err)
+			return nil, fmt.Errorf("%w: admin payload: %v", ErrBadPayload, err)
 		}
 	}
-	comp.Admin = box.V
-	return box.V, comp, nil
+	return box.V, nil
 }
 
 // payloadAs asserts a decoded admin payload's type, surfacing a typed
@@ -1064,21 +1037,18 @@ func payloadAs[T any](v any, err error) (T, error) {
 
 // Identify reports the remote controller's identity.
 func (a *AdminClient) Identify(now vclock.Time) (hostif.IdentifyController, error) {
-	v, _, err := a.do(now, hostif.OpAdminIdentify, 0, 0, 0)
-	return payloadAs[hostif.IdentifyController](v, err)
+	return payloadAs[hostif.IdentifyController](a.do(now, hostif.OpAdminIdentify, 0, 0, 0))
 }
 
 // IdentifyNamespace reports one namespace's identity and geometry.
 func (a *AdminClient) IdentifyNamespace(now vclock.Time, nsid int) (hostif.NamespaceIdentity, error) {
-	v, _, err := a.do(now, hostif.OpAdminIdentify, nsid, 0, 0)
-	return payloadAs[hostif.NamespaceIdentity](v, err)
+	return payloadAs[hostif.NamespaceIdentity](a.do(now, hostif.OpAdminIdentify, nsid, 0, 0))
 }
 
 // GetLogPage returns the selected log page; nsid is 0 for controller-
 // and device-scoped pages.
 func (a *AdminClient) GetLogPage(now vclock.Time, page hostif.LogPage, nsid int) (any, error) {
-	v, _, err := a.do(now, hostif.OpAdminGetLogPage, nsid, 0, page)
-	return v, err
+	return a.do(now, hostif.OpAdminGetLogPage, nsid, 0, page)
 }
 
 // ControllerStats returns the controller counters log page.
@@ -1129,8 +1099,7 @@ func (a *AdminClient) GCStats(now vclock.Time, nsid int) (ftlcore.GCStats, error
 
 // TableChunks returns the chunks backing a committed LightLSM table.
 func (a *AdminClient) TableChunks(now vclock.Time, nsid int, table uint64) ([]ocssd.ChunkID, error) {
-	v, _, err := a.do(now, hostif.OpAdminGetLogPage, nsid, table, hostif.LogTableChunks)
-	return payloadAs[[]ocssd.ChunkID](v, err)
+	return payloadAs[[]ocssd.ChunkID](a.do(now, hostif.OpAdminGetLogPage, nsid, table, hostif.LogTableChunks))
 }
 
 // OffloadStats returns a namespace's computational-storage counters.

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -423,5 +425,129 @@ func TestLoopbackMatchesTCP(t *testing.T) {
 		if tcpTimes[i] != loopTimes[i] {
 			t.Fatalf("completion %d: tcp %v, loopback %v", i, tcpTimes[i], loopTimes[i])
 		}
+	}
+}
+
+// goroutineID names the calling goroutine, from the header line of its
+// stack trace ("goroutine 42 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	fields := bytes.Fields(buf[:runtime.Stack(buf[:], false)])
+	return string(fields[1])
+}
+
+// reapWatchConn counts the socket reads that return bytes by who made
+// them: the driver goroutine or anybody else.
+type reapWatchConn struct {
+	net.Conn
+	driver       string
+	mine, others *atomic.Int64
+}
+
+func (c *reapWatchConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		if goroutineID() == c.driver {
+			c.mine.Add(1)
+		} else {
+			c.others.Add(1)
+		}
+	}
+	return n, err
+}
+
+// TestCompletionsAreReadWhileReaping pins the hand-off the transport no
+// longer makes: on a busy depth-1 loop the goroutine that waits for a
+// completion is the one that reads it off the socket. The reader of
+// last resort may take a frame now and then, one per 5 ms yield at most,
+// so the bar is 95 %, not all — or, on a box so slow that 5 ms is few
+// operations, no more stolen frames than that rule allows.
+func TestCompletionsAreReadWhileReaping(t *testing.T) {
+	_, addr, now := testRig(t, 256)
+	var mine, others atomic.Int64
+	dial := func() (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return &reapWatchConn{Conn: conn, driver: goroutineID(), mine: &mine, others: &others}, nil
+	}
+	qp, err := fabrics.NewClient(dial).QueuePair(now, 1, hostif.ClassMedium, 1)
+	if err != nil {
+		t.Fatalf("queue pair: %v", err)
+	}
+	defer qp.Close()
+	const ops = 2000
+	start := time.Now()
+	for i := 0; i < ops; i++ {
+		cmd := qp.AcquireCommand()
+		cmd.Op, cmd.NSID, cmd.LPN, cmd.Pages = hostif.OpRead, 1, int64(i%256), 1
+		if err := qp.Push(now, cmd); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+		c, ok := qp.Reap()
+		if !ok || c.Err != nil {
+			t.Fatalf("reap %d: ok=%v err=%v", i, ok, c.Err)
+		}
+		now = c.Done
+	}
+	in, out := mine.Load(), others.Load()
+	allowed := 3 + 2*int64(time.Since(start)/(5*time.Millisecond))
+	t.Logf("%d ops: %d reads on the reaping goroutine (handshake included), %d on others", ops, in, out)
+	if in < ops*95/100 && out > allowed {
+		t.Fatalf("only %d of %d completions were read by the reaping goroutine (%d reads by others)", in, ops, out)
+	}
+}
+
+// TestUnreapedLoopbackPairDoesNotBlockNeighbour: a loopback pipe has no
+// buffer and a completion may be pushed from another connection's
+// handler, so a pair that rang and is not being reaped must still be
+// read by someone, or its neighbour's completions wait behind it. One
+// goroutine rings A, rings B, and reaps B before A.
+func TestUnreapedLoopbackPairDoesNotBlockNeighbour(t *testing.T) {
+	srv, _, now := testRig(t, 256)
+	cli := fabrics.Loopback(srv)
+	a, err := cli.QueuePair(now, 4, hostif.ClassMedium, 1)
+	if err != nil {
+		t.Fatalf("pair A: %v", err)
+	}
+	defer a.Close()
+	b, err := cli.QueuePair(now, 4, hostif.ClassMedium, 1)
+	if err != nil {
+		t.Fatalf("pair B: %v", err)
+	}
+	defer b.Close()
+	push := func(qp *fabrics.QueuePair, lpn int64) {
+		cmd := qp.AcquireCommand()
+		cmd.Op, cmd.NSID, cmd.LPN, cmd.Pages = hostif.OpRead, 1, lpn, 1
+		if err := qp.Push(now, cmd); err != nil {
+			t.Errorf("push: %v", err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for round := int64(0); round < 20; round++ {
+			// A synchronous op first: it leaves A's last-resort reader
+			// yielding to the driver, the state in which A is least read.
+			push(a, round)
+			a.MustReap()
+			push(a, round)
+			push(a, round+1)
+			push(b, round)
+			if c := b.MustReap(); c.Err != nil {
+				t.Errorf("B round %d: %v", round, c.Err)
+			}
+			for i := 0; i < 2; i++ {
+				if c := a.MustReap(); c.Err != nil {
+					t.Errorf("A round %d: %v", round, c.Err)
+				}
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an unreaped pair blocked its neighbour")
 	}
 }

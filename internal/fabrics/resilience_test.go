@@ -1,7 +1,9 @@
 package fabrics
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -72,8 +74,7 @@ func rawConnect(t *testing.T, conn net.Conn, now vclock.Time, kato time.Duration
 	if _, err := conn.Write(f.finish()); err != nil {
 		t.Fatalf("connect write: %v", err)
 	}
-	var rbuf []byte
-	ftype, payload, err := readFrame(conn, &rbuf)
+	ftype, payload, err := (&frameReader{r: conn}).readFrame()
 	if err != nil {
 		t.Fatalf("handshake read: %v", err)
 	}
@@ -134,8 +135,7 @@ func TestKeepAliveExpiryReapsSession(t *testing.T) {
 	if _, err := cli2.Write(f.finish()); err != nil {
 		t.Fatalf("resume write: %v", err)
 	}
-	var rbuf []byte
-	ftype, payload, err := readFrame(cli2, &rbuf)
+	ftype, payload, err := (&frameReader{r: cli2}).readFrame()
 	if err != nil {
 		t.Fatalf("resume read: %v", err)
 	}
@@ -207,8 +207,8 @@ func TestAdminTimeout(t *testing.T) {
 	dial := func() (net.Conn, error) {
 		cli, srv := net.Pipe()
 		go func() {
-			var rbuf []byte
-			if _, _, err := readFrame(srv, &rbuf); err != nil {
+			fr := &frameReader{r: srv}
+			if _, _, err := fr.readFrame(); err != nil {
 				return
 			}
 			var f frameBuf
@@ -220,7 +220,7 @@ func TestAdminTimeout(t *testing.T) {
 				return
 			}
 			for {
-				if _, _, err := readFrame(srv, &rbuf); err != nil {
+				if _, _, err := fr.readFrame(); err != nil {
 					return
 				}
 			}
@@ -364,5 +364,164 @@ func TestGoawayDrainLosesNoCompletions(t *testing.T) {
 	}
 	if err := qp.Err(); !errors.Is(err, ErrGoaway) {
 		t.Fatalf("Err after drain: %v, want ErrGoaway", err)
+	}
+}
+
+// TestReapedDataOutlivesLaterArrivals pins the lending rule at depth 8
+// over real TCP: a reaped completion's Data stays intact, whatever
+// lands meanwhile, until the next reap. Eight distinct-stamp reads are
+// rung together; each reaped payload is verified, a replacement read is
+// rung so more data keeps arriving, and once everything in flight has
+// landed the same payload is verified again. Run under -race: a buffer
+// handed back to the pool at reap time is written by whoever lands the
+// next completion while the test is still reading it.
+func TestReapedDataOutlivesLaterArrivals(t *testing.T) {
+	host, now := resilienceHost(t)
+	srv := NewServer(host)
+	defer srv.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	const depth, pages = 8, 24
+	qp, err := Dial(l.Addr().String()).QueuePair(now, depth, hostif.ClassMedium, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qp.Close()
+
+	stamped := func(lpn int) []byte {
+		p := make([]byte, 4096)
+		for i := range p {
+			p[i] = byte(lpn*37 + i)
+		}
+		return p
+	}
+	for lpn := 0; lpn < pages; lpn++ {
+		cmd := qp.AcquireCommand()
+		cmd.Op, cmd.NSID, cmd.LPN, cmd.Data = hostif.OpWrite, 1, int64(lpn), stamped(lpn)
+		if err := qp.Push(now, cmd); err != nil {
+			t.Fatalf("write %d: %v", lpn, err)
+		}
+		if c := qp.MustReap(); c.Err != nil {
+			t.Fatalf("write %d: %v", lpn, c.Err)
+		}
+	}
+
+	lpnOf := map[uint64]int{} // submission slot → page read
+	submit := func(lpn int) {
+		cmd := qp.AcquireCommand()
+		cmd.Op, cmd.NSID, cmd.LPN, cmd.Pages = hostif.OpRead, 1, int64(lpn), 1
+		slot, err := qp.Submit(cmd)
+		if err != nil {
+			t.Fatalf("read %d: %v", lpn, err)
+		}
+		lpnOf[slot] = lpn
+	}
+	for lpn := 0; lpn < depth; lpn++ {
+		submit(lpn)
+	}
+	qp.Ring(now)
+	for next := depth; ; next++ {
+		c, ok := qp.Reap()
+		if !ok {
+			break
+		}
+		want := stamped(lpnOf[c.Slot])
+		if c.Err != nil || !bytes.Equal(c.Data, want) {
+			t.Fatalf("read of page %d: err %v, payload intact: %v", lpnOf[c.Slot], c.Err, bytes.Equal(c.Data, want))
+		}
+		if next < pages {
+			submit(next)
+			qp.Ring(now)
+		}
+		// Let everything in flight land while c.Data is still lent.
+		deadline := time.Now().Add(5 * time.Second)
+		for landed := false; !landed; time.Sleep(50 * time.Microsecond) {
+			qp.mu.Lock()
+			landed = qp.rung == 0
+			qp.mu.Unlock()
+			if time.Now().After(deadline) {
+				t.Fatal("in-flight reads never landed while nobody reaped")
+			}
+		}
+		if !bytes.Equal(c.Data, want) {
+			t.Fatalf("page %d's reaped payload was overwritten by a later arrival", lpnOf[c.Slot])
+		}
+	}
+	if len(lpnOf) != pages {
+		t.Fatalf("read %d pages, want %d", len(lpnOf), pages)
+	}
+}
+
+// TestHandshakeFailureClosesConn: a connect whose handshake fails —
+// the peer hangs up, or answers with something that is not an accept —
+// returns the error and closes the connection it dialed.
+func TestHandshakeFailureClosesConn(t *testing.T) {
+	for name, peer := range map[string]func(net.Conn){
+		"hangup": func(srv net.Conn) { srv.Close() },
+		"keep-alive for accept": func(srv net.Conn) {
+			(&frameReader{r: srv}).readFrame()
+			var f frameBuf
+			f.start(frameKeepAlive)
+			srv.Write(f.finish())
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var cli net.Conn
+			dial := func() (net.Conn, error) {
+				var srv net.Conn
+				cli, srv = net.Pipe()
+				go peer(srv)
+				return cli, nil
+			}
+			if _, err := NewClient(dial).QueuePair(0, 4, hostif.ClassMedium, 1); err == nil {
+				t.Fatal("queue pair opened over a failed handshake")
+			}
+			if _, err := NewClient(dial).Admin(); err == nil {
+				t.Fatal("admin client opened over a failed handshake")
+			}
+			if _, err := cli.Write([]byte{0}); !errors.Is(err, io.ErrClosedPipe) {
+				t.Fatalf("write on the dialed connection: %v, want it closed", err)
+			}
+		})
+	}
+}
+
+// TestFramePushedBehindAcceptIsNotLost: the handshake reads the accept
+// through the pair's own buffered reader, so a frame the server sent in
+// the same burst reaches the pair instead of dying with a reader the
+// handshake threw away.
+func TestFramePushedBehindAcceptIsNotLost(t *testing.T) {
+	dial := func() (net.Conn, error) {
+		cli, srv := net.Pipe()
+		go func() {
+			(&frameReader{r: srv}).readFrame()
+			var f frameBuf
+			f.start(frameAccept)
+			f.u32(1)
+			f.u32(4)
+			f.u64(7)
+			burst := append([]byte(nil), f.finish()...)
+			f.start(frameGoaway)
+			srv.Write(append(burst, f.finish()...))
+		}()
+		return cli, nil
+	}
+	qp, err := NewClient(dial).QueuePair(0, 4, hostif.ClassMedium, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qp.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for qp.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the goaway sent behind the accept never reached the pair")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := qp.Err(); !errors.Is(err, ErrGoaway) {
+		t.Fatalf("Err = %v, want ErrGoaway", err)
 	}
 }

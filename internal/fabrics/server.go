@@ -173,31 +173,22 @@ func (s *Server) Shutdown() {
 		return
 	}
 	s.draining = true
-	ls := make([]net.Listener, 0, len(s.listeners))
 	for l := range s.listeners {
-		ls = append(ls, l)
+		l.Close()
 	}
 	ios := make([]*ioConn, 0, len(s.ioConns))
+	owned := make(map[net.Conn]bool, len(s.ioConns))
 	for c := range s.ioConns {
 		ios = append(ios, c)
+		owned[c.conn] = true
 	}
-	others := make([]net.Conn, 0, len(s.conns))
+	var others []net.Conn
 	for conn := range s.conns {
-		owned := false
-		for _, c := range ios {
-			if c.conn == conn {
-				owned = true
-				break
-			}
-		}
-		if !owned {
+		if !owned[conn] {
 			others = append(others, conn)
 		}
 	}
 	s.mu.Unlock()
-	for _, l := range ls {
-		l.Close()
-	}
 	for _, c := range ios {
 		c.goaway()
 	}
@@ -252,8 +243,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
 
-	var rbuf []byte
-	ftype, payload, err := readFrame(conn, &rbuf)
+	fr := &frameReader{r: conn}
+	ftype, payload, err := fr.readFrame()
 	if err != nil {
 		s.sendError(conn, err)
 		return
@@ -276,13 +267,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 	switch kind {
 	case connKindAdmin:
-		s.serveAdmin(conn, &rbuf)
+		s.serveAdmin(conn, fr)
 	case connKindIO:
 		if class > hostif.ClassLow {
 			s.sendError(conn, fmt.Errorf("%w: unknown arbitration class %d", ErrBadPayload, class))
 			return
 		}
-		s.serveIO(conn, &rbuf, now, depth, class, coalesce, kato, token)
+		s.serveIO(conn, fr, now, depth, class, coalesce, kato, token)
 	default:
 		s.sendError(conn, fmt.Errorf("%w: unknown connection kind %d", ErrBadPayload, kind))
 	}
@@ -301,10 +292,11 @@ func (s *Server) sendError(conn net.Conn, err error) {
 	conn.Write(f.finish())
 }
 
-// savedComp is one cached completion in a session's replay table: the
-// completion as pushed (original virtual instants) plus a
-// session-owned copy of its payload.
+// savedComp is one record of a session's replay table: the completion
+// as pushed (original virtual instants) plus a session-owned copy of
+// its payload. seq 0 marks a free record (sequence numbers start at 1).
 type savedComp struct {
+	seq  uint64
 	comp hostif.Completion
 	data []byte
 }
@@ -332,7 +324,10 @@ type session struct {
 
 	acked   uint64 // highest client-acknowledged seq (cache pruned below)
 	maxSeen uint64 // highest seq ever submitted
-	cache   map[uint64]savedComp
+	// cache is the replay table: cacheCap() reusable records, seq s in
+	// record s mod cacheCap(). save admits only acked < s <= acked +
+	// cacheCap(), a window in which that index is unique.
+	cache   []savedComp
 	bufFree [][]byte
 }
 
@@ -344,17 +339,23 @@ func newSessionState(token uint64, qid, depth int, class hostif.Class, coalesce 
 		class:    class,
 		coalesce: coalesce,
 		kato:     kato,
-		cache:    make(map[uint64]savedComp),
 	}
+	sess.cache = make([]savedComp, sess.cacheCap())
 	sess.cond = sync.NewCond(&sess.mu)
 	return sess
 }
 
 // cacheCap bounds the replay table. Unacked completions are gated by
 // the client's queue depth; the slack absorbs ack-carrying frames lost
-// to an outage. Exceeding it means the peer is not acking at all —
+// to an outage. Running past it means the peer is not acking at all —
 // connection-fatal.
 func (sess *session) cacheCap() int { return 4*sess.depth + 64 }
+
+// record returns the table record seq maps to; it holds seq only if its
+// seq field says so. Caller holds sess.mu.
+func (sess *session) record(seq uint64) *savedComp {
+	return &sess.cache[seq%uint64(len(sess.cache))]
+}
 
 // save records a completed command in the replay table, copying its
 // payload into session-owned storage. It reports false on overflow.
@@ -364,35 +365,40 @@ func (sess *session) save(seq uint64, comp *hostif.Completion, data []byte) bool
 	if sess.gone {
 		return true
 	}
-	if len(sess.cache) >= sess.cacheCap() {
+	if seq <= sess.acked {
+		return true // acked while in flight: nobody will ask for it again
+	}
+	if seq-sess.acked > uint64(len(sess.cache)) {
 		return false
 	}
-	sc := savedComp{comp: *comp}
+	sc := sess.record(seq)
+	sc.seq, sc.comp = seq, *comp
 	sc.comp.Data = nil
 	if len(data) > 0 {
-		sc.data = sess.getBufLocked(len(data))
+		sc.data = popBuf(&sess.bufFree, len(data))
 		copy(sc.data, data)
 	}
-	sess.cache[seq] = sc
 	return true
 }
 
-// prune drops every cached completion at or below the client's
-// cumulative ack.
+// prune frees every record from the previous ack up to the client's
+// new cumulative ack; records never sit outside the table's window
+// above the ack, so that is all of them at or below it.
 func (sess *session) prune(ack uint64) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if ack > sess.acked {
-		sess.acked = ack
+	if ack <= sess.acked {
+		return
 	}
-	for seq, sc := range sess.cache {
-		if seq <= ack {
+	for n := min(ack-sess.acked, uint64(len(sess.cache))); n > 0; n-- {
+		if sc := sess.record(sess.acked + n); sc.seq == sess.acked+n {
 			if sc.data != nil {
 				sess.bufFree = append(sess.bufFree, sc.data)
 			}
-			delete(sess.cache, seq)
+			*sc = savedComp{}
 		}
 	}
+	sess.acked = ack
 }
 
 // Sequence-number classification for one ring entry.
@@ -410,7 +416,7 @@ func (sess *session) classify(seq uint64) int {
 	if seq <= sess.acked {
 		return seqStale
 	}
-	if _, ok := sess.cache[seq]; ok {
+	if sess.record(seq).seq == seq {
 		return seqDup
 	}
 	if seq <= sess.maxSeen {
@@ -424,20 +430,8 @@ func (sess *session) classify(seq uint64) int {
 func (sess *session) cached(seq uint64) (savedComp, bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	sc, ok := sess.cache[seq]
-	return sc, ok
-}
-
-// getBufLocked pops a session-pooled buffer. Caller holds sess.mu.
-func (sess *session) getBufLocked(n int) []byte {
-	for i := len(sess.bufFree) - 1; i >= 0; i-- {
-		if cap(sess.bufFree[i]) >= n {
-			b := sess.bufFree[i][:n]
-			sess.bufFree = append(sess.bufFree[:i], sess.bufFree[i+1:]...)
-			return b
-		}
-	}
-	return make([]byte, n)
+	sc := sess.record(seq)
+	return *sc, sc.seq == seq
 }
 
 // attach binds a connection as the session owner.
@@ -518,12 +512,18 @@ func (s *Server) dropSession(sess *session) {
 	s.mu.Unlock()
 }
 
-func (s *Server) dropAllSessions() {
-	s.mu.Lock()
+// sessionsLocked snapshots the session table. Caller holds s.mu.
+func (s *Server) sessionsLocked() []*session {
 	all := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
 		all = append(all, sess)
 	}
+	return all
+}
+
+func (s *Server) dropAllSessions() {
+	s.mu.Lock()
+	all := s.sessionsLocked()
 	if s.reaperStop != nil {
 		close(s.reaperStop)
 		s.reaperStop = nil
@@ -536,14 +536,7 @@ func (s *Server) dropAllSessions() {
 
 // reapSessions sweeps detached sessions past the retention bound.
 func (s *Server) reapSessions(stop chan struct{}) {
-	period := s.retention() / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	if period > time.Second {
-		period = time.Second
-	}
-	t := time.NewTicker(period)
+	t := time.NewTicker(min(max(s.retention()/4, 10*time.Millisecond), time.Second))
 	defer t.Stop()
 	for {
 		select {
@@ -552,10 +545,7 @@ func (s *Server) reapSessions(stop chan struct{}) {
 		case <-t.C:
 		}
 		s.mu.Lock()
-		candidates := make([]*session, 0, len(s.sessions))
-		for _, sess := range s.sessions {
-			candidates = append(candidates, sess)
-		}
+		candidates := s.sessionsLocked()
 		s.mu.Unlock()
 		for _, sess := range candidates {
 			sess.mu.Lock()
@@ -624,7 +614,7 @@ const (
 // Completions are pushed from the notify callback; each ring frame
 // replays as doorbell batches grouped by virtual instant and is
 // deduplicated against the session's replay cache.
-func (s *Server) serveIO(conn net.Conn, rbuf *[]byte, now vclock.Time, depth int, class hostif.Class, coalesce int, kato time.Duration, token uint64) {
+func (s *Server) serveIO(conn net.Conn, fr *frameReader, now vclock.Time, depth int, class hostif.Class, coalesce int, kato time.Duration, token uint64) {
 	var sess *session
 	var qp *hostif.QueuePair
 	var err error
@@ -638,9 +628,7 @@ func (s *Server) serveIO(conn net.Conn, rbuf *[]byte, now vclock.Time, depth int
 		}
 		sess = s.newSession(qp.ID(), qp.Depth(), class, coalesce, kato)
 		if sess == nil {
-			s.adminMu.Lock()
-			s.admin.DeleteIOQueuePair(now, qp)
-			s.adminMu.Unlock()
+			s.deleteQP(now, qp)
 			s.sendError(conn, fmt.Errorf("%w: server draining", ErrClosed))
 			return
 		}
@@ -675,9 +663,7 @@ func (s *Server) serveIO(conn net.Conn, rbuf *[]byte, now vclock.Time, depth int
 		// Shutdown's goaway snapshot may already be done: refuse the
 		// connection rather than leave it outside the drain.
 		s.mu.Unlock()
-		s.adminMu.Lock()
-		s.admin.DeleteIOQueuePair(now, qp)
-		s.adminMu.Unlock()
+		s.deleteQP(now, qp)
 		s.dropSession(sess)
 		s.sendError(conn, fmt.Errorf("%w: server draining", ErrClosed))
 		return
@@ -713,7 +699,7 @@ func (s *Server) serveIO(conn net.Conn, rbuf *[]byte, now vclock.Time, depth int
 		if sess.kato > 0 {
 			conn.SetReadDeadline(time.Now().Add(sess.kato + sess.kato/4))
 		}
-		ftype, payload, err := readFrame(conn, rbuf)
+		ftype, payload, err := fr.readFrame()
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -731,35 +717,32 @@ func (s *Server) serveIO(conn net.Conn, rbuf *[]byte, now vclock.Time, depth int
 			c.ringMu.Lock()
 			err := c.handleRing(payload)
 			c.ringMu.Unlock()
-			if err != nil {
-				s.sendError(conn, err)
-				exit = exitClean
-				return
+			if err == nil {
+				continue
 			}
+			s.sendError(conn, err)
 		case frameKeepAlive:
 			// Echo so an idle client's read deadline is refreshed too.
 			c.wmu.Lock()
 			c.wbuf.start(frameKeepAlive)
 			c.writeLocked(c.wbuf.finish())
 			c.wmu.Unlock()
+			continue
 		case frameDisconnect:
-			exit = exitClean
-			return
 		default:
 			s.sendError(conn, fmt.Errorf("%w: %d on I/O connection", ErrBadFrameType, ftype))
-			exit = exitClean
-			return
 		}
+		exit = exitClean // a clean close or a protocol violation: no resume
+		return
 	}
 }
 
-// writeLocked writes one frame under the configured write deadline.
-// Caller holds wmu. Failures are ignored by callers — the read loop
-// observes the dead connection.
+// writeLocked writes one frame under the configured write deadline,
+// armed per write and never cleared. Caller holds wmu. Failures are
+// ignored by callers — the read loop observes the dead connection.
 func (c *ioConn) writeLocked(frame []byte) error {
 	if wt := c.s.writeTimeout(); wt > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(wt))
-		defer c.conn.SetWriteDeadline(time.Time{})
 	}
 	_, err := c.conn.Write(frame)
 	return err
@@ -810,11 +793,8 @@ func (c *ioConn) handleRing(payload []byte) error {
 		c.sess.prune(ack)
 	}
 	type reject struct {
-		seq uint64
-		at  vclock.Time
-		op  hostif.Op
-		ns  int
-		err error
+		seq  uint64
+		comp hostif.Completion // the error completion echoed to the client
 	}
 	var rejects []reject
 	var dedup []uint64
@@ -863,10 +843,12 @@ func (c *ioConn) handleRing(payload []byte) error {
 		}
 		slot, err := c.qp.Submit(cmd)
 		if err != nil {
-			op, ns := cmd.Op, cmd.NSID // ReleaseCommand zeroes the arena command
-			c.qp.ReleaseCommand(cmd)
+			rejects = append(rejects, reject{seq, hostif.Completion{
+				Op: cmd.Op, NSID: cmd.NSID, Submitted: at, Done: at,
+				Result: hostif.Result{End: at, Err: err, Status: hostif.StatusOf(err)},
+			}})
+			c.qp.ReleaseCommand(cmd) // zeroes the arena command
 			c.putBufs(pe)
-			rejects = append(rejects, reject{seq: seq, at: at, op: op, ns: ns, err: err})
 			continue
 		}
 		c.pmu.Lock()
@@ -893,15 +875,8 @@ func (c *ioConn) handleRing(payload []byte) error {
 			}
 			encodeCompletion(&c.wbuf, seq, &sc.comp, sc.data)
 		}
-		for _, r := range rejects {
-			comp := hostif.Completion{
-				Op:        r.op,
-				NSID:      r.ns,
-				Submitted: r.at,
-				Done:      r.at,
-				Result:    hostif.Result{End: r.at, Err: r.err, Status: hostif.StatusOf(r.err)},
-			}
-			encodeCompletion(&c.wbuf, r.seq, &comp, nil)
+		for i := range rejects {
+			encodeCompletion(&c.wbuf, rejects[i].seq, &rejects[i].comp, nil)
 		}
 		err := c.writeLocked(c.wbuf.finish())
 		c.wmu.Unlock()
@@ -932,14 +907,7 @@ func (c *ioConn) onNotify(n hostif.Notification) {
 		if !ok {
 			break
 		}
-		c.pmu.Lock()
-		pe, havePend := c.pend[comp.Slot]
-		delete(c.pend, comp.Slot)
-		c.pmu.Unlock()
-		data := comp.Data
-		if len(data) == 0 && comp.Op == hostif.OpTableRead && havePend {
-			data = pe.dst
-		}
+		pe, data, _ := c.settle(&comp)
 		if !c.sess.save(pe.seq, &comp, data) {
 			overflow = true
 		}
@@ -961,6 +929,21 @@ func (c *ioConn) onNotify(n hostif.Notification) {
 	c.writeLocked(c.wbuf.finish())
 }
 
+// settle takes a reaped completion's entry off the pending table and
+// picks the payload that travels back with it: the completion's own
+// data, or for a table read the buffer it was read into.
+func (c *ioConn) settle(comp *hostif.Completion) (pe pendEntry, data []byte, ok bool) {
+	c.pmu.Lock()
+	pe, ok = c.pend[comp.Slot]
+	delete(c.pend, comp.Slot)
+	c.pmu.Unlock()
+	data = comp.Data
+	if len(data) == 0 && comp.Op == hostif.OpTableRead && ok {
+		data = pe.dst
+	}
+	return pe, data, ok
+}
+
 // finish tears the connection's queue pair down after a disconnect:
 // detach the notify handler, reap whatever completed (in-flight
 // commands finish — an abrupt disconnect never corrupts device state)
@@ -977,22 +960,13 @@ func (c *ioConn) finish(exit int, draining bool) {
 		if !ok {
 			break
 		}
-		c.pmu.Lock()
-		pe, havePend := c.pend[comp.Slot]
-		delete(c.pend, comp.Slot)
-		c.pmu.Unlock()
-		if havePend {
-			data := comp.Data
-			if len(data) == 0 && comp.Op == hostif.OpTableRead {
-				data = pe.dst
-			}
+		pe, data, ok := c.settle(&comp)
+		if ok {
 			c.sess.save(pe.seq, &comp, data)
 		}
 		c.putBufs(pe)
 	}
-	c.s.adminMu.Lock()
-	c.s.admin.DeleteIOQueuePair(vclock.Time(0), c.qp)
-	c.s.adminMu.Unlock()
+	c.s.deleteQP(0, c.qp)
 	c.pmu.Lock()
 	c.pend = nil
 	c.bufFree = nil
@@ -1010,14 +984,7 @@ func (c *ioConn) finish(exit int, draining bool) {
 func (c *ioConn) getBuf(n int) []byte {
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
-	for i := len(c.bufFree) - 1; i >= 0; i-- {
-		if cap(c.bufFree[i]) >= n {
-			b := c.bufFree[i][:n]
-			c.bufFree = append(c.bufFree[:i], c.bufFree[i+1:]...)
-			return b
-		}
-	}
-	return make([]byte, n)
+	return popBuf(&c.bufFree, n)
 }
 
 // putBufs returns a pending entry's buffers to the connection pool.
@@ -1047,7 +1014,7 @@ type payloadBox struct {
 // are remotable — identify and log pages; queue-pair lifecycle rides
 // the I/O connection handshake, and namespace attachment needs an
 // in-process Namespace value, so both are rejected as unsupported.
-func (s *Server) serveAdmin(conn net.Conn, rbuf *[]byte) {
+func (s *Server) serveAdmin(conn net.Conn, fr *frameReader) {
 	var f frameBuf
 	f.start(frameAccept)
 	f.u32(0)
@@ -1058,7 +1025,7 @@ func (s *Server) serveAdmin(conn net.Conn, rbuf *[]byte) {
 	}
 	var pbuf bytes.Buffer
 	for {
-		ftype, payload, err := readFrame(conn, rbuf)
+		ftype, payload, err := fr.readFrame()
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
 				s.sendError(conn, err)
@@ -1114,6 +1081,13 @@ func (s *Server) serveAdmin(conn net.Conn, rbuf *[]byte) {
 			return
 		}
 	}
+}
+
+// deleteQP deletes an I/O queue pair over the shared admin queue.
+func (s *Server) deleteQP(now vclock.Time, qp *hostif.QueuePair) {
+	s.adminMu.Lock()
+	s.admin.DeleteIOQueuePair(now, qp)
+	s.adminMu.Unlock()
 }
 
 // execRemoteAdmin issues one remotable admin command through the

@@ -138,55 +138,46 @@ const (
 	errSessionUnknown
 )
 
-// codeFor maps a server-side error to its wire code.
-func codeFor(err error) uint16 {
-	switch {
-	case err == nil:
-		return errNone
-	case errors.Is(err, hostif.ErrQueueFull):
-		return errQueueFull
-	case errors.Is(err, hostif.ErrBadNSID):
-		return errBadNSID
-	case errors.Is(err, hostif.ErrUnsupported):
-		return errUnsupported
-	case errors.Is(err, hostif.ErrBadHandle):
-		return errBadHandle
-	case errors.Is(err, hostif.ErrBadLogPage):
-		return errBadLogPage
-	case errors.Is(err, hostif.ErrQueueClosed):
-		return errQueueClosed
-	case errors.Is(err, ErrSessionUnknown):
-		return errSessionUnknown
-	default:
-		return errOther
-	}
+// canonicalErrs maps the wire codes that have a canonical client-side
+// value to it, so errors.Is works across the fabric.
+var canonicalErrs = [...]error{
+	errQueueFull:   hostif.ErrQueueFull,
+	errBadNSID:     hostif.ErrBadNSID,
+	errUnsupported: hostif.ErrUnsupported,
+	errBadHandle:   hostif.ErrBadHandle,
+	errBadLogPage:  hostif.ErrBadLogPage,
+	errQueueClosed: hostif.ErrQueueClosed,
 }
 
-// errorFor reconstructs the client-side error for a wire code. The
-// canonical codes map back to the host interface's error values so
-// errors.Is works across the fabric; errOther yields a RemoteError
-// carrying the server's message.
-func errorFor(code uint16, msg string) error {
-	switch code {
-	case errNone:
-		return nil
-	case errQueueFull:
-		return hostif.ErrQueueFull
-	case errBadNSID:
-		return hostif.ErrBadNSID
-	case errUnsupported:
-		return hostif.ErrUnsupported
-	case errBadHandle:
-		return hostif.ErrBadHandle
-	case errBadLogPage:
-		return hostif.ErrBadLogPage
-	case errQueueClosed:
-		return hostif.ErrQueueClosed
-	case errSessionUnknown:
-		return fmt.Errorf("%w: %s", ErrSessionUnknown, msg)
-	default:
-		return &RemoteError{Code: code, Msg: msg}
+// codeFor maps a server-side error to its wire code.
+func codeFor(err error) uint16 {
+	if err == nil {
+		return errNone
 	}
+	for code, canon := range canonicalErrs {
+		if canon != nil && errors.Is(err, canon) {
+			return uint16(code)
+		}
+	}
+	if errors.Is(err, ErrSessionUnknown) {
+		return errSessionUnknown
+	}
+	return errOther
+}
+
+// errorFor reconstructs the client-side error for a wire code: the
+// canonical value where there is one, else a RemoteError carrying the
+// server's message.
+func errorFor(code uint16, msg string) error {
+	switch {
+	case code == errNone:
+		return nil
+	case int(code) < len(canonicalErrs) && canonicalErrs[code] != nil:
+		return canonicalErrs[code]
+	case code == errSessionUnknown:
+		return fmt.Errorf("%w: %s", ErrSessionUnknown, msg)
+	}
+	return &RemoteError{Code: code, Msg: msg}
 }
 
 // frameBuf accumulates one outgoing frame: header space is reserved up
@@ -226,17 +217,59 @@ func (f *frameBuf) finish() []byte {
 	return f.b
 }
 
-// readFrame reads and validates one frame, reusing *buf for the
-// payload. The returned payload aliases *buf and is valid until the
-// next call.
-func readFrame(r io.Reader, buf *[]byte) (ftype byte, payload []byte, err error) {
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader reads frames off one connection through a buffer: one
+// Read pulls in a header, its payload and whatever frames are queued
+// behind them, so a burst costs one system call and the header is parsed
+// where it lies. Client, server and admin connections all read through it.
+type frameReader struct {
+	r      io.Reader
+	buf    []byte
+	lo, hi int // buf[lo:hi] is read from r and not yet consumed
+}
+
+// frameReadChunk is the least the buffer holds; a larger frame grows it.
+const frameReadChunk = 16 << 10
+
+// reset points the reader at a new connection. What the old one left
+// buffered is dropped: it must never prefix the stream that resumes it.
+func (fr *frameReader) reset(r io.Reader) { fr.r, fr.lo, fr.hi = r, 0, 0 }
+
+// fill reads until n unconsumed bytes are buffered, first moving them
+// to the front (of a larger buffer if need be) when there is no room
+// behind them. It returns io.EOF only when the stream ended with
+// nothing buffered.
+func (fr *frameReader) fill(n int) error {
+	if fr.lo == fr.hi || fr.lo+n > len(fr.buf) {
+		to := fr.buf
+		if n > len(to) {
+			to = make([]byte, max(n, frameReadChunk))
+		}
+		fr.hi = copy(to, fr.buf[fr.lo:fr.hi])
+		fr.buf, fr.lo = to, 0
+	}
+	for fr.hi-fr.lo < n {
+		m, err := fr.r.Read(fr.buf[fr.hi:])
+		fr.hi += m
+		if err != nil && fr.hi-fr.lo < n {
+			if err == io.EOF && fr.hi > fr.lo {
+				return io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// readFrame reads and validates one frame. The returned payload aliases
+// the reader's buffer and is valid until the next call.
+func (fr *frameReader) readFrame() (ftype byte, payload []byte, err error) {
+	if err := fr.fill(headerBytes); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: reading header: %w", ErrTruncatedFrame, err)
 	}
+	hdr := fr.buf[fr.lo : fr.lo+headerBytes]
 	if hdr[0] != wireMagic[0] || hdr[1] != wireMagic[1] {
 		return 0, nil, fmt.Errorf("%w: %02x%02x", ErrBadMagic, hdr[0], hdr[1])
 	}
@@ -251,18 +284,42 @@ func readFrame(r io.Reader, buf *[]byte) (ftype byte, payload []byte, err error)
 	if n > maxFrameBytes {
 		return 0, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
-	}
-	payload = (*buf)[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
+	want := binary.LittleEndian.Uint32(hdr[8:12])
+	end := headerBytes + int(n)
+	if err := fr.fill(end); err != nil { // may move the buffer: hdr is dead
 		return 0, nil, fmt.Errorf("%w: reading %d-byte payload: %w", ErrTruncatedFrame, n, err)
 	}
-	if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(hdr[8:12]) {
-		return 0, nil, fmt.Errorf("%w: got %08x want %08x", ErrCorruptFrame,
-			crc, binary.LittleEndian.Uint32(hdr[8:12]))
+	payload = fr.buf[fr.lo+headerBytes : fr.lo+end : fr.lo+end]
+	fr.lo += end
+	if crc := crc32.ChecksumIEEE(payload); crc != want {
+		return 0, nil, fmt.Errorf("%w: got %08x want %08x", ErrCorruptFrame, crc, want)
 	}
 	return ftype, payload, nil
+}
+
+// wireError decodes a frameError payload into its typed error.
+func wireError(payload []byte) error {
+	d := decoder{b: payload}
+	code := d.u16()
+	msg := d.str()
+	if code == errSessionUnknown {
+		return fmt.Errorf("%w: %s", ErrSessionUnknown, msg)
+	}
+	return fmt.Errorf("%w: %s", ErrRejected, msg)
+}
+
+// popBuf takes a buffer of length n off a free list, allocating when
+// none is large enough. The list's owner holds whatever lock guards it.
+func popBuf(free *[][]byte, n int) []byte {
+	l := *free
+	for i := len(l) - 1; i >= 0; i-- {
+		if cap(l[i]) >= n {
+			b := l[i][:n]
+			*free = append(l[:i], l[i+1:]...)
+			return b
+		}
+	}
+	return make([]byte, n)
 }
 
 // decoder walks a validated payload. Overruns set err and make every

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"testing"
 
@@ -30,14 +32,65 @@ func sampleFrame() []byte {
 	return append([]byte(nil), f.finish()...)
 }
 
-func readFrameBytes(b []byte) (byte, []byte, error) {
-	var buf []byte
-	return readFrame(bytes.NewReader(b), &buf)
+// chunkReader hands out at most n bytes per Read: a socket delivering
+// a frame in pieces.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) {
+	return c.r.Read(p[:min(c.n, len(p))])
+}
+
+// frameErrClass names the typed error behind a readFrame error.
+func frameErrClass(err error) error {
+	for _, t := range []error{ErrTruncatedFrame, ErrBadMagic, ErrBadVersion,
+		ErrBadFrameType, ErrFrameTooLarge, ErrCorruptFrame} {
+		if errors.Is(err, t) {
+			return t
+		}
+	}
+	return err
+}
+
+// readFrameBytes parses b as one frame, and checks on the way that the
+// parse does not depend on how the bytes arrive: b dribbled out 1…n
+// bytes per Read, and b directly behind another frame in the same
+// buffer, must yield the same type, payload and typed error as b in one
+// piece (so a torn second frame is ErrTruncatedFrame, not a hang).
+func readFrameBytes(t testing.TB, b []byte) (byte, []byte, error) {
+	t.Helper()
+	var fr frameReader // one buffer for every variant
+	fr.reset(bytes.NewReader(b))
+	ftype, payload, err := fr.readFrame()
+	payload = append([]byte(nil), payload...)
+	same := func(how string) {
+		t.Helper()
+		ft, pl, e := fr.readFrame()
+		if ft != ftype || !bytes.Equal(pl, payload) || frameErrClass(e) != frameErrClass(err) {
+			t.Fatalf("%s: type %d, %d-byte payload, err %v; in one piece: type %d, %d-byte payload, err %v",
+				how, ft, len(pl), e, ftype, len(payload), err)
+		}
+	}
+	// From one byte per read up; a long fuzz input starts coarser, so
+	// that no variant costs more than a few thousand reads.
+	for n := max(1, len(b)/4096); n <= len(b); n += 1 + n/8 {
+		fr.reset(chunkReader{bytes.NewReader(b), n})
+		same(fmt.Sprintf("%d bytes per read", n))
+	}
+	lead := sampleFrame()
+	fr.reset(bytes.NewReader(append(lead[:len(lead):len(lead)], b...)))
+	if ft, pl, e := fr.readFrame(); e != nil || ft != frameRing || !bytes.Equal(pl, lead[headerBytes:]) {
+		t.Fatalf("leading frame: type %d, err %v", ft, e)
+	}
+	same("behind another frame")
+	return ftype, payload, err
 }
 
 func TestFrameRoundtrip(t *testing.T) {
 	frame := sampleFrame()
-	ftype, payload, err := readFrameBytes(frame)
+	ftype, payload, err := readFrameBytes(t, frame)
 	if err != nil {
 		t.Fatalf("valid frame rejected: %v", err)
 	}
@@ -77,7 +130,7 @@ func TestFrameHeaderCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := readFrameBytes(tc.mutate(sampleFrame()))
+			_, _, err := readFrameBytes(t, tc.mutate(sampleFrame()))
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
 			}
@@ -91,7 +144,7 @@ func TestFrameHeaderCorruption(t *testing.T) {
 func TestFrameEveryTruncation(t *testing.T) {
 	frame := sampleFrame()
 	for n := 0; n < len(frame); n++ {
-		_, _, err := readFrameBytes(frame[:n])
+		_, _, err := readFrameBytes(t, frame[:n])
 		switch {
 		case n == 0:
 			if err != io.EOF {
@@ -114,7 +167,7 @@ func TestFrameEveryByteFlip(t *testing.T) {
 	for i := range frame {
 		mut := append([]byte(nil), frame...)
 		mut[i] ^= 0x04
-		ftype, _, err := readFrameBytes(mut)
+		ftype, _, err := readFrameBytes(t, mut)
 		if err == nil {
 			if i != 3 {
 				t.Fatalf("flip at %d accepted", i)
@@ -301,8 +354,9 @@ func TestDecodeCompletionTruncation(t *testing.T) {
 }
 
 // FuzzReadFrame: arbitrary bytes through the frame reader must never
-// panic and must either fail or yield a frame whose CRC genuinely
-// covers the returned payload.
+// panic, must either fail or yield a frame whose CRC genuinely covers
+// the returned payload, and must parse the same however they arrive
+// (readFrameBytes).
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(sampleFrame())
@@ -312,12 +366,14 @@ func FuzzReadFrame(f *testing.F) {
 	bad[headerBytes] ^= 0xFF
 	f.Add(bad)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var buf []byte
-		ftype, payload, err := readFrame(bytes.NewReader(data), &buf)
+		ftype, payload, err := readFrameBytes(t, data)
 		if err == nil && (ftype < 1 || ftype > frameTypeMax) {
 			t.Fatalf("accepted out-of-range frame type %d", ftype)
 		}
-		_ = payload
+		if err == nil && len(data) >= headerBytes &&
+			crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[8:12]) {
+			t.Fatalf("accepted a payload its CRC does not cover")
+		}
 	})
 }
 
@@ -352,4 +408,23 @@ func FuzzDecodeCompletion(f *testing.F) {
 		var c hostif.Completion
 		_, _, _ = decodeCompletion(&d, &c)
 	})
+}
+
+// TestFrameReaderResetDropsLeftovers: what a dead connection left in
+// the buffer — here half a frame — must not prefix the stream the
+// reader is reset onto.
+func TestFrameReaderResetDropsLeftovers(t *testing.T) {
+	frame := sampleFrame()
+	fr := &frameReader{r: bytes.NewReader(append(sampleFrame(), frame[:len(frame)/2]...))}
+	if _, _, err := fr.readFrame(); err != nil {
+		t.Fatalf("first frame: %v", err)
+	}
+	if _, _, err := fr.readFrame(); !errors.Is(err, ErrTruncatedFrame) {
+		t.Fatalf("torn second frame: %v, want %v", err, ErrTruncatedFrame)
+	}
+	fr.reset(bytes.NewReader(frame))
+	ftype, payload, err := fr.readFrame()
+	if err != nil || ftype != frameRing || !bytes.Equal(payload, frame[headerBytes:]) {
+		t.Fatalf("frame after reset: type %d, err %v", ftype, err)
+	}
 }

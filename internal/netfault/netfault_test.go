@@ -2,6 +2,8 @@ package netfault_test
 
 import (
 	"bytes"
+	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -268,5 +270,87 @@ func TestStallRescuedByKeepAlive(t *testing.T) {
 	}
 	if s := qp.Stats(); s.Redials != 1 {
 		t.Fatalf("redials = %d, want 1", s.Redials)
+	}
+}
+
+// TestResumeOnReapingGoroutine: a connection killed under a blocked
+// Reap is redialed, re-handshaken and replayed by the goroutine that
+// was reading it — the reaper itself — and the Reap returns the
+// replayed completion. No reader is left behind: after Close the
+// process is back to the goroutines it started with. The reader of
+// last resort may happen to hold the socket when the kill lands, and
+// the completion may slip through ahead of the sever, so the scenario
+// gets a few tries to show a replaying redial on the test's own
+// goroutine; everything else must hold every time.
+func TestResumeOnReapingGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	onReaper := false
+	for try := 0; try < 5 && !onReaper; try++ {
+		srv, now := rig(t)
+		// The kill relays the second ring frame — the read below — and
+		// severs: the command ran, its completion may never arrive.
+		proxy := netfault.New(fabrics.LoopbackDial(srv),
+			netfault.Config{Script: []netfault.Event{{After: 2, Action: netfault.Kill}}})
+		redialedHere := false
+		dials := 0
+		dial := func() (net.Conn, error) {
+			if dials++; dials == 2 {
+				var stack [4096]byte
+				redialedHere = bytes.Contains(stack[:runtime.Stack(stack[:], false)], []byte("TestResumeOnReapingGoroutine"))
+			}
+			return proxy.Dial()
+		}
+		qp, err := fabrics.NewClient(dial).WithConfig(fabrics.Config{Redial: redial}).QueuePair(now, 4, hostif.ClassMedium, 1)
+		if err != nil {
+			t.Fatalf("queue pair: %v", err)
+		}
+		payload := bytes.Repeat([]byte{0xA5, byte(try)}, pageBytes/2)
+		cmd := qp.AcquireCommand()
+		cmd.Op, cmd.NSID, cmd.LPN, cmd.Data = hostif.OpWrite, 1, 0, payload
+		if err := qp.Push(now, cmd); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		wc := qp.MustReap()
+		if wc.Err != nil {
+			t.Fatalf("write completion: %v", wc.Err)
+		}
+		cmd = qp.AcquireCommand()
+		cmd.Op, cmd.NSID, cmd.LPN, cmd.Pages = hostif.OpRead, 1, 0, 4
+		if err := qp.Push(wc.Done, cmd); err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		rc, ok := qp.Reap() // blocks across the kill, the redial and the replay
+		if !ok || rc.Err != nil || !bytes.Equal(rc.Data, payload) {
+			t.Fatalf("reap across the kill: ok=%v err=%v, payload intact: %v (pair: %v)",
+				ok, rc.Err, bytes.Equal(rc.Data, payload), qp.Err())
+		}
+		if st := proxy.Stats(); st.Kills != 1 {
+			t.Fatalf("kills = %d, want 1", st.Kills)
+		}
+		// If the completion beat the sever the loss is only noticed now,
+		// by the reader of last resort: wait for its (empty) resumption.
+		deadline := time.Now().Add(2 * time.Second)
+		for qp.Stats().Redials == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		s := qp.Stats()
+		if s.Redials != 1 {
+			t.Fatalf("redials = %d, want 1", s.Redials)
+		}
+		onReaper = redialedHere && s.Replayed == 1
+		qp.Close()
+		srv.Close()
+	}
+	if !onReaper {
+		t.Error("the session was never resumed on the goroutine blocked in Reap")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			var stacks [1 << 16]byte
+			t.Fatalf("%d goroutines after Close, %d before the test:\n%s",
+				runtime.NumGoroutine(), before, stacks[:runtime.Stack(stacks[:], true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
