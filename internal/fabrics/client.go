@@ -149,7 +149,9 @@ func (c *Client) connect(fr *frameReader, kind uint8, now vclock.Time, depth int
 	switch ftype {
 	case frameAccept:
 		d := decoder{b: payload}
-		qid, dep, tok = int(d.u32()), int(d.u32()), d.u64()
+		qid = int(d.u32())
+		dep = int(d.u32())
+		tok = d.u64()
 		if err := d.done(); err != nil {
 			return nil, 0, 0, 0, err
 		}
@@ -318,8 +320,10 @@ func (qp *QueuePair) Token() uint64 { return qp.token }
 
 // ReconnectStats counts session-resumption work over the pair's life.
 type ReconnectStats struct {
-	Redials  int // successful session resumptions
-	Replayed int // commands re-sent across all resumptions
+	// Redials is the number of successful session resumptions.
+	Redials int
+	// Replayed is the total commands re-sent across all resumptions.
+	Replayed int
 }
 
 // Stats reports the pair's resumption counters.
@@ -971,8 +975,8 @@ func (c *Client) Admin() (*AdminClient, error) {
 // Close closes the admin connection.
 func (a *AdminClient) Close() error { return a.conn.Close() }
 
-// do issues one admin request and decodes the reply's payload.
-func (a *AdminClient) do(now vclock.Time, op hostif.Op, nsid int, handle uint64, log hostif.LogPage) (any, error) {
+// do issues one admin request and decodes the reply synchronously.
+func (a *AdminClient) do(now vclock.Time, op hostif.Op, nsid int, handle uint64, log hostif.LogPage) (any, hostif.Completion, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.timeout > 0 {
@@ -986,39 +990,44 @@ func (a *AdminClient) do(now vclock.Time, op hostif.Op, nsid int, handle uint64,
 	a.wbuf.u8(uint8(log))
 	a.wbuf.i64(int64(now))
 	if _, err := a.conn.Write(a.wbuf.finish()); err != nil {
-		return nil, wrapTimeout(err)
+		return nil, hostif.Completion{}, wrapTimeout(err)
 	}
 	ftype, payload, err := a.fr.readFrame()
 	if err != nil {
-		return nil, wrapTimeout(err)
+		return nil, hostif.Completion{}, wrapTimeout(err)
 	}
+	d := decoder{b: payload}
 	switch ftype {
 	case frameAdminReply:
 	case frameError:
-		return nil, wireError(payload)
+		return nil, hostif.Completion{}, wireError(payload)
 	default:
-		return nil, fmt.Errorf("%w: %d on admin connection", ErrBadFrameType, ftype)
+		return nil, hostif.Completion{}, fmt.Errorf("%w: %d on admin connection", ErrBadFrameType, ftype)
 	}
-	d := decoder{b: payload}
 	code := d.u16()
 	msg := d.str()
-	d.i64() // Done, Handle and Blocks: the typed surface returns payloads only
-	d.u64()
-	d.i32()
+	var comp hostif.Completion
+	comp.Op, comp.NSID = op, nsid
+	comp.Done = vclock.Time(d.i64())
+	comp.Handle = d.u64()
+	comp.Blocks = int(d.i32())
 	gobBytes := d.bytes()
 	if err := d.done(); err != nil {
-		return nil, err
+		return nil, hostif.Completion{}, err
 	}
 	if cerr := errorFor(code, msg); cerr != nil {
-		return nil, cerr
+		comp.Err = cerr
+		comp.Status = hostif.StatusOf(cerr)
+		return nil, comp, cerr
 	}
 	var box payloadBox
 	if len(gobBytes) > 0 {
 		if err := gob.NewDecoder(bytes.NewReader(gobBytes)).Decode(&box); err != nil {
-			return nil, fmt.Errorf("%w: admin payload: %v", ErrBadPayload, err)
+			return nil, comp, fmt.Errorf("%w: admin payload: %v", ErrBadPayload, err)
 		}
 	}
-	return box.V, nil
+	comp.Admin = box.V
+	return box.V, comp, nil
 }
 
 // payloadAs asserts a decoded admin payload's type, surfacing a typed
@@ -1037,18 +1046,21 @@ func payloadAs[T any](v any, err error) (T, error) {
 
 // Identify reports the remote controller's identity.
 func (a *AdminClient) Identify(now vclock.Time) (hostif.IdentifyController, error) {
-	return payloadAs[hostif.IdentifyController](a.do(now, hostif.OpAdminIdentify, 0, 0, 0))
+	v, _, err := a.do(now, hostif.OpAdminIdentify, 0, 0, 0)
+	return payloadAs[hostif.IdentifyController](v, err)
 }
 
 // IdentifyNamespace reports one namespace's identity and geometry.
 func (a *AdminClient) IdentifyNamespace(now vclock.Time, nsid int) (hostif.NamespaceIdentity, error) {
-	return payloadAs[hostif.NamespaceIdentity](a.do(now, hostif.OpAdminIdentify, nsid, 0, 0))
+	v, _, err := a.do(now, hostif.OpAdminIdentify, nsid, 0, 0)
+	return payloadAs[hostif.NamespaceIdentity](v, err)
 }
 
 // GetLogPage returns the selected log page; nsid is 0 for controller-
 // and device-scoped pages.
 func (a *AdminClient) GetLogPage(now vclock.Time, page hostif.LogPage, nsid int) (any, error) {
-	return a.do(now, hostif.OpAdminGetLogPage, nsid, 0, page)
+	v, _, err := a.do(now, hostif.OpAdminGetLogPage, nsid, 0, page)
+	return v, err
 }
 
 // ControllerStats returns the controller counters log page.
@@ -1099,7 +1111,8 @@ func (a *AdminClient) GCStats(now vclock.Time, nsid int) (ftlcore.GCStats, error
 
 // TableChunks returns the chunks backing a committed LightLSM table.
 func (a *AdminClient) TableChunks(now vclock.Time, nsid int, table uint64) ([]ocssd.ChunkID, error) {
-	return payloadAs[[]ocssd.ChunkID](a.do(now, hostif.OpAdminGetLogPage, nsid, table, hostif.LogTableChunks))
+	v, _, err := a.do(now, hostif.OpAdminGetLogPage, nsid, table, hostif.LogTableChunks)
+	return payloadAs[[]ocssd.ChunkID](v, err)
 }
 
 // OffloadStats returns a namespace's computational-storage counters.

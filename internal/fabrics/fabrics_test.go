@@ -459,9 +459,8 @@ func (c *reapWatchConn) Read(p []byte) (int, error) {
 // TestCompletionsAreReadWhileReaping pins the hand-off the transport no
 // longer makes: on a busy depth-1 loop the goroutine that waits for a
 // completion is the one that reads it off the socket. The reader of
-// last resort may take a frame now and then, one per 5 ms yield at most,
-// so the bar is 95 %, not all — or, on a box so slow that 5 ms is few
-// operations, no more stolen frames than that rule allows.
+// last resort may take a frame now and then (it yields as soon as it
+// sees the pair is driven), so the bar is 95 %, not all.
 func TestCompletionsAreReadWhileReaping(t *testing.T) {
 	_, addr, now := testRig(t, 256)
 	var mine, others atomic.Int64
@@ -478,7 +477,6 @@ func TestCompletionsAreReadWhileReaping(t *testing.T) {
 	}
 	defer qp.Close()
 	const ops = 2000
-	start := time.Now()
 	for i := 0; i < ops; i++ {
 		cmd := qp.AcquireCommand()
 		cmd.Op, cmd.NSID, cmd.LPN, cmd.Pages = hostif.OpRead, 1, int64(i%256), 1
@@ -492,9 +490,8 @@ func TestCompletionsAreReadWhileReaping(t *testing.T) {
 		now = c.Done
 	}
 	in, out := mine.Load(), others.Load()
-	allowed := 3 + 2*int64(time.Since(start)/(5*time.Millisecond))
 	t.Logf("%d ops: %d reads on the reaping goroutine (handshake included), %d on others", ops, in, out)
-	if in < ops*95/100 && out > allowed {
+	if in < ops*95/100 {
 		t.Fatalf("only %d of %d completions were read by the reaping goroutine (%d reads by others)", in, ops, out)
 	}
 }

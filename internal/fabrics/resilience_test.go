@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -57,21 +58,26 @@ func resilienceHost(t testing.TB) (*hostif.Host, vclock.Time) {
 	return host, now
 }
 
+// connectFrame encodes an I/O connect frame (medium class, coalesce 1).
+func connectFrame(now vclock.Time, depth uint32, kato time.Duration, token uint64) []byte {
+	var f frameBuf
+	f.start(frameConnect)
+	f.u8(connKindIO)
+	f.u8(uint8(hostif.ClassMedium))
+	f.u32(depth)
+	f.u32(1) // coalesce
+	f.i64(int64(now))
+	f.u32(uint32(kato / time.Millisecond))
+	f.u64(token)
+	return f.finish()
+}
+
 // rawConnect hand-writes an I/O connect frame so the test controls the
 // advertised keep-alive independently of any client machinery (a
 // half-open peer that never heartbeats).
 func rawConnect(t *testing.T, conn net.Conn, now vclock.Time, kato time.Duration, token uint64) (qid int, tok uint64) {
 	t.Helper()
-	var f frameBuf
-	f.start(frameConnect)
-	f.u8(connKindIO)
-	f.u8(uint8(hostif.ClassMedium))
-	f.u32(4) // depth
-	f.u32(1) // coalesce
-	f.i64(int64(now))
-	f.u32(uint32(kato / time.Millisecond))
-	f.u64(token)
-	if _, err := conn.Write(f.finish()); err != nil {
+	if _, err := conn.Write(connectFrame(now, 4, kato, token)); err != nil {
 		t.Fatalf("connect write: %v", err)
 	}
 	ftype, payload, err := (&frameReader{r: conn}).readFrame()
@@ -123,16 +129,7 @@ func TestKeepAliveExpiryReapsSession(t *testing.T) {
 	cli2, sconn2 := net.Pipe()
 	defer cli2.Close()
 	go srv.ServeConn(sconn2)
-	var f frameBuf
-	f.start(frameConnect)
-	f.u8(connKindIO)
-	f.u8(uint8(hostif.ClassMedium))
-	f.u32(4)
-	f.u32(1)
-	f.i64(int64(now))
-	f.u32(0)
-	f.u64(token)
-	if _, err := cli2.Write(f.finish()); err != nil {
+	if _, err := cli2.Write(connectFrame(now, 4, 0, token)); err != nil {
 		t.Fatalf("resume write: %v", err)
 	}
 	ftype, payload, err := (&frameReader{r: cli2}).readFrame()
@@ -170,6 +167,104 @@ func TestSessionRetentionReapsDetached(t *testing.T) {
 			t.Fatalf("detached session outlived retention (sessions=%d)", srv.Sessions())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestConnectDepthIsBounded: the depth in a connect frame is a hostile
+// peer's to choose, so it must not size anything. One past the limit
+// (and the largest a frame can carry) is refused with a typed error
+// frame and leaves no session; the limit itself is accepted and costs a
+// replay table of the starting size, not one sized for the depth.
+func TestConnectDepthIsBounded(t *testing.T) {
+	host, now := resilienceHost(t)
+	srv := NewServer(host)
+	defer srv.Close()
+
+	for _, depth := range []uint32{maxQueueDepth + 1, 0xFFFFFFFF} {
+		cli, sconn := net.Pipe()
+		go srv.ServeConn(sconn)
+		if _, err := cli.Write(connectFrame(now, depth, 0, 0)); err != nil {
+			t.Fatalf("depth %d: connect write: %v", depth, err)
+		}
+		ftype, payload, err := (&frameReader{r: cli}).readFrame()
+		if err != nil || ftype != frameError {
+			t.Fatalf("depth %d: got frame type %d, err %v; want an error frame", depth, ftype, err)
+		}
+		if err := wireError(payload); !errors.Is(err, ErrRejected) {
+			t.Fatalf("depth %d: rejection decodes to %v, want ErrRejected", depth, err)
+		}
+		cli.Close()
+		if got := srv.Sessions(); got != 0 {
+			t.Fatalf("depth %d: %d sessions after a refused connect", depth, got)
+		}
+	}
+
+	cli, sconn := net.Pipe()
+	defer cli.Close()
+	go srv.ServeConn(sconn)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := cli.Write(connectFrame(now, maxQueueDepth, 0, 0)); err != nil {
+		t.Fatalf("connect write: %v", err)
+	}
+	if ftype, _, err := (&frameReader{r: cli}).readFrame(); err != nil || ftype != frameAccept {
+		t.Fatalf("depth %d: got frame type %d, err %v; want accept", maxQueueDepth, ftype, err)
+	}
+	runtime.ReadMemStats(&after)
+	// A table sized for the depth would be 4*64Ki+64 records, ~50 MB.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("accepting depth %d allocated %d bytes", maxQueueDepth, grew)
+	}
+}
+
+// TestReplayTableGrowsWithWindow drives a session's replay table past
+// its starting size: every unacked seq stays cached across each
+// re-homing, an ack frees exactly what it covers, and running past
+// cacheCap() is still the overflow it was.
+func TestReplayTableGrowsWithWindow(t *testing.T) {
+	sess := newSessionState(1, 1, 100, hostif.ClassMedium, 1, 0)
+	capN := uint64(sess.cacheCap())
+	if capN <= replayTableMin {
+		t.Fatalf("cacheCap %d does not exceed the starting size %d", capN, replayTableMin)
+	}
+	payload := func(seq uint64) []byte { return []byte{byte(seq), byte(seq >> 8), 7} }
+	for seq := uint64(1); seq <= capN; seq++ {
+		if got := sess.classify(seq); got != seqFresh {
+			t.Fatalf("seq %d classified %d, want fresh", seq, got)
+		}
+		comp := hostif.Completion{Slot: seq}
+		if !sess.save(seq, &comp, payload(seq)) {
+			t.Fatalf("seq %d of %d refused", seq, capN)
+		}
+	}
+	if len(sess.cache) != int(capN) {
+		t.Fatalf("table holds %d records for a window of %d", len(sess.cache), capN)
+	}
+	comp := hostif.Completion{}
+	if sess.save(capN+1, &comp, nil) {
+		t.Fatalf("seq %d accepted past cacheCap %d", capN+1, capN)
+	}
+	for seq := uint64(1); seq <= capN; seq++ {
+		sc, ok := sess.cached(seq)
+		if !ok || sc.comp.Slot != seq || !bytes.Equal(sc.data, payload(seq)) {
+			t.Fatalf("seq %d lost or mangled by growth: ok=%v %+v", seq, ok, sc)
+		}
+		if got := sess.classify(seq); got != seqDup {
+			t.Fatalf("seq %d classified %d, want dup", seq, got)
+		}
+	}
+	sess.prune(capN - 10)
+	for seq := uint64(1); seq <= capN; seq++ {
+		want := seqDup
+		if seq <= capN-10 {
+			want = seqStale
+		}
+		if got := sess.classify(seq); got != want {
+			t.Fatalf("after ack %d: seq %d classified %d, want %d", capN-10, seq, got, want)
+		}
+	}
+	if !sess.save(capN+1, &comp, nil) {
+		t.Fatalf("seq %d refused with the window freed", capN+1)
 	}
 }
 

@@ -173,22 +173,31 @@ func (s *Server) Shutdown() {
 		return
 	}
 	s.draining = true
+	ls := make([]net.Listener, 0, len(s.listeners))
 	for l := range s.listeners {
-		l.Close()
+		ls = append(ls, l)
 	}
 	ios := make([]*ioConn, 0, len(s.ioConns))
-	owned := make(map[net.Conn]bool, len(s.ioConns))
 	for c := range s.ioConns {
 		ios = append(ios, c)
-		owned[c.conn] = true
 	}
-	var others []net.Conn
+	others := make([]net.Conn, 0, len(s.conns))
 	for conn := range s.conns {
-		if !owned[conn] {
+		owned := false
+		for _, c := range ios {
+			if c.conn == conn {
+				owned = true
+				break
+			}
+		}
+		if !owned {
 			others = append(others, conn)
 		}
 	}
 	s.mu.Unlock()
+	for _, l := range ls {
+		l.Close()
+	}
 	for _, c := range ios {
 		c.goaway()
 	}
@@ -273,6 +282,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 			s.sendError(conn, fmt.Errorf("%w: unknown arbitration class %d", ErrBadPayload, class))
 			return
 		}
+		if depth > maxQueueDepth {
+			s.sendError(conn, fmt.Errorf("%w: queue depth %d exceeds %d", ErrBadPayload, depth, maxQueueDepth))
+			return
+		}
 		s.serveIO(conn, fr, now, depth, class, coalesce, kato, token)
 	default:
 		s.sendError(conn, fmt.Errorf("%w: unknown connection kind %d", ErrBadPayload, kind))
@@ -324,9 +337,10 @@ type session struct {
 
 	acked   uint64 // highest client-acknowledged seq (cache pruned below)
 	maxSeen uint64 // highest seq ever submitted
-	// cache is the replay table: cacheCap() reusable records, seq s in
-	// record s mod cacheCap(). save admits only acked < s <= acked +
-	// cacheCap(), a window in which that index is unique.
+	// cache is the replay table: reusable records, seq s in record
+	// s mod len(cache). Every held seq lies in acked < s <= acked +
+	// len(cache), a window in which that index is unique; the table
+	// grows with the window in use (see grow), up to cacheCap().
 	cache   []savedComp
 	bufFree [][]byte
 }
@@ -340,7 +354,7 @@ func newSessionState(token uint64, qid, depth int, class hostif.Class, coalesce 
 		coalesce: coalesce,
 		kato:     kato,
 	}
-	sess.cache = make([]savedComp, sess.cacheCap())
+	sess.cache = make([]savedComp, replayTableMin)
 	sess.cond = sync.NewCond(&sess.mu)
 	return sess
 }
@@ -349,7 +363,32 @@ func newSessionState(token uint64, qid, depth int, class hostif.Class, coalesce 
 // the client's queue depth; the slack absorbs ack-carrying frames lost
 // to an outage. Running past it means the peer is not acking at all —
 // connection-fatal.
-func (sess *session) cacheCap() int { return 4*sess.depth + 64 }
+func (sess *session) cacheCap() int { return 4*sess.depth + replayTableMin }
+
+// maxQueueDepth is the deepest queue a connect frame may ask for (NVMe's
+// own limit); replayTableMin is the size a replay table starts at, so
+// what a session holds follows the commands it has in flight, not the
+// depth its peer announced.
+const (
+	maxQueueDepth  = 64 << 10
+	replayTableMin = 64
+)
+
+// grow re-homes the table's records in one at least need long, by
+// doubling, up to cacheCap(). Caller holds sess.mu.
+func (sess *session) grow(need uint64) {
+	n := len(sess.cache)
+	for uint64(n) < need {
+		n *= 2
+	}
+	old := sess.cache
+	sess.cache = make([]savedComp, min(n, sess.cacheCap()))
+	for i := range old {
+		if old[i].seq != 0 {
+			*sess.record(old[i].seq) = old[i]
+		}
+	}
+}
 
 // record returns the table record seq maps to; it holds seq only if its
 // seq field says so. Caller holds sess.mu.
@@ -368,8 +407,11 @@ func (sess *session) save(seq uint64, comp *hostif.Completion, data []byte) bool
 	if seq <= sess.acked {
 		return true // acked while in flight: nobody will ask for it again
 	}
-	if seq-sess.acked > uint64(len(sess.cache)) {
+	if seq-sess.acked > uint64(sess.cacheCap()) {
 		return false
+	}
+	if seq-sess.acked > uint64(len(sess.cache)) {
+		sess.grow(seq - sess.acked)
 	}
 	sc := sess.record(seq)
 	sc.seq, sc.comp = seq, *comp
@@ -536,7 +578,14 @@ func (s *Server) dropAllSessions() {
 
 // reapSessions sweeps detached sessions past the retention bound.
 func (s *Server) reapSessions(stop chan struct{}) {
-	t := time.NewTicker(min(max(s.retention()/4, 10*time.Millisecond), time.Second))
+	period := s.retention() / 4
+	if period < 10*time.Millisecond {
+		period = 10 * time.Millisecond
+	}
+	if period > time.Second {
+		period = time.Second
+	}
+	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
@@ -717,23 +766,25 @@ func (s *Server) serveIO(conn net.Conn, fr *frameReader, now vclock.Time, depth 
 			c.ringMu.Lock()
 			err := c.handleRing(payload)
 			c.ringMu.Unlock()
-			if err == nil {
-				continue
+			if err != nil {
+				s.sendError(conn, err)
+				exit = exitClean
+				return
 			}
-			s.sendError(conn, err)
 		case frameKeepAlive:
 			// Echo so an idle client's read deadline is refreshed too.
 			c.wmu.Lock()
 			c.wbuf.start(frameKeepAlive)
 			c.writeLocked(c.wbuf.finish())
 			c.wmu.Unlock()
-			continue
 		case frameDisconnect:
+			exit = exitClean
+			return
 		default:
 			s.sendError(conn, fmt.Errorf("%w: %d on I/O connection", ErrBadFrameType, ftype))
+			exit = exitClean
+			return
 		}
-		exit = exitClean // a clean close or a protocol violation: no resume
-		return
 	}
 }
 
@@ -793,8 +844,11 @@ func (c *ioConn) handleRing(payload []byte) error {
 		c.sess.prune(ack)
 	}
 	type reject struct {
-		seq  uint64
-		comp hostif.Completion // the error completion echoed to the client
+		seq uint64
+		at  vclock.Time
+		op  hostif.Op
+		ns  int
+		err error
 	}
 	var rejects []reject
 	var dedup []uint64
@@ -843,12 +897,10 @@ func (c *ioConn) handleRing(payload []byte) error {
 		}
 		slot, err := c.qp.Submit(cmd)
 		if err != nil {
-			rejects = append(rejects, reject{seq, hostif.Completion{
-				Op: cmd.Op, NSID: cmd.NSID, Submitted: at, Done: at,
-				Result: hostif.Result{End: at, Err: err, Status: hostif.StatusOf(err)},
-			}})
-			c.qp.ReleaseCommand(cmd) // zeroes the arena command
+			op, ns := cmd.Op, cmd.NSID // ReleaseCommand zeroes the arena command
+			c.qp.ReleaseCommand(cmd)
 			c.putBufs(pe)
+			rejects = append(rejects, reject{seq: seq, at: at, op: op, ns: ns, err: err})
 			continue
 		}
 		c.pmu.Lock()
@@ -875,8 +927,15 @@ func (c *ioConn) handleRing(payload []byte) error {
 			}
 			encodeCompletion(&c.wbuf, seq, &sc.comp, sc.data)
 		}
-		for i := range rejects {
-			encodeCompletion(&c.wbuf, rejects[i].seq, &rejects[i].comp, nil)
+		for _, r := range rejects {
+			comp := hostif.Completion{
+				Op:        r.op,
+				NSID:      r.ns,
+				Submitted: r.at,
+				Done:      r.at,
+				Result:    hostif.Result{End: r.at, Err: r.err, Status: hostif.StatusOf(r.err)},
+			}
+			encodeCompletion(&c.wbuf, r.seq, &comp, nil)
 		}
 		err := c.writeLocked(c.wbuf.finish())
 		c.wmu.Unlock()

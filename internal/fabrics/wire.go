@@ -138,46 +138,55 @@ const (
 	errSessionUnknown
 )
 
-// canonicalErrs maps the wire codes that have a canonical client-side
-// value to it, so errors.Is works across the fabric.
-var canonicalErrs = [...]error{
-	errQueueFull:   hostif.ErrQueueFull,
-	errBadNSID:     hostif.ErrBadNSID,
-	errUnsupported: hostif.ErrUnsupported,
-	errBadHandle:   hostif.ErrBadHandle,
-	errBadLogPage:  hostif.ErrBadLogPage,
-	errQueueClosed: hostif.ErrQueueClosed,
-}
-
 // codeFor maps a server-side error to its wire code.
 func codeFor(err error) uint16 {
-	if err == nil {
+	switch {
+	case err == nil:
 		return errNone
-	}
-	for code, canon := range canonicalErrs {
-		if canon != nil && errors.Is(err, canon) {
-			return uint16(code)
-		}
-	}
-	if errors.Is(err, ErrSessionUnknown) {
+	case errors.Is(err, hostif.ErrQueueFull):
+		return errQueueFull
+	case errors.Is(err, hostif.ErrBadNSID):
+		return errBadNSID
+	case errors.Is(err, hostif.ErrUnsupported):
+		return errUnsupported
+	case errors.Is(err, hostif.ErrBadHandle):
+		return errBadHandle
+	case errors.Is(err, hostif.ErrBadLogPage):
+		return errBadLogPage
+	case errors.Is(err, hostif.ErrQueueClosed):
+		return errQueueClosed
+	case errors.Is(err, ErrSessionUnknown):
 		return errSessionUnknown
+	default:
+		return errOther
 	}
-	return errOther
 }
 
-// errorFor reconstructs the client-side error for a wire code: the
-// canonical value where there is one, else a RemoteError carrying the
-// server's message.
+// errorFor reconstructs the client-side error for a wire code. The
+// canonical codes map back to the host interface's error values so
+// errors.Is works across the fabric; errOther yields a RemoteError
+// carrying the server's message.
 func errorFor(code uint16, msg string) error {
-	switch {
-	case code == errNone:
+	switch code {
+	case errNone:
 		return nil
-	case int(code) < len(canonicalErrs) && canonicalErrs[code] != nil:
-		return canonicalErrs[code]
-	case code == errSessionUnknown:
+	case errQueueFull:
+		return hostif.ErrQueueFull
+	case errBadNSID:
+		return hostif.ErrBadNSID
+	case errUnsupported:
+		return hostif.ErrUnsupported
+	case errBadHandle:
+		return hostif.ErrBadHandle
+	case errBadLogPage:
+		return hostif.ErrBadLogPage
+	case errQueueClosed:
+		return hostif.ErrQueueClosed
+	case errSessionUnknown:
 		return fmt.Errorf("%w: %s", ErrSessionUnknown, msg)
+	default:
+		return &RemoteError{Code: code, Msg: msg}
 	}
-	return &RemoteError{Code: code, Msg: msg}
 }
 
 // frameBuf accumulates one outgoing frame: header space is reserved up
