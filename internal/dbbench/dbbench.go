@@ -113,17 +113,24 @@ func KeyInto(dst []byte, i int64, size int) []byte {
 func Key(i int64, size int) []byte { return KeyInto(nil, i, size) }
 
 // ValueInto produces the deterministic value for key index i into dst,
-// reusing its capacity.
+// reusing its capacity: byte j is byte j%8 of a per-key little-endian
+// seed, XORed with byte(j).
 func ValueInto(dst []byte, i int64, size int) []byte {
 	if cap(dst) < size {
 		dst = make([]byte, size)
 	} else {
 		dst = dst[:size]
 	}
-	var seed [8]byte
-	binary.LittleEndian.PutUint64(seed[:], uint64(i)*0x9E3779B97F4A7C15+1)
-	for j := 0; j < size; j++ {
-		dst[j] = seed[j%8] ^ byte(j)
+	seed := uint64(i)*0x9E3779B97F4A7C15 + 1
+	// A word at j (a multiple of 8) XORs the seed with the bytes
+	// byte(j)+0 … byte(j)+7, which cannot carry: byte(j)'s low three
+	// bits are zero.
+	j := 0
+	for ; j+8 <= size; j += 8 {
+		binary.LittleEndian.PutUint64(dst[j:], seed^(uint64(byte(j))*0x0101010101010101+0x0706050403020100))
+	}
+	for ; j < size; j++ {
+		dst[j] = byte(seed>>(8*(j%8))) ^ byte(j)
 	}
 	return dst
 }

@@ -2,6 +2,8 @@ package dbbench
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/lsm"
@@ -39,6 +41,45 @@ func TestKeyEncoding(t *testing.T) {
 	}
 	if bytes.Equal(Value(7, 100), Value(8, 100)) {
 		t.Fatal("distinct keys share a value")
+	}
+}
+
+// valueBytewise is the byte-at-a-time ValueInto the word-at-a-time one
+// replaced; Figure 5/6 fills depend on its exact bytes.
+func valueBytewise(i int64, size int) []byte {
+	dst := make([]byte, size)
+	var seed [8]byte
+	binary.LittleEndian.PutUint64(seed[:], uint64(i)*0x9E3779B97F4A7C15+1)
+	for j := 0; j < size; j++ {
+		dst[j] = seed[j%8] ^ byte(j)
+	}
+	return dst
+}
+
+// TestValueIntoMatchesBytewise: for every size up to a few KB, ragged
+// tails included, and for negative indexes, ValueInto writes exactly the
+// byte loop's bytes, whether it fills a fresh buffer or reuses a dirty
+// one.
+func TestValueIntoMatchesBytewise(t *testing.T) {
+	scratch := bytes.Repeat([]byte{0xee}, 4099)
+	for _, i := range []int64{0, 1, 7, 200000, -1, -123456789, math.MinInt64, math.MaxInt64} {
+		for size := 0; size <= 4099; size++ {
+			want := valueBytewise(i, size)
+			if got := ValueInto(nil, i, size); !bytes.Equal(got, want) {
+				t.Fatalf("index %d size %d: fresh buffer differs from the byte loop", i, size)
+			}
+			if got := ValueInto(scratch, i, size); !bytes.Equal(got, want) {
+				t.Fatalf("index %d size %d: reused buffer differs from the byte loop", i, size)
+			}
+		}
+	}
+}
+
+func BenchmarkValueInto(b *testing.B) {
+	buf := make([]byte, 1024)
+	b.SetBytes(1024)
+	for i := 0; i < b.N; i++ {
+		buf = ValueInto(buf, int64(i), 1024)
 	}
 }
 

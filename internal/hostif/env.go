@@ -141,15 +141,16 @@ func (c *EnvClient) ReadBlock(now vclock.Time, h lsm.TableHandle, block int, dst
 
 // SearchBlock implements lsm.BlockSearcher with the searching form of
 // OpTableRead: the same opcode, cost and host-link bytes as ReadBlock,
-// but the namespace searches the block where it lies and copies only
-// key's value, into dst.
-func (c *EnvClient) SearchBlock(now vclock.Time, h lsm.TableHandle, block int, key, dst []byte) (value []byte, deleted, found bool, end vclock.Time, err error) {
+// but the namespace searches the block where it lies, from byte from
+// (Command.Seek), and copies only key's value, into dst.
+func (c *EnvClient) SearchBlock(now vclock.Time, h lsm.TableHandle, block, from int, key, dst []byte) (value []byte, deleted, found bool, end vclock.Time, err error) {
 	comp, err := c.do(now, Command{
 		Op:     OpTableRead,
 		Handle: uint64(h.ID),
 		Length: int64(h.Blocks),
 		LPN:    int64(block),
 		Key:    key,
+		Seek:   from,
 		Dst:    dst,
 	})
 	if err != nil {

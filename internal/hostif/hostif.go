@@ -181,6 +181,9 @@ var (
 	ErrBadQueueID = errors.New("hostif: unknown I/O queue pair")
 	// ErrBadLogPage flags a log page the target cannot serve.
 	ErrBadLogPage = errors.New("hostif: log page not supported")
+	// ErrBadSeek rejects a searching table read whose Seek lies outside
+	// the block.
+	ErrBadSeek = errors.New("hostif: seek offset outside the block")
 )
 
 // Status classifies a completion's Err into an NVMe-style status class
@@ -245,6 +248,7 @@ func StatusOf(err error) Status {
 	case errors.Is(err, ErrBadNSID), errors.Is(err, ErrUnsupported),
 		errors.Is(err, ErrBadHandle), errors.Is(err, ErrAdminOnly),
 		errors.Is(err, ErrIOOnAdmin), errors.Is(err, ErrBadLogPage),
+		errors.Is(err, ErrBadSeek),
 		errors.Is(err, ocssd.ErrAddress), errors.Is(err, ocssd.ErrWritePointer),
 		errors.Is(err, ocssd.ErrWriteSize), errors.Is(err, ocssd.ErrChunkState),
 		errors.Is(err, ocssd.ErrChunkFull), errors.Is(err, ocssd.ErrUnwritten),
@@ -290,6 +294,14 @@ type Command struct {
 	// a command that sets it, because over a wire the block really
 	// crosses and the client searches its copy.
 	Key []byte
+	// Seek is where a searching OpTableRead starts its search: the byte
+	// offset, within the block, of the entry header the table index
+	// picked (a seek point; 0 searches the whole block). Read only
+	// together with Key, so like Key it never crosses a wire. It changes
+	// neither cost nor host-link bytes: the whole block is still read.
+	// The namespace rejects a value outside [0, block size) with
+	// ErrBadSeek.
+	Seek int
 	// Descs are the page descriptors of an OX-ELEOS buffer flush.
 	Descs []PageDesc
 	// Admin carries admin-command parameters (admin opcodes only).

@@ -130,7 +130,10 @@ func (n *LSMNamespace) Execute(now vclock.Time, cmd *Command) Result {
 		if len(cmd.Key) > 0 {
 			// Searching read: same cost, same bytes over the host link,
 			// but only the value is materialised.
-			v, del, found, end, err := n.env.SearchBlock(now, h, int(cmd.LPN), cmd.Key, cmd.Dst)
+			if cmd.Seek < 0 || cmd.Seek >= n.env.BlockSize() {
+				return Result{End: now, Err: fmt.Errorf("%w: %d of a %d-byte block", ErrBadSeek, cmd.Seek, n.env.BlockSize())}
+			}
+			v, del, found, end, err := n.env.SearchBlock(now, h, int(cmd.LPN), cmd.Seek, cmd.Key, cmd.Dst)
 			return Result{End: end, Err: err, Data: v, Found: found, Deleted: del, Transfer: int64(n.env.BlockSize())}
 		}
 		end, err := n.env.ReadBlock(now, h, int(cmd.LPN), cmd.Dst)

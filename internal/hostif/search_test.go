@@ -3,6 +3,7 @@ package hostif
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -84,11 +85,11 @@ func TestSearchingTableReadCostsWhatCopyingDoes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Reset([]byte(key), nil)
+		s.Reset([]byte(key), nil, 0)
 		s.Feed(block)
 		wantV, wantDel, wantFound := s.Result()
 
-		v, del, found, endS, err := searching.cli.SearchBlock(searching.now, searching.h, 1, []byte(key), dst)
+		v, del, found, endS, err := searching.cli.SearchBlock(searching.now, searching.h, 1, 0, []byte(key), dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,9 +117,66 @@ func TestSearchingTableReadCostsWhatCopyingDoes(t *testing.T) {
 	}
 	// The same errors, too.
 	_, errC := copying.cli.ReadBlock(copying.now, copying.h, 3, block)
-	_, _, _, _, errS := searching.cli.SearchBlock(searching.now, searching.h, 3, []byte("key000"), nil)
+	_, _, _, _, errS := searching.cli.SearchBlock(searching.now, searching.h, 3, 0, []byte("key000"), nil)
 	if errC == nil || errS == nil || errC.Error() != errS.Error() {
 		t.Fatalf("out-of-range block: copying %v, searching %v", errC, errS)
+	}
+}
+
+// TestSearchingTableReadSeeks: a searching OpTableRead that starts at an
+// entry header (Command.Seek) answers as a search of the copied block
+// from there, at the cost of a search from 0; a Seek outside the block
+// is rejected as invalid before the media is touched.
+func TestSearchingTableReadSeeks(t *testing.T) {
+	fromZero := newSearchRig(t, HostConfig{ChargeHostLink: true})
+	seeking := newSearchRig(t, HostConfig{ChargeHostLink: true})
+	block := make([]byte, seeking.cli.BlockSize())
+	for _, r := range []*searchRig{fromZero, seeking} {
+		var err error
+		if r.now, err = r.cli.ReadBlock(r.now, r.h, 1, block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Entry 16's header: entries 0–15 are 14-byte headers, 6-byte keys
+	// and 1500+i-byte values.
+	seek := 0
+	for i := 0; i < 16; i++ {
+		seek += 14 + 6 + 1500 + i
+	}
+	var s lsm.BlockSearch
+	for _, key := range []string{"key003", "key016", "key017", "key030", "absent"} {
+		s.Reset([]byte(key), nil, seek)
+		s.Feed(block)
+		wantV, wantDel, wantFound := s.Result()
+		_, _, foundZ, endZ, err := fromZero.cli.SearchBlock(fromZero.now, fromZero.h, 1, 0, []byte(key), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, del, found, endS, err := seeking.cli.SearchBlock(seeking.now, seeking.h, 1, seek, []byte(key), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if found != wantFound || del != wantDel || !bytes.Equal(v, wantV) {
+			t.Fatalf("%s: searched from %d (%d bytes, del %v, found %v), searching the copy (%d bytes, del %v, found %v)",
+				key, seek, len(v), del, found, len(wantV), wantDel, wantFound)
+		}
+		if key == "key003" && (found || !foundZ) {
+			t.Fatalf("key003 lies before the seek point: found %v from it, %v from 0", found, foundZ)
+		}
+		if endZ != endS || fromZero.env.Controller().Stats() != seeking.env.Controller().Stats() {
+			t.Fatalf("%s: a search from %d costs differently from one from 0", key, seek)
+		}
+		fromZero.now, seeking.now = endZ, endS
+	}
+	reads := seeking.env.Stats().BlocksRead
+	for _, bad := range []int{-1, seeking.cli.BlockSize()} {
+		_, _, _, _, err := seeking.cli.SearchBlock(seeking.now, seeking.h, 1, bad, []byte("key020"), nil)
+		if !errors.Is(err, ErrBadSeek) || StatusOf(err) != StatusInvalid {
+			t.Fatalf("seek %d: %v (status %v), want ErrBadSeek, invalid", bad, err, StatusOf(err))
+		}
+	}
+	if got := seeking.env.Stats().BlocksRead; got != reads {
+		t.Fatalf("rejected seeks read %d blocks", got-reads)
 	}
 }
 

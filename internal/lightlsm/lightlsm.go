@@ -436,17 +436,17 @@ func (w *tableWriter) Append(now vclock.Time, block []byte) (vclock.Time, error)
 
 // Commit implements lsm.TableWriter: the table becomes visible via one
 // durable metadata-log record — the atomic SSTable flush that lets
-// RocksDB drop its MANIFEST (§5).
+// RocksDB drop its MANIFEST (§5). The record is forced before the table
+// is served: if the append fails, the table never becomes visible and
+// the writer stays open for Abort to release its chunks.
 func (w *tableWriter) Commit(now vclock.Time) (lsm.TableHandle, vclock.Time, error) {
 	e := w.env
 	if w.done {
 		return lsm.TableHandle{}, now, errors.New("lightlsm: double commit")
 	}
-	w.done = true
 	e.mu.Lock()
 	e.nextID++
 	id := e.nextID
-	e.tables[id] = &tableInfo{chunks: w.chunks, blocks: w.blocks}
 	e.mu.Unlock()
 
 	payload := make([]byte, 8+4+len(w.chunks)*8)
@@ -459,6 +459,10 @@ func (w *tableWriter) Commit(now vclock.Time) (lsm.TableHandle, vclock.Time, err
 	if err != nil {
 		return lsm.TableHandle{}, end, err
 	}
+	w.done = true
+	e.mu.Lock()
+	e.tables[id] = &tableInfo{chunks: w.chunks, blocks: w.blocks}
+	e.mu.Unlock()
 	e.ctrl.NoteControllerIO()
 	return lsm.TableHandle{ID: id, Blocks: w.blocks}, end, nil
 }
@@ -519,7 +523,7 @@ func (e *Env) openBlock(h lsm.TableHandle, block int) (*blockRead, error) {
 // closeBlock recycles r and, when the read succeeded (err is nil),
 // counts it.
 func (e *Env) closeBlock(r *blockRead, err error) {
-	r.search.Reset(nil, nil) // drop the caller's key and buffer
+	r.search.Reset(nil, nil, 0) // drop the caller's key and buffer
 	e.reads.Put(r)
 	if err != nil {
 		return
@@ -554,13 +558,14 @@ func (e *Env) ReadBlock(now vclock.Time, h lsm.TableHandle, block int, dst []byt
 // dispatch thread, the media and channel time of the whole stripe, one
 // block read, one user I/O — but the sectors are fed to the search from
 // the device's own memory and only key's value is copied, appended to
-// dst[:0].
-func (e *Env) SearchBlock(now vclock.Time, h lsm.TableHandle, block int, key, dst []byte) (value []byte, del, found bool, end vclock.Time, err error) {
+// dst[:0]. The search starts at byte from of the block; every sector is
+// still visited and charged.
+func (e *Env) SearchBlock(now vclock.Time, h lsm.TableHandle, block, from int, key, dst []byte) (value []byte, del, found bool, end vclock.Time, err error) {
 	r, err := e.openBlock(h, block)
 	if err != nil {
 		return nil, false, false, now, err
 	}
-	r.search.Reset(key, dst)
+	r.search.Reset(key, dst, from)
 	end = e.dispatchIO(now)
 	end, err = e.media.VectorView(end, r.ppas, r.visit)
 	if err == nil {
@@ -657,7 +662,7 @@ func (e *Env) OffloadGet(now vclock.Time, h lsm.TableHandle, block int, key []by
 	if err != nil {
 		return nil, now, err
 	}
-	r.search.Reset(key, r.val)
+	r.search.Reset(key, r.val, 0)
 	end, err = e.media.VectorView(now, r.ppas, r.visit)
 	if err != nil {
 		e.closeBlock(r, err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/ftl/ftlcore"
 	"repro/internal/lsm"
 	"repro/internal/nand"
 	"repro/internal/ocssd"
@@ -199,6 +200,59 @@ func TestAbortReleasesChunks(t *testing.T) {
 	}
 	if _, err := w.Append(now, block(e, 1)); err == nil {
 		t.Fatal("append after abort should fail")
+	}
+}
+
+var errInjectedWAL = errors.New("injected WAL append failure")
+
+// walFaultMedia is the media as the WAL sees it: while armed, every
+// append fails before it reaches the device.
+type walFaultMedia struct {
+	ox.Media
+	armed bool
+}
+
+func (m *walFaultMedia) Append(now vclock.Time, id ocssd.ChunkID, data []byte) (int, vclock.Time, error) {
+	if m.armed {
+		return 0, now, errInjectedWAL
+	}
+	return m.Media.Append(now, id, data)
+}
+
+// TestCommitWALFailureLeavesTableAbortable: when the forced append of a
+// table's commit record fails, Commit reports it, the table is not
+// served, and the writer stays open so Abort returns its chunks.
+func TestCommitWALFailureLeavesTableAbortable(t *testing.T) {
+	e := newEnv(t, Config{})
+	media := &walFaultMedia{Media: e.media}
+	var err error
+	if e.wal, err = ftlcore.NewWAL(media, e.ctrl, e.alloc, ftlcore.WALConfig{Target: ftlcore.AnyTarget(), Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	free := e.FreeChunks()
+	w, err := e.CreateTable(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := vclock.Time(0)
+	for i := 0; i < 3; i++ {
+		if now, err = w.Append(now, block(e, byte(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	media.armed = true
+	if _, _, err := w.Commit(now); !errors.Is(err, errInjectedWAL) {
+		t.Fatalf("commit over a failing WAL returned %v, want the injected fault", err)
+	}
+	h := lsm.TableHandle{ID: e.nextID, Blocks: 3}
+	if _, err := e.ReadBlock(now, h, 0, make([]byte, e.BlockSize())); !errors.Is(err, ErrUnknownTable) {
+		t.Fatalf("the table whose commit failed is served: ReadBlock returned %v", err)
+	}
+	if _, err := w.Abort(now); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.FreeChunks(); got != free {
+		t.Fatalf("after Abort %d chunks are free, %d before CreateTable", got, free)
 	}
 }
 

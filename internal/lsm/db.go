@@ -132,10 +132,11 @@ type DB struct {
 	stats        Stats
 
 	// lookup resolves a positive table probe: it charges the read of one
-	// whole block and appends the key's value to dst[:0]. Open binds it
-	// once — to Options.Lookup, else to the Env's BlockSearcher, else to
-	// readAndSearch — so searchTable has one call site.
-	lookup func(now vclock.Time, h TableHandle, block int, key, dst []byte) (value []byte, del, found bool, end vclock.Time, err error)
+	// whole block, searches it from byte from (a seek point) and appends
+	// the key's value to dst[:0]. Open binds it once — to Options.Lookup,
+	// else to the Env's BlockSearcher, else to readAndSearch — so
+	// searchTable has one call site.
+	lookup func(now vclock.Time, h TableHandle, block, from int, key, dst []byte) (value []byte, del, found bool, end vclock.Time, err error)
 	// readBuf and search serve readAndSearch only (guarded by mu); the
 	// block buffer is never allocated when lookups go elsewhere.
 	readBuf []byte
@@ -165,8 +166,10 @@ func Open(opts Options) (*DB, error) {
 	}
 	if offloaded := opts.Lookup; offloaded != nil {
 		// Offloaded probe: the device searches the block in place and
-		// only the value crosses the host link.
-		db.lookup = func(now vclock.Time, h TableHandle, block int, key, dst []byte) ([]byte, bool, bool, vclock.Time, error) {
+		// only the value crosses the host link. The key rides the
+		// offload frame, which has no seek offset: the device searches
+		// from the block's start.
+		db.lookup = func(now vclock.Time, h TableHandle, block, _ int, key, dst []byte) ([]byte, bool, bool, vclock.Time, error) {
 			v, del, found, end, err := offloaded(now, h, block, key)
 			if err != nil || !found || del {
 				return nil, del, found, end, err
@@ -609,7 +612,7 @@ func (db *DB) searchTable(now vclock.Time, t *TableMeta, key, dst []byte) (v []b
 	if blockIdx < 0 {
 		return nil, false, false, now, nil
 	}
-	v, del, found, end, err = db.lookup(now, t.Handle, blockIdx, key, dst)
+	v, del, found, end, err = db.lookup(now, t.Handle, blockIdx, t.seekFrom(blockIdx, key), key, dst)
 	if err != nil {
 		return nil, false, false, end, err
 	}
@@ -619,8 +622,8 @@ func (db *DB) searchTable(now vclock.Time, t *TableMeta, key, dst []byte) (v []b
 
 // readAndSearch is the lookup of an Env that can only hand blocks over:
 // the block is copied into the DB's buffer (over a fabric it really
-// crosses a wire) and searched there as one segment.
-func (db *DB) readAndSearch(now vclock.Time, h TableHandle, block int, key, dst []byte) (v []byte, del, found bool, end vclock.Time, err error) {
+// crosses a wire) and searched there as one segment, from byte from.
+func (db *DB) readAndSearch(now vclock.Time, h TableHandle, block, from int, key, dst []byte) (v []byte, del, found bool, end vclock.Time, err error) {
 	if len(db.readBuf) < db.env.BlockSize() {
 		db.readBuf = make([]byte, db.env.BlockSize())
 	}
@@ -628,7 +631,7 @@ func (db *DB) readAndSearch(now vclock.Time, h TableHandle, block int, key, dst 
 	if err != nil {
 		return nil, false, false, end, err
 	}
-	db.search.Reset(key, dst)
+	db.search.Reset(key, dst, from)
 	db.search.Feed(db.readBuf)
 	v, del, found = db.search.Result()
 	return v, del, found, end, nil

@@ -53,13 +53,15 @@ type Env interface {
 // exactly what ReadBlock of the same block charges — the whole block is
 // read and transferred in virtual time — but feeds the block to a
 // BlockSearch where it lies and copies only key's value, appended to
-// dst[:0]. When the Env has it, DB.Get uses it and never allocates a
-// block buffer; otherwise Get falls back to ReadBlock plus a search of
-// the copy, which is what a networked Env must do. It is deliberately
-// not part of Env: a wrapper that embeds Env does not forward it, and
-// so keeps observing every lookup as a ReadBlock.
+// dst[:0]. The search starts at byte from of the block, a seek point of
+// the table's index (BlockSearch.Reset); the bytes before it are still
+// read and charged. When the Env has it, DB.Get uses it and never
+// allocates a block buffer; otherwise Get falls back to ReadBlock plus a
+// search of the copy, which is what a networked Env must do. It is
+// deliberately not part of Env: a wrapper that embeds Env does not
+// forward it, and so keeps observing every lookup as a ReadBlock.
 type BlockSearcher interface {
-	SearchBlock(now vclock.Time, h TableHandle, block int, key, dst []byte) (value []byte, del, found bool, end vclock.Time, err error)
+	SearchBlock(now vclock.Time, h TableHandle, block, from int, key, dst []byte) (value []byte, del, found bool, end vclock.Time, err error)
 }
 
 // TableWriter accumulates the blocks of one SSTable flush and commits

@@ -38,10 +38,11 @@ func searchBlockRef(block, key []byte) (value []byte, del, found bool) {
 	return nil, false, false
 }
 
-// searchSegments feeds block to s cut at the given lengths (the rest as
-// one last segment) and returns the result.
-func searchSegments(s *BlockSearch, block, key, dst []byte, cuts []int) ([]byte, bool, bool) {
-	s.Reset(key, dst)
+// searchSegments feeds the whole block to s, searching from byte from,
+// cut at the given lengths (the rest as one last segment) and returns
+// the result.
+func searchSegments(s *BlockSearch, block, key, dst []byte, from int, cuts []int) ([]byte, bool, bool) {
+	s.Reset(key, dst, from)
 	rest := block
 	for _, n := range cuts {
 		n = min(n, len(rest))
@@ -52,14 +53,16 @@ func searchSegments(s *BlockSearch, block, key, dst []byte, cuts []int) ([]byte,
 	return s.Result()
 }
 
-func checkSegments(t *testing.T, s *BlockSearch, block, key []byte, cuts []int) {
+// checkSegments checks a search of block from byte from against the
+// contiguous reference over block[from:].
+func checkSegments(t *testing.T, s *BlockSearch, block, key []byte, from int, cuts []int) {
 	t.Helper()
-	wantV, wantDel, wantFound := searchBlockRef(block, key)
+	wantV, wantDel, wantFound := searchBlockRef(block[from:], key)
 	for _, dst := range [][]byte{nil, make([]byte, 3, 8)} {
-		v, del, found := searchSegments(s, block, key, dst, cuts)
+		v, del, found := searchSegments(s, block, key, dst, from, cuts)
 		if found != wantFound || del != wantDel || !bytes.Equal(v, wantV) {
-			t.Fatalf("key %q cuts %v: got (%d bytes, del %v, found %v), reference (%d bytes, del %v, found %v)",
-				key, cuts, len(v), del, found, len(wantV), wantDel, wantFound)
+			t.Fatalf("key %q from %d cuts %v: got (%d bytes, del %v, found %v), reference (%d bytes, del %v, found %v)",
+				key, from, cuts, len(v), del, found, len(wantV), wantDel, wantFound)
 		}
 	}
 }
@@ -95,10 +98,11 @@ var searchKeys = [][]byte{
 }
 
 // TestSearchSegmentsEverySplit cuts the corpus block at every offset,
-// and feeds it a byte at a time: a header, key or value straddling a
-// segment boundary must not change the answer.
+// and feeds it a byte at a time, searching from every entry header: a
+// header, key or value straddling a segment boundary must not change
+// the answer.
 func TestSearchSegmentsEverySplit(t *testing.T) {
-	block, _ := searchCorpus(t)
+	block, starts := searchCorpus(t)
 	torn := block[:len(block)-32-7] // the last entry's value cut short
 	var s BlockSearch
 	for _, b := range [][]byte{block, torn} {
@@ -107,23 +111,33 @@ func TestSearchSegmentsEverySplit(t *testing.T) {
 			bytewise[i] = 1
 		}
 		for _, key := range searchKeys {
-			checkSegments(t, &s, b, key, nil)
-			checkSegments(t, &s, b, key, bytewise)
-			for cut := 0; cut <= len(b); cut++ {
-				checkSegments(t, &s, b, key, []int{cut})
+			for _, from := range starts {
+				if from > len(b) {
+					continue
+				}
+				checkSegments(t, &s, b, key, from, nil)
+				checkSegments(t, &s, b, key, from, bytewise)
+				for cut := 0; cut <= len(b); cut++ {
+					checkSegments(t, &s, b, key, from, []int{cut})
+				}
 			}
 		}
 	}
 	// The torn entry is the match: the value started arriving but the
 	// block ended inside it.
-	if _, _, found := searchSegments(&s, torn, []byte("damson"), nil, []int{len(torn) - 3}); found {
+	if _, _, found := searchSegments(&s, torn, []byte("damson"), nil, 0, []int{len(torn) - 3}); found {
 		t.Fatal("a torn entry was reported found")
+	}
+	// Starting past the newest version finds the older one.
+	if v, _, _ := searchSegments(&s, block, []byte("apple"), nil, starts[1], nil); string(v) != "older" {
+		t.Fatalf("search from the second apple found %q, want the older version", v)
 	}
 }
 
-// FuzzSearchSegments: for arbitrary block bytes and arbitrary split
-// points, the segment-fed search returns exactly what the contiguous
-// reference returns.
+// FuzzSearchSegments: for arbitrary block bytes, arbitrary split points
+// and any start offset in [0, len(block)], the segment-fed search
+// returns exactly what the contiguous reference returns over the block
+// from that offset.
 func FuzzSearchSegments(f *testing.F) {
 	block, starts := searchCorpus(f)
 	cutAt := func(offs ...int) []byte {
@@ -137,30 +151,35 @@ func FuzzSearchSegments(f *testing.F) {
 		return out
 	}
 	damson := starts[4]
-	f.Add(block, []byte("apple"), cutAt(starts[0]+5))                                             // inside a header
-	f.Add(block, []byte("apple"), cutAt(starts[0]+entryHeader+2))                                 // inside a key
-	f.Add(block, []byte("apple"), cutAt(starts[0]+entryHeader+5+17))                              // inside a value
-	f.Add(block, []byte("damson"), cutAt(damson+1, damson+entryHeader+3, damson+entryHeader+6+9)) // all three
-	f.Add(block, []byte("berry"), cutAt(starts[2]+entryHeader+1))                                 // a tombstone
-	f.Add(block, []byte("zzz"), cutAt(starts[5]+1))                                               // inside the zero-keyLen terminator
-	f.Add(block[:damson+entryHeader+6+10], []byte("damson"), cutAt(damson+entryHeader))           // torn last entry
-	f.Add([]byte{}, []byte("k"), []byte{})
-	f.Fuzz(func(t *testing.T, block, key, cutBytes []byte) {
+	f.Add(block, []byte("apple"), uint16(0), cutAt(starts[0]+5))                                             // inside a header
+	f.Add(block, []byte("apple"), uint16(0), cutAt(starts[0]+entryHeader+2))                                 // inside a key
+	f.Add(block, []byte("apple"), uint16(0), cutAt(starts[0]+entryHeader+5+17))                              // inside a value
+	f.Add(block, []byte("damson"), uint16(0), cutAt(damson+1, damson+entryHeader+3, damson+entryHeader+6+9)) // all three
+	f.Add(block, []byte("berry"), uint16(0), cutAt(starts[2]+entryHeader+1))                                 // a tombstone
+	f.Add(block, []byte("zzz"), uint16(0), cutAt(starts[5]+1))                                               // inside the zero-keyLen terminator
+	f.Add(block[:damson+entryHeader+6+10], []byte("damson"), uint16(0), cutAt(damson+entryHeader))           // torn last entry
+	f.Add([]byte{}, []byte("k"), uint16(0), []byte{})
+	f.Add(block, []byte("apple"), uint16(starts[1]), cutAt(starts[1]+3))    // from the older version, cut in its header
+	f.Add(block, []byte("cherry"), uint16(starts[3]), cutAt(starts[3]-1))   // from a header, cut just before it
+	f.Add(block, []byte("damson"), uint16(starts[4]+2), cutAt(starts[4]+9)) // from inside a header
+	f.Add(block, []byte("zzz"), uint16(len(block)), cutAt(len(block)/2))    // from the end
+	f.Fuzz(func(t *testing.T, block, key []byte, from uint16, cutBytes []byte) {
 		var cuts []int
 		for ; len(cutBytes) >= 2; cutBytes = cutBytes[2:] {
 			cuts = append(cuts, int(binary.LittleEndian.Uint16(cutBytes)))
 		}
 		var s BlockSearch
-		checkSegments(t, &s, block, key, cuts)
+		checkSegments(t, &s, block, key, int(from)%(len(block)+1), cuts)
 	})
 }
 
 // searchingEnv is a MemEnv that can search in place: it feeds the stored
-// block to a BlockSearch in uneven segments and counts both paths.
+// block to a BlockSearch in uneven segments and counts both paths, and
+// the searches that started past the block's first entry.
 type searchingEnv struct {
 	*MemEnv
-	search          BlockSearch
-	reads, searches int
+	search                  BlockSearch
+	reads, searches, seeked int
 }
 
 func (e *searchingEnv) ReadBlock(now vclock.Time, h TableHandle, block int, dst []byte) (vclock.Time, error) {
@@ -168,15 +187,18 @@ func (e *searchingEnv) ReadBlock(now vclock.Time, h TableHandle, block int, dst 
 	return e.MemEnv.ReadBlock(now, h, block, dst)
 }
 
-func (e *searchingEnv) SearchBlock(now vclock.Time, h TableHandle, block int, key, dst []byte) ([]byte, bool, bool, vclock.Time, error) {
+func (e *searchingEnv) SearchBlock(now vclock.Time, h TableHandle, block, from int, key, dst []byte) ([]byte, bool, bool, vclock.Time, error) {
 	e.searches++
+	if from > 0 {
+		e.seeked++
+	}
 	e.mu.Lock()
 	blocks, ok := e.tables[h.ID]
 	e.mu.Unlock()
 	if !ok || block < 0 || block >= len(blocks) {
 		return nil, false, false, now, fmt.Errorf("lsm: no block %d in table %d", block, h.ID)
 	}
-	v, del, found := searchSegments(&e.search, blocks[block], key, dst, []int{1000, 13, 4096, 1})
+	v, del, found := searchSegments(&e.search, blocks[block], key, dst, from, []int{1000, 13, 4096, 1})
 	return v, del, found, now.Add(e.ReadLatency), nil
 }
 

@@ -121,7 +121,7 @@ type BlockSearch struct {
 	hdr      [entryHeader]byte
 	// n counts bytes within the current state: header or key bytes
 	// gathered, value bytes consumed, or (searchSkip) bytes of a
-	// non-matching entry still ahead.
+	// non-matching entry, or before the start offset, still ahead.
 	n      int
 	valLen int
 	del    bool
@@ -138,11 +138,18 @@ const (
 	searchHit                       // the matching entry lies wholly inside the block
 )
 
-// Reset arms the search for key. A found value is appended to dst[:0];
-// both slices are referenced until the next Reset.
-func (s *BlockSearch) Reset(key, dst []byte) {
+// Reset arms the search for key, starting at byte from of the block.
+// The bytes before from are still fed, but passed over unread, so from
+// must be 0 or the offset of an entry header before which no version of
+// key lies that is newer than the one wanted: a seek point of the
+// block's index (TableMeta.seekFrom). A found value is appended to
+// dst[:0]; both slices are referenced until the next Reset.
+func (s *BlockSearch) Reset(key, dst []byte, from int) {
 	s.key, s.dst = key, dst[:0]
 	s.state, s.n = searchHeader, 0
+	if from > 0 {
+		s.state, s.n = searchSkip, from
+	}
 }
 
 // Feed consumes the next segment of the block. Segments after the
@@ -226,17 +233,64 @@ func (s *BlockSearch) Result() (value []byte, del, found bool) {
 }
 
 // TableMeta is the in-memory metadata of one SSTable: block index
-// (first key per block), bloom filter and key range. RocksDB keeps
-// these in index/filter blocks inside the table; LightLSM holds them in
-// controller RAM (they are rebuildable by scanning the table).
+// (first key per block, seek points and continuation flags), bloom
+// filter and key range. RocksDB keeps these in index/filter blocks
+// inside the table; LightLSM holds them in controller RAM (they are
+// rebuildable by scanning the table).
 type TableMeta struct {
 	Handle    TableHandle
 	FirstKeys [][]byte
-	Smallest  []byte
-	Largest   []byte
-	Filter    *bloom
-	Entries   int
-	Bytes     int64
+	// blocks and seeks are the rest of the block index, built by
+	// buildTables and not marshalled: a meta without them (one
+	// unmarshalled from an offloaded compaction) searches every block
+	// from its start, which is slower but just as correct, because a
+	// compaction's output holds one version per key.
+	blocks   []blockIndex
+	seeks    []seekPoint // every block's seek points, in block order
+	Smallest []byte
+	Largest  []byte
+	Filter   *bloom
+	Entries  int
+	Bytes    int64
+}
+
+// seekInterval is how many entries of a block lie between two seek
+// points, RocksDB's block_restart_interval: every seekInterval-th entry
+// of a block is one.
+const seekInterval = 16
+
+// seekPoint is an entry a lookup may start its block search at: its key
+// and the byte offset of its header in the block.
+type seekPoint struct {
+	key []byte
+	off int
+}
+
+// blockIndex is what the index knows of one block beyond its first key.
+type blockIndex struct {
+	// seekEnd ends the block's seek points: they are seeks[s:seekEnd],
+	// where s is the previous block's seekEnd (0 for block 0).
+	seekEnd int
+	// cont marks a continuation: the block's first entry has the same
+	// key as the previous block's last entry.
+	cont bool
+}
+
+// keyArenaChunk sizes the chunks of a table's key arena.
+const keyArenaChunk = 4 << 10
+
+// keyArena hands out copies of keys carved from shared chunks, so a
+// table's index costs an allocation per chunk rather than per key. A
+// full chunk is abandoned, not grown, so earlier copies stay valid.
+type keyArena struct{ buf []byte }
+
+func (a *keyArena) copy(k []byte) []byte {
+	if cap(a.buf)-len(a.buf) < len(k) {
+		a.buf = make([]byte, 0, max(keyArenaChunk, len(k)))
+	}
+	off := len(a.buf)
+	a.buf = append(a.buf, k...)
+	return a.buf[off:len(a.buf):len(a.buf)]
 }
 
 // Overlaps reports whether the table's key range intersects [lo, hi].
@@ -251,8 +305,12 @@ func (t *TableMeta) Overlaps(lo, hi []byte) bool {
 	return true
 }
 
-// blockFor returns the index of the last block whose first key is ≤ key
-// (the only block that can contain key), or -1.
+// blockFor returns the index of the block holding key's newest version
+// if the table has key at all, or -1 when key sorts before the table.
+// That is the last block whose first key is ≤ key, unless key is the
+// first key of a continuation block: versions of a key are stored newest
+// first, so when they straddle a block boundary the newer ones end the
+// block before, and the lookup steps back over the continuation.
 func (t *TableMeta) blockFor(key []byte) int {
 	lo, hi := 0, len(t.FirstKeys)-1
 	ans := -1
@@ -265,7 +323,41 @@ func (t *TableMeta) blockFor(key []byte) int {
 			hi = mid - 1
 		}
 	}
+	for ans > 0 && ans < len(t.blocks) && t.blocks[ans].cont && bytes.Equal(t.FirstKeys[ans], key) {
+		ans--
+	}
 	return ans
+}
+
+// seekFrom returns where the search of block b for key may start: the
+// offset of the block's last seek point whose key is strictly less than
+// key, or 0. Strictly, because a point holding key itself may have a
+// newer version of key before it; a point below key has every version
+// of key after it.
+func (t *TableMeta) seekFrom(b int, key []byte) int {
+	if b < 0 || b >= len(t.blocks) {
+		return 0
+	}
+	start := 0
+	if b > 0 {
+		start = t.blocks[b-1].seekEnd
+	}
+	pts := t.seeks[start:t.blocks[b].seekEnd]
+	// Find the first point whose key is ≥ key; the one before it is the
+	// answer.
+	lo, hi := 0, len(pts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(pts[mid].key, key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
+		return 0
+	}
+	return pts[lo-1].off
 }
 
 // entryIterator yields entries in internal-key order.
@@ -298,10 +390,13 @@ func buildTables(env Env, now vclock.Time, iter entryIterator, bitsPerKey int, d
 	var (
 		w          TableWriter
 		meta       *TableMeta
+		keys       keyArena // the current table's index keys
 		hashes     []uint32 // bloom hashes of the current table's keys
 		block      []byte
 		padded     []byte // reusable full-block staging buffer
 		blockFirst []byte
+		blockCont  bool // the current block continues the previous one's last key
+		blockLen   int  // entries in the current block
 		err        error
 	)
 	// discard is every error return: best-effort release of the partial
@@ -322,8 +417,14 @@ func buildTables(env Env, now vclock.Time, iter entryIterator, bitsPerKey int, d
 			w = nil
 			return err
 		}
-		meta = &TableMeta{Smallest: append([]byte(nil), first...)}
+		keys = keyArena{}
+		meta = &TableMeta{Smallest: keys.copy(first)}
 		return nil
+	}
+	startBlock := func(first []byte) {
+		blockFirst = keys.copy(first)
+		blockCont = len(meta.FirstKeys) > 0 && bytes.Equal(first, meta.Largest)
+		blockLen = 0
 	}
 	flushBlock := func() error {
 		if len(block) == 0 {
@@ -338,6 +439,7 @@ func buildTables(env Env, now vclock.Time, iter entryIterator, bitsPerKey int, d
 			return err
 		}
 		meta.FirstKeys = append(meta.FirstKeys, blockFirst)
+		meta.blocks = append(meta.blocks, blockIndex{seekEnd: len(meta.seeks), cont: blockCont})
 		meta.Bytes += int64(blockSize)
 		block = block[:0]
 		blockFirst = nil
@@ -382,8 +484,9 @@ func buildTables(env Env, now vclock.Time, iter entryIterator, bitsPerKey int, d
 			}
 		}
 		if len(block) == 0 {
-			blockFirst = append([]byte(nil), e.Key...)
+			startBlock(e.Key)
 		}
+		off := len(block)
 		block, err = appendEntry(block, e, blockSize)
 		if errors.Is(err, errBlockFull) {
 			if err := flushBlock(); err != nil {
@@ -397,13 +500,18 @@ func buildTables(env Env, now vclock.Time, iter entryIterator, bitsPerKey int, d
 					return discard(err)
 				}
 			}
-			blockFirst = append([]byte(nil), e.Key...)
+			startBlock(e.Key)
+			off = 0
 			if block, err = appendEntry(block, e, blockSize); err != nil {
 				return discard(fmt.Errorf("lsm: entry larger than a block: %w", err))
 			}
 		} else if err != nil {
 			return discard(err)
 		}
+		if blockLen > 0 && blockLen%seekInterval == 0 {
+			meta.seeks = append(meta.seeks, seekPoint{key: keys.copy(e.Key), off: off})
+		}
+		blockLen++
 		meta.Entries++
 		meta.Largest = append(meta.Largest[:0], e.Key...)
 		hashes = append(hashes, bloomHash(e.Key))
