@@ -371,6 +371,7 @@ func printExecutor(log hostif.ExecutorLog) {
 	}
 	fmt.Println()
 	fmt.Printf("  dispatched      %d\n", log.Dispatched)
+	fmt.Printf("  self-run        %d\n", log.SelfRun)
 	fmt.Printf("  inline          %d\n", log.Inline)
 	fmt.Printf("  overlapped      %d\n", log.Overlapped)
 	fmt.Printf("  barrier stalls  %d\n", log.BarrierStalls)

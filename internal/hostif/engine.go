@@ -27,6 +27,25 @@ import (
 // value. The reorder stage then releases completions to the queue pairs
 // strictly in sequence order, which is exactly the serial executor's
 // completion order.
+//
+// Who runs a dispatched job: the jobs channel is buffered at the pool
+// size. When the send would block — every worker busy and the channel
+// full — the sequencer runs the job itself and posts the result into
+// the reorder stage exactly as a worker would (ExecutorLog.SelfRun
+// counts these). This cannot move a result: the footprint check ran
+// before the job joined the in-flight window, so it commutes with
+// everything still running on the workers, and its completion is
+// released in sequence order like any other. A blocking send parked
+// the sequencer until a worker took a job, and then left it waiting
+// for a CPU; running the job instead keeps every core on media work.
+// Two variants lost on zns_engine_append (2 vCPUs) and are not used:
+// an unbuffered jobs channel (−11 % against the blocking send) and a
+// pool of GOMAXPROCS−1 workers (below caller-runs on the same seeds).
+//
+// The reorder stage is a ring of slots indexed by sequence number over
+// the in-flight window (dispatched sequence numbers are contiguous from
+// nextRelease: an inline grant runs only after a full drain), so a
+// finished job is stored in place and a dispatch allocates nothing.
 
 // ExecutorKind selects the host's command-service engine.
 type ExecutorKind string
@@ -76,6 +95,10 @@ type ExecutorLog struct {
 	Acquisitions int64
 	// Dispatched counts grants handed to the worker pool.
 	Dispatched int64
+	// SelfRun counts the dispatched grants the sequencer ran itself
+	// because every worker was busy and the job queue was full (a
+	// subset of Dispatched; see engine.go).
+	SelfRun int64
 	// Inline counts grants executed inline in the sequencer (admin
 	// commands, host-link-charged data commands, unknown namespaces).
 	Inline int64
@@ -109,6 +132,7 @@ type DomainExecutorLog struct {
 	Grants         int64
 	Acquisitions   int64
 	Dispatched     int64
+	SelfRun        int64
 	Inline         int64
 	Overlapped     int64
 	BarrierStalls  int64
@@ -143,11 +167,17 @@ func (j execJob) run() Completion {
 	}
 }
 
-// execDone is one finished job waiting in the reorder stage.
-type execDone struct {
-	qp *QueuePair
-	c  Completion
+// doneSlot is one reorder-stage slot: a dispatched command's
+// completion, parked until every earlier sequence number has released.
+type doneSlot struct {
+	done bool
+	qp   *QueuePair
+	c    Completion
 }
+
+// minDoneSlots is the initial reorder ring size (a power of two); the
+// sequencer doubles it when the in-flight window outgrows it.
+const minDoneSlots = 64
 
 // inflightCmd tracks one dispatched command's footprint until its
 // completion is released.
@@ -182,7 +212,7 @@ type engine struct {
 
 	resultMu sync.Mutex
 	resultC  *sync.Cond
-	done     map[uint64]execDone // finished jobs keyed by sequence number
+	done     []doneSlot // reorder ring, indexed by seq & (len(done)-1)
 
 	// Sequencer state (execMu).
 	nextSeq     uint64        // next sequence number to assign
@@ -206,7 +236,7 @@ func newEngine(workers, batch int) *engine {
 		workers:  workers,
 		batch:    batch,
 		jobs:     make(chan execJob, workers),
-		done:     make(map[uint64]execDone),
+		done:     make([]doneSlot, minDoneSlots),
 		batchBuf: make([]grant, 0, batch),
 	}
 	eng.resultC = sync.NewCond(&eng.resultMu)
@@ -225,12 +255,38 @@ func (eng *engine) stop() { eng.stopOnce.Do(func() { close(eng.jobs) }) }
 // job — and in what wall-clock order — cannot affect any result.
 func (eng *engine) worker() {
 	for j := range eng.jobs {
-		c := j.run()
-		eng.resultMu.Lock()
-		eng.done[j.seq] = execDone{qp: j.qp, c: c}
-		eng.resultC.Signal()
-		eng.resultMu.Unlock()
+		eng.post(j, j.run())
 	}
+}
+
+// post parks a finished job's completion in its reorder slot.
+func (eng *engine) post(j execJob, c Completion) {
+	eng.resultMu.Lock()
+	s := &eng.done[j.seq&uint64(len(eng.done)-1)]
+	s.done, s.qp, s.c = true, j.qp, c
+	eng.resultC.Signal()
+	eng.resultMu.Unlock()
+}
+
+// reserve makes room in the reorder ring for sequence number seq,
+// doubling the ring and re-placing the in-flight window when seq would
+// wrap onto an unreleased slot. Caller is the sequencer.
+func (eng *engine) reserve(seq uint64) {
+	n := uint64(len(eng.done))
+	if seq-eng.nextRelease < n {
+		return
+	}
+	for seq-eng.nextRelease >= n {
+		n *= 2
+	}
+	grown := make([]doneSlot, n)
+	eng.resultMu.Lock()
+	old := eng.done
+	for s := eng.nextRelease; s < seq; s++ {
+		grown[s&(n-1)] = old[s&uint64(len(old)-1)]
+	}
+	eng.done = grown
+	eng.resultMu.Unlock()
 }
 
 // Release modes of the reorder stage.
@@ -248,16 +304,16 @@ const (
 func (eng *engine) release(h *Host, mode int) {
 	for {
 		eng.resultMu.Lock()
-		d, ok := eng.done[eng.nextRelease]
-		for !ok {
+		s := &eng.done[eng.nextRelease&uint64(len(eng.done)-1)]
+		for !s.done {
 			if mode == releaseReady || len(eng.inflight) == 0 {
 				eng.resultMu.Unlock()
 				return
 			}
 			eng.resultC.Wait()
-			d, ok = eng.done[eng.nextRelease]
 		}
-		delete(eng.done, eng.nextRelease)
+		d := *s
+		*s = doneSlot{}
 		eng.resultMu.Unlock()
 
 		if len(eng.inflight) == 0 || eng.inflight[0].seq != eng.nextRelease {
@@ -293,8 +349,9 @@ func (eng *engine) conflicts(fp Footprint) bool {
 }
 
 // dispatch hands one granted command to the worker pool, first waiting
-// for any conflicting in-flight command to complete. Caller holds
-// execMu.
+// for any conflicting in-flight command to complete. When the job
+// queue is full the sequencer runs the command itself rather than wait
+// for a worker. Caller holds execMu.
 func (eng *engine) dispatch(h *Host, j execJob, fp Footprint) {
 	if eng.conflicts(fp) {
 		eng.stats.ConflictStalls++
@@ -310,9 +367,15 @@ func (eng *engine) dispatch(h *Host, j execJob, fp Footprint) {
 	} else if eng.stats.MaxInflight == 0 {
 		eng.stats.MaxInflight = 1
 	}
+	eng.reserve(j.seq)
 	eng.inflight = append(eng.inflight, inflightCmd{seq: j.seq, fp: fp})
 	eng.stats.Dispatched++
-	eng.jobs <- j
+	select {
+	case eng.jobs <- j:
+	default:
+		eng.stats.SelfRun++
+		eng.post(j, j.run())
+	}
 }
 
 // drainEngineLocked is the engine twin of drainLocked: the sequencer
@@ -444,6 +507,7 @@ func (h *Host) executorLog() ExecutorLog {
 		log.Grants += dl.Grants
 		log.Acquisitions += dl.Acquisitions
 		log.Dispatched += dl.Dispatched
+		log.SelfRun += dl.SelfRun
 		log.Inline += dl.Inline
 		log.Overlapped += dl.Overlapped
 		log.BarrierStalls += dl.BarrierStalls

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,6 +25,12 @@ type slowNS struct {
 	lanes []*vclock.Resource
 	dur   vclock.Duration
 
+	// classified and executing, when set, are called at the top of
+	// Footprint and Execute: tests use them to order the sequencer
+	// against the workers.
+	classified func(cmd *Command)
+	executing  func(cmd *Command)
+
 	mu    sync.Mutex
 	order []int64
 }
@@ -39,6 +46,9 @@ func newSlowNS(lanes int, dur vclock.Duration) *slowNS {
 func (ns *slowNS) Name() string { return "slow" }
 
 func (ns *slowNS) Footprint(cmd *Command) Footprint {
+	if ns.classified != nil {
+		ns.classified(cmd)
+	}
 	if cmd.Op == OpFlush {
 		return ExclusiveFootprint(ns.dom) // the barrier op
 	}
@@ -46,6 +56,9 @@ func (ns *slowNS) Footprint(cmd *Command) Footprint {
 }
 
 func (ns *slowNS) Execute(now vclock.Time, cmd *Command) Result {
+	if ns.executing != nil {
+		ns.executing(cmd)
+	}
 	_, end := ns.lanes[cmd.Zone].Acquire(now, ns.dur)
 	ns.mu.Lock()
 	ns.order = append(ns.order, cmd.LPN)
@@ -230,10 +243,28 @@ func TestPipelinedOverlapsDisjointFootprints(t *testing.T) {
 // TestPipelinedConflictSerializesInOrder pins the barrier rule:
 // same-lane commands from different queues execute in grant order even
 // with many workers available, and the exclusive op stalls the
-// pipeline.
+// pipeline. Command 1 is held on its worker until the sequencer has
+// classified command 2, so command 2 always finds command 1 in flight
+// and the conflict stall is certain, not a race between the two.
 func TestPipelinedConflictSerializesInOrder(t *testing.T) {
 	h := pipelinedHost(t, 8)
 	ns := newSlowNS(2, 10*vclock.Microsecond)
+	granted := make(chan struct{})
+	ns.classified = func(cmd *Command) {
+		if cmd.LPN == 2 {
+			close(granted)
+		}
+	}
+	ns.executing = func(cmd *Command) {
+		if cmd.LPN != 1 {
+			return
+		}
+		select {
+		case <-granted:
+		case <-time.After(10 * time.Second):
+			t.Error("command 2 was never granted while command 1 ran")
+		}
+	}
 	attachNS(t, h, ns)
 	q0, q1, q2 := openQP(t, h, 4), openQP(t, h, 4), openQP(t, h, 4)
 
@@ -270,6 +301,108 @@ func TestPipelinedConflictSerializesInOrder(t *testing.T) {
 	}
 	if log.ConflictStalls == 0 {
 		t.Fatalf("expected conflict stalls on the shared lane: %+v", log)
+	}
+}
+
+// TestSaturatedEngineMatchesSerial pins the caller-runs dispatch: with
+// one worker the job queue fills at once, so the sequencer runs jobs
+// itself, and the completions and coalesced notifications must still
+// match the serial executor's, in order. The first command to execute
+// is held until a second one starts beside it; with one worker that
+// second command can only be a job the sequencer ran itself, so
+// SelfRun > 0 is certain, not a race.
+func TestSaturatedEngineMatchesSerial(t *testing.T) {
+	const queues, perQueue, lanes = 4, 8, 8
+	type entry struct {
+		QueueID int
+		Slot    uint64
+		Done    vclock.Time
+		Status  Status
+	}
+	run := func(cfg HostConfig) ([]entry, []Notification, ExecutorLog) {
+		h := NewHost(testController(t), cfg)
+		t.Cleanup(h.Close)
+		ns := newSlowNS(lanes, 7*vclock.Microsecond)
+		if cfg.Executor == ExecutorBatched {
+			var calls atomic.Int32
+			second := make(chan struct{})
+			ns.executing = func(*Command) {
+				switch calls.Add(1) {
+				case 1:
+					select {
+					case <-second:
+					case <-time.After(10 * time.Second):
+						t.Error("no command ran beside the first: the sequencer never ran a job itself")
+					}
+				case 2:
+					close(second)
+				}
+			}
+		}
+		attachNS(t, h, ns)
+		var notes []Notification
+		qps := make([]*QueuePair, queues)
+		for i := range qps {
+			qps[i] = openQP(t, h, perQueue)
+			qps[i].SetNotify(3, func(n Notification) {
+				n.Queue = nil // pointer differs across runs
+				notes = append(notes, n)
+			})
+		}
+		// Queue pair i puts command k on lane (2i+k) mod 8: the first
+		// grants (queue pair 0's burst) are pairwise disjoint, later
+		// ones share lanes with earlier queue pairs' commands, and one
+		// flush is an exclusive barrier mid-stream.
+		for i, qp := range qps {
+			for k := 0; k < perQueue; k++ {
+				cmd := qp.AcquireCommand()
+				cmd.Op, cmd.Zone, cmd.LPN = OpWrite, (2*i+k)%lanes, int64(i*100+k)
+				if i == 2 && k == 4 {
+					cmd.Op = OpFlush
+				}
+				if _, err := qp.Submit(cmd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			qp.Ring(0)
+		}
+		h.Drain()
+		var out []entry
+		for _, qp := range qps {
+			for {
+				c, ok := qp.Reap()
+				if !ok {
+					break
+				}
+				out = append(out, entry{c.QueueID, c.Slot, c.Done, c.Status})
+			}
+		}
+		log, err := h.Admin().ExecutorStats(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, notes, log
+	}
+	serial, serialNotes, _ := run(HostConfig{})
+	got, gotNotes, log := run(HostConfig{Executor: ExecutorBatched, Workers: 1})
+	if len(serial) != queues*perQueue || len(got) != len(serial) {
+		t.Fatalf("completions: serial %d, batched %d, want %d", len(serial), len(got), queues*perQueue)
+	}
+	for i := range serial {
+		if got[i] != serial[i] {
+			t.Fatalf("completion %d diverged:\nserial  %+v\nbatched %+v", i, serial[i], got[i])
+		}
+	}
+	if len(serialNotes) == 0 || len(gotNotes) != len(serialNotes) {
+		t.Fatalf("notifications: serial %d, batched %d", len(serialNotes), len(gotNotes))
+	}
+	for i := range serialNotes {
+		if gotNotes[i] != serialNotes[i] {
+			t.Fatalf("notification %d diverged: serial %+v, batched %+v", i, serialNotes[i], gotNotes[i])
+		}
+	}
+	if log.SelfRun == 0 || log.SelfRun > log.Dispatched {
+		t.Fatalf("SelfRun %d of %d dispatched, want 0 < SelfRun ≤ Dispatched: %+v", log.SelfRun, log.Dispatched, log)
 	}
 }
 
@@ -497,5 +630,75 @@ func TestPipelinedStressRace(t *testing.T) {
 	}
 	if want := int64(2 * groups * rounds); log.Grants < want {
 		t.Fatalf("grants %d, want ≥ %d (%+v)", log.Grants, want, log)
+	}
+}
+
+// TestReorderRingGrows holds the first command on the only worker
+// until the sequencer has run all but one of the rest itself, so more
+// than minDoneSlots completions wait behind it in the reorder stage:
+// the ring must grow without losing or reordering any of them. (At
+// most one later command can sit in the job queue, hence n-2.) Each
+// queue pair writes its own namespace, one lane per command, so no two
+// commands conflict.
+func TestReorderRingGrows(t *testing.T) {
+	const queues, perQueue = 3, minDoneSlots/2 + 8
+	const n = queues * perQueue
+	run := func(cfg HostConfig) []compKey {
+		h := NewHost(testController(t), cfg)
+		t.Cleanup(h.Close)
+		var others atomic.Int32
+		rest := make(chan struct{})
+		gate := func(cmd *Command) {
+			if cmd.LPN != 0 {
+				if others.Add(1) == n-2 {
+					close(rest)
+				}
+				return
+			}
+			select {
+			case <-rest:
+			case <-time.After(10 * time.Second):
+				t.Error("the sequencer did not run the commands queued behind the first")
+			}
+		}
+		qps := make([]*QueuePair, queues)
+		for i := range qps {
+			ns := newSlowNS(perQueue, vclock.Microsecond)
+			if cfg.Executor == ExecutorBatched {
+				ns.executing = gate
+			}
+			nsid := attachNS(t, h, ns)
+			qp := openQP(t, h, perQueue)
+			for k := 0; k < perQueue; k++ {
+				cmd := qp.AcquireCommand()
+				cmd.Op, cmd.NSID, cmd.Zone, cmd.LPN = OpWrite, nsid, k, int64(i*perQueue+k)
+				if _, err := qp.Submit(cmd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			qps[i] = qp
+		}
+		for _, qp := range qps {
+			qp.Ring(0)
+		}
+		var out []compKey
+		for {
+			c, ok := h.ReapAny()
+			if !ok {
+				break
+			}
+			out = append(out, keyOf(c))
+		}
+		return out
+	}
+	serial := run(HostConfig{})
+	got := run(HostConfig{Executor: ExecutorBatched, Workers: 1})
+	if len(serial) != n || len(got) != n {
+		t.Fatalf("completions: serial %d, batched %d, want %d", len(serial), len(got), n)
+	}
+	for i := range serial {
+		if got[i] != serial[i] {
+			t.Fatalf("completion %d diverged:\nserial  %+v\nbatched %+v", i, serial[i], got[i])
+		}
 	}
 }

@@ -58,11 +58,6 @@ type HostConfig struct {
 	// must share a domain. A single-domain host behaves exactly like the
 	// pre-domain host.
 	Domains int
-
-	// globalLock reintroduces the pre-sharding behavior for benchmark
-	// comparison only: every Submit/Ring additionally serializes on the
-	// host-wide execution lock, the way the old single-mutex host did.
-	globalLock bool
 }
 
 // Host is the host-interface runtime: it owns the attached namespaces

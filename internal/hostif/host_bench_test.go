@@ -31,32 +31,22 @@ var nullDomain = new(int)
 // BenchmarkHostMultiSubmitter measures wall-clock scaling of N
 // goroutines driving N queue pairs: each worker builds a payload per
 // command (the host-side work a real submitter does), stages a
-// doorbell batch, rings, and reaps the batch. The "global" variants
-// reintroduce the pre-sharding behavior — one host-wide mutex in front
-// of Submit and Ring — so a worker's payload prep and staging
-// serialize against every other worker's submissions and drains, the
-// way the old single-mutex host serialized them. Sharded queue pairs
-// overlap all per-queue work; only the arbitration/execution step
+// doorbell batch, rings, and reaps the batch. Queue pairs are sharded,
+// so all per-queue work overlaps; only the arbitration/execution step
 // remains serial (it must be, for determinism).
 func BenchmarkHostMultiSubmitter(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, global := range []bool{false, true} {
-			mode := "sharded"
-			if global {
-				mode = "global"
-			}
-			b.Run(fmt.Sprintf("%s-%d", mode, workers), func(b *testing.B) {
-				benchMultiSubmitter(b, workers, global)
-			})
-		}
+		b.Run(fmt.Sprintf("sharded-%d", workers), func(b *testing.B) {
+			benchMultiSubmitter(b, workers)
+		})
 	}
 }
 
-func benchMultiSubmitter(b *testing.B, workers int, global bool) {
+func benchMultiSubmitter(b *testing.B, workers int) {
 	const depth = 8
 	const payload = 4096
 	ctrl := testController(b)
-	h := NewHost(ctrl, HostConfig{globalLock: global})
+	h := NewHost(ctrl, HostConfig{})
 	if _, err := h.Admin().AttachNamespace(0, nullNS{dur: vclock.Microsecond}); err != nil {
 		b.Fatal(err)
 	}

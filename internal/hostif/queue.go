@@ -165,10 +165,6 @@ func (qp *QueuePair) Submit(cmd *Command) (uint64, error) {
 			return 0, err
 		}
 	}
-	if qp.host.cfg.globalLock {
-		qp.dom.execMu.Lock()
-		defer qp.dom.execMu.Unlock()
-	}
 	qp.mu.Lock()
 	defer qp.mu.Unlock()
 	if qp.closed {
@@ -199,10 +195,6 @@ func (qp *QueuePair) Submit(cmd *Command) (uint64, error) {
 // becomes visible to the controller with submission timestamp now, in
 // slot order. It returns the number of entries made visible.
 func (qp *QueuePair) Ring(now vclock.Time) int {
-	if qp.host.cfg.globalLock {
-		qp.dom.execMu.Lock()
-		defer qp.dom.execMu.Unlock()
-	}
 	qp.mu.Lock()
 	defer qp.mu.Unlock()
 	n := qp.staged.len()
