@@ -5,7 +5,7 @@
 //
 //	oxbench -run all
 //	oxbench -run fig3,fig7 -csv out/
-//	oxbench -run fig3,gc -executor pipelined
+//	oxbench -run fig3,gc -executor batched -workers 4
 //	oxbench -run scale
 //	oxbench -run gc -cpuprofile /tmp/gc.cpu -memprofile /tmp/gc.mem
 package main
@@ -28,8 +28,8 @@ import (
 func main() {
 	runs := flag.String("run", "all", "comma-separated experiments: fig1,fig3,fig5,fig6,fig7,gc,unit,qd,qdwrr,qdfabric,tenants,scale,crashstorm,fabric,netstorm,offload,offloadfabric,all")
 	csvDir := flag.String("csv", "", "directory for CSV output (optional)")
-	executor := flag.String("executor", "serial", "host command-service engine: serial | pipelined | batched (tables are bit-identical any way)")
-	workers := flag.Int("workers", 0, "pipelined/batched executor worker-pool size (0 = GOMAXPROCS)")
+	executor := flag.String("executor", "serial", "host command-service engine: serial | batched (tables are bit-identical either way)")
+	workers := flag.Int("workers", 0, "batched executor worker-pool size (0 = GOMAXPROCS)")
 	addr := flag.String("addr", "", "oxfabd address for -run fabric (default: in-process loopback server; remote runs are not deterministic)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (must lie outside -csv)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file when the run ends (must lie outside -csv)")
@@ -53,12 +53,10 @@ func main() {
 	switch *executor {
 	case "", "serial":
 		ex = hostif.ExecutorSerial
-	case "pipelined":
-		ex = hostif.ExecutorPipelined
 	case "batched":
 		ex = hostif.ExecutorBatched
 	default:
-		fatal(fmt.Errorf("unknown -executor %q (serial | pipelined | batched)", *executor))
+		fatal(fmt.Errorf("unknown -executor %q (serial | batched)", *executor))
 	}
 
 	want := map[string]bool{}

@@ -11,7 +11,7 @@
 //	oxctl -cmd geometry [-paper]
 //	oxctl -cmd report [-addr 127.0.0.1:7710]
 //	oxctl -cmd placement -mode vertical
-//	oxctl -cmd executor [-executor batched] [-batch 16] [-domains 2]
+//	oxctl -cmd executor [-executor serial]
 //	oxctl -cmd faults [-addr 127.0.0.1:7710]   # remote rig needs oxfabd -faults
 //	oxctl -cmd offload [-addr 127.0.0.1:7710]  # remote rig needs a LightLSM namespace
 package main
@@ -58,9 +58,7 @@ func main() {
 	cmd := flag.String("cmd", "geometry", "geometry | report | placement | executor | faults | offload")
 	paper := flag.Bool("paper", false, "use the paper's exact Figure 4 geometry (1.4 TB)")
 	mode := flag.String("mode", "horizontal", "placement mode: horizontal | vertical")
-	executor := flag.String("executor", "pipelined", "engine for -cmd executor: serial | pipelined | batched")
-	batch := flag.Int("batch", 0, "grant-batch size for -executor batched (0 = default)")
-	domains := flag.Int("domains", 1, "arbitration domains for -cmd executor (queue pairs round-robin across them)")
+	executor := flag.String("executor", "batched", "engine for -cmd executor: serial | batched")
 	addr := flag.String("addr", "", "oxfabd address: run against a served controller instead of an in-process rig")
 	flag.Parse()
 
@@ -153,9 +151,9 @@ func main() {
 		// exclusive footprints (cache admission is device-global) and
 		// the log would show conflict stalls instead of overlap.
 		switch *executor {
-		case "serial", "pipelined", "batched":
+		case "serial", "batched":
 		default:
-			fmt.Fprintf(os.Stderr, "oxctl: unknown -executor %q (serial | pipelined | batched)\n", *executor)
+			fmt.Fprintf(os.Stderr, "oxctl: unknown -executor %q (serial | batched)\n", *executor)
 			os.Exit(1)
 		}
 		rig := exp.DefaultRig()
@@ -164,11 +162,7 @@ func main() {
 		fail(err)
 		tgt, err := zns.New(ctrl, zns.Config{})
 		fail(err)
-		host := hostif.NewHost(ctrl, hostif.HostConfig{
-			Executor:  hostif.ExecutorKind(*executor),
-			BatchSize: *batch,
-			Domains:   *domains,
-		})
+		host := hostif.NewHost(ctrl, hostif.HostConfig{Executor: hostif.ExecutorKind(*executor)})
 		admin := host.Admin()
 		nsid, err := admin.AttachNamespace(0, hostif.NewZoneNamespace(tgt))
 		fail(err)
@@ -187,11 +181,9 @@ func main() {
 		block := make([]byte, id.BlockSize)
 		var qps []*hostif.QueuePair
 		for g := 0; g < ident.Geometry.Groups; g++ {
-			// One queue pair per group, round-robined across the
-			// arbitration domains — legal because each pair only ever
-			// touches its own group's zones, so no footprint crosses a
-			// domain boundary.
-			qp, err := admin.CreateIOQueuePairIn(0, 1, hostif.ClassMedium, g%ident.Domains)
+			// One queue pair per group: each only ever touches its own
+			// group's zones, so their footprints are disjoint.
+			qp, err := admin.CreateIOQueuePair(0, 1, hostif.ClassMedium)
 			fail(err)
 			qps = append(qps, qp)
 		}
@@ -360,10 +352,6 @@ func printExecutor(log hostif.ExecutorLog) {
 	fmt.Printf("execution engine (LogExecutor over queue 0):\n")
 	fmt.Printf("  executor        %s\n", log.Executor)
 	fmt.Printf("  workers         %d\n", log.Workers)
-	if log.Executor == hostif.ExecutorBatched {
-		fmt.Printf("  batch size      %d\n", log.BatchSize)
-	}
-	fmt.Printf("  domains         %d\n", log.Domains)
 	fmt.Printf("  grants          %d\n", log.Grants)
 	fmt.Printf("  acquisitions    %d", log.Acquisitions)
 	if log.Grants > 0 {
@@ -377,10 +365,6 @@ func printExecutor(log hostif.ExecutorLog) {
 	fmt.Printf("  barrier stalls  %d\n", log.BarrierStalls)
 	fmt.Printf("  conflict stalls %d\n", log.ConflictStalls)
 	fmt.Printf("  max inflight    %d\n", log.MaxInflight)
-	for _, d := range log.PerDomain {
-		fmt.Printf("  domain %-2d       qps %-3d grants %-6d acquisitions %-6d overlapped %-6d max inflight %d\n",
-			d.Domain, d.QueuePairs, d.Grants, d.Acquisitions, d.Overlapped, d.MaxInflight)
-	}
 }
 
 // adminFor returns the control-plane client: a fabric admin connection

@@ -36,8 +36,8 @@ func main() {
 	ftl := flag.String("ftl", "block", "served namespace FTL: block | zns | lsm")
 	pages := flag.Int64("pages", 16384, "OX-Block namespace size in 4 KB logical pages")
 	placement := flag.String("placement", "horizontal", "LightLSM SSTable placement: horizontal | vertical")
-	executor := flag.String("executor", "serial", "host command-service engine: serial | pipelined | batched")
-	workers := flag.Int("workers", 0, "pipelined/batched executor worker-pool size (0 = GOMAXPROCS)")
+	executor := flag.String("executor", "serial", "host command-service engine: serial | batched")
+	workers := flag.Int("workers", 0, "batched executor worker-pool size (0 = GOMAXPROCS)")
 	faults := flag.Bool("faults", false, "inject media faults (read errors, program fails, grown-bad chunks)")
 	flag.Parse()
 
@@ -45,12 +45,10 @@ func main() {
 	switch *executor {
 	case "", "serial":
 		ex = hostif.ExecutorSerial
-	case "pipelined":
-		ex = hostif.ExecutorPipelined
 	case "batched":
 		ex = hostif.ExecutorBatched
 	default:
-		fail(fmt.Errorf("unknown -executor %q (serial | pipelined | batched)", *executor))
+		fail(fmt.Errorf("unknown -executor %q (serial | batched)", *executor))
 	}
 
 	rig := exp.DefaultRig()

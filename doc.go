@@ -22,7 +22,7 @@
 //     (identify, log pages, namespace attach, queue-pair lifecycle),
 //     deterministic weighted-round-robin arbitration classes,
 //     interrupt-style completion notification, one namespace adapter
-//     per FTL, and a pipelined execution engine that overlaps
+//     per FTL, and a batched execution engine that overlaps
 //     disjoint-footprint commands on a worker pool with bit-identical
 //     virtual timing (serial mode remains the reference oracle)
 //   - internal/lsm      — a miniature RocksDB (memtable, SSTables,

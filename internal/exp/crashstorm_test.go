@@ -44,7 +44,7 @@ func TestCrashstormShape(t *testing.T) {
 }
 
 // TestCrashstormDeterministic pins the storm table bit-for-bit across
-// two runs, including under the pipelined executor: recovery time is
+// two runs, including under the batched engine: recovery time is
 // virtual, cut points are op-count-based, and the oracle iterates in
 // sorted order, so nothing in the table may wobble.
 func TestCrashstormDeterministic(t *testing.T) {
@@ -62,7 +62,7 @@ func TestCrashstormDeterministic(t *testing.T) {
 	if b := run(hostif.ExecutorSerial, 0); a != b {
 		t.Fatalf("storm table differs between runs:\n%s\nvs\n%s", a, b)
 	}
-	if p := run(hostif.ExecutorPipelined, 4); a != p {
-		t.Fatalf("storm table differs under pipelined executor:\n%s\nvs\n%s", a, p)
+	if e := run(hostif.ExecutorBatched, 4); a != e {
+		t.Fatalf("storm table differs under the engine:\n%s\nvs\n%s", a, e)
 	}
 }

@@ -437,7 +437,7 @@ func TestTableRender(t *testing.T) {
 
 // TestExecutorEquivalence is the table-level oracle of the execution
 // engines: every scenario renders a byte-identical table under the
-// serial reference executor, the pipelined one, and the batched one.
+// serial reference executor and the batched engine.
 // Scaled-down configurations keep it fast; the full-scale twin is the
 // CI determinism job, which regenerates the figure CSVs in all modes
 // and diffs them.
@@ -527,7 +527,7 @@ func TestExecutorEquivalence(t *testing.T) {
 			return OffloadTable(p).Render(), nil
 		}},
 		{"scale", func(ex hostif.ExecutorKind) (string, error) {
-			// Scale verifies serial≡pipelined≡batched equality internally
+			// Scale verifies serial≡engine equality internally
 			// on every run; here we additionally pin that two invocations
 			// agree on the deterministic virtual columns (wall/speedup
 			// vary run to run and are excluded).
@@ -567,14 +567,12 @@ func TestExecutorEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, ex := range []hostif.ExecutorKind{hostif.ExecutorPipelined, hostif.ExecutorBatched} {
-				got, err := tc.run(ex)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if serial != got {
-					t.Fatalf("executor %s changed the table:\n--- serial ---\n%s\n--- %s ---\n%s", ex, serial, ex, got)
-				}
+			got, err := tc.run(hostif.ExecutorBatched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial != got {
+				t.Fatalf("the engine changed the table:\n--- serial ---\n%s\n--- batched ---\n%s", serial, got)
 			}
 		})
 	}
@@ -584,7 +582,6 @@ func smallScale() ScaleConfig {
 	return ScaleConfig{
 		PUCounts:     []int{1, 4, 128},
 		Workers:      []int{2},
-		BatchSizes:   []int{4},
 		AppendsPerPU: 24,
 		MaxOps:       512,
 		AppendBlocks: 2,
@@ -592,11 +589,11 @@ func smallScale() ScaleConfig {
 	}
 }
 
-// TestScaleShape checks the scale sweep's structure: the serial row,
-// every worker row and every batch row agree on virtual timing
-// (enforced inside Scale), the pipelined rows realize overlap on
-// multi-PU geometry, the batched rows amortize arbitration
-// acquisitions, the packed per-chunk metadata stays within budget, and
+// TestScaleShape checks the scale sweep's structure: the serial row and
+// every engine row agree on virtual timing (enforced inside Scale), the
+// engine rows realize overlap on multi-PU geometry and amortize
+// arbitration acquisitions, the packed per-chunk metadata stays within
+// budget, and
 // the table renders every row. One PU count above 64 exercises the
 // deep-group geometry (64 groups, PUs/group > 1) with the MaxOps cap.
 func TestScaleShape(t *testing.T) {
@@ -605,27 +602,21 @@ func TestScaleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := len(cfg.PUCounts) * (1 + len(cfg.Workers) + len(cfg.BatchSizes))
+	wantRows := len(cfg.PUCounts) * (1 + len(cfg.Workers))
 	if len(points) != wantRows {
 		t.Fatalf("points = %d, want %d", len(points), wantRows)
 	}
-	var sawOverlap, sawBatched bool
+	var sawOverlap bool
 	for _, p := range points {
-		if p.PUs > 1 && p.Executor == hostif.ExecutorPipelined && p.Overlapped > 0 {
-			sawOverlap = true
-		}
 		if p.Executor == hostif.ExecutorSerial && p.Overlapped != 0 {
 			t.Errorf("serial row reports overlap: %+v", p)
 		}
-		if p.Executor == hostif.ExecutorBatched {
-			sawBatched = true
-			if p.BatchSize != cfg.BatchSizes[0] {
-				t.Errorf("batched row batch size = %d, want %d", p.BatchSize, cfg.BatchSizes[0])
-			}
+		if p.Executor == hostif.ExecutorBatched && p.PUs > 1 {
+			sawOverlap = sawOverlap || p.Overlapped > 0
 			// With several queues feeding one doorbell instant, a batch
-			// of 4 must take fewer acquisitions than grants.
-			if p.PUs > 1 && p.AcqPerGrant >= 1 {
-				t.Errorf("batched %d-PU row did not amortize: acq/grant = %.3f", p.PUs, p.AcqPerGrant)
+			// must take fewer acquisitions than grants.
+			if p.AcqPerGrant >= 1 {
+				t.Errorf("engine %d-PU row did not amortize: acq/grant = %.3f", p.PUs, p.AcqPerGrant)
 			}
 		}
 		if p.MetaBytesPerChunk <= 0 || p.MetaBytesPerChunk >= 64 {
@@ -633,10 +624,7 @@ func TestScaleShape(t *testing.T) {
 		}
 	}
 	if !sawOverlap {
-		t.Error("pipelined multi-PU rows realized no overlap")
-	}
-	if !sawBatched {
-		t.Error("no batched rows in sweep")
+		t.Error("engine multi-PU rows realized no overlap")
 	}
 	if rows := len(ScaleTable(points).Rows); rows != wantRows {
 		t.Fatalf("table rows = %d, want %d", rows, wantRows)

@@ -21,7 +21,7 @@ type Fig7Config struct {
 	// ZeroCopyRX enables the §4.4 ablation (AF_XDP-style receive).
 	ZeroCopyRX bool
 	// Executor selects the host's command-service engine (zero value:
-	// serial); Workers sizes the pipelined worker pool. Results are
+	// serial); Workers sizes the engine's worker pool. Results are
 	// identical for either engine.
 	Executor hostif.ExecutorKind
 	Workers  int

@@ -55,7 +55,7 @@ func TestNetstormShape(t *testing.T) {
 }
 
 // TestNetstormDeterministic pins the storm table bit-for-bit across
-// two runs and under the pipelined executor: fault triggers are
+// two runs and under the batched engine: fault triggers are
 // frame-count-based, the orchestrator keeps one command in flight
 // globally, and replay re-executes at original doorbell instants, so
 // nothing in the table may wobble.
@@ -77,7 +77,7 @@ func TestNetstormDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("netstorm table differs across runs:\n%s\n---\n%s", a, b)
 	}
-	c := run(hostif.ExecutorPipelined, 2)
+	c := run(hostif.ExecutorBatched, 2)
 	if a != c {
 		t.Fatalf("netstorm table differs across executors:\n%s\n---\n%s", a, c)
 	}

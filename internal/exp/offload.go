@@ -37,7 +37,7 @@ import (
 //
 // Every column is virtual-time- or counter-derived, so the table is a
 // pure function of the seed: it joins the CI determinism diff, must be
-// identical under the serial and pipelined executors (offload data
+// identical under the serial and batched executors (offload data
 // commands are host-link-charged and therefore inline barriers), and
 // identical again when every command crosses the fabrics loopback
 // transport (OffloadLoopback).

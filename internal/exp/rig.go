@@ -45,7 +45,7 @@ func DefaultRig() RigConfig {
 // hostConfig applies a scenario's executor selection to its base host
 // configuration. Scenario configs carry Executor/Workers so every
 // figure can run under the serial reference executor (the zero value)
-// or the pipelined engine; results are bit-identical either way, which
+// or the batched engine; results are bit-identical either way, which
 // TestExecutorEquivalence pins table by table.
 func hostConfig(base hostif.HostConfig, ex hostif.ExecutorKind, workers int) hostif.HostConfig {
 	base.Executor = ex

@@ -14,32 +14,29 @@ import (
 // through the host interface: an OX-ZNS namespace on a cache-less rig,
 // one queue pair per group appending closed-loop into zones of its own
 // group. Under the serial executor every append executes under the
-// host's single sequencer; the pipelined executor overlaps the
-// disjoint-group appends on a worker pool; the batched executor
-// additionally gathers a batch of grants per arbitration acquisition.
-// Virtual-time results are bit-identical across all three by the
-// determinism contract (the run verifies this and fails otherwise);
-// what the sweep measures is wall-clock — how much of the simulated
-// device's parallelism the simulator itself can exploit — plus the
-// arbitration-acquisition and metadata footprint costs of scale.
+// host's single sequencer; the batched executor (the engine) gathers a
+// batch of grants per arbitration acquisition and overlaps the
+// disjoint-group appends on a worker pool. Virtual-time results are
+// bit-identical across both by the determinism contract (the run
+// verifies this and fails otherwise); what the sweep measures is
+// wall-clock — how much of the simulated device's parallelism the
+// simulator itself can exploit — plus the arbitration-acquisition and
+// metadata footprint costs of scale.
 type ScaleConfig struct {
 	// PUCounts sweeps the device size. Up to 64 PUs each point is a rig
 	// of single-PU groups; beyond 64 the rig keeps 64 groups and deepens
 	// them (the host's footprint group mask is 64 bits wide, so 512 PUs
 	// is 64 groups × 8 PUs). Counts above 64 must be multiples of 64.
 	PUCounts []int
-	// Workers sweeps the pipelined executor's pool size. Serial
-	// reference rows are always included.
+	// Workers sweeps the engine's pool size, one engine row per entry.
+	// Serial reference rows are always included.
 	Workers []int
-	// BatchSizes adds one batched-executor row per entry (using the last
-	// Workers entry as its pool size). Empty disables batched rows.
-	BatchSizes []int
 	// AppendsPerPU is the closed-loop command count per parallel unit.
 	AppendsPerPU int
 	// MaxOps caps one run's total appends so terabyte-scale points stay
 	// bounded: effective appends per PU = min(AppendsPerPU, MaxOps/PUs),
 	// floored at 1. Zero means no cap. The cap is part of the workload
-	// definition, so the serial/pipelined/batched equivalence check
+	// definition, so the serial/engine equivalence check
 	// always compares identical schedules.
 	MaxOps int
 	// AppendBlocks sizes each zone append in device write units.
@@ -52,7 +49,6 @@ func DefaultScale() ScaleConfig {
 	return ScaleConfig{
 		PUCounts:     []int{1, 2, 4, 8, 64, 512},
 		Workers:      []int{1, 2, 4},
-		BatchSizes:   []int{hostif.DefaultBatchSize},
 		AppendsPerPU: 256,
 		MaxOps:       16384,
 		AppendBlocks: 2,
@@ -65,10 +61,7 @@ type ScalePoint struct {
 	PUs      int
 	Executor hostif.ExecutorKind
 	Workers  int
-	// BatchSize is the batched executor's grants per acquisition (0 for
-	// the other executors).
-	BatchSize int
-	Ops       int
+	Ops      int
 	// Elapsed is the virtual completion instant of the last append —
 	// identical across executors at equal PU count.
 	Elapsed vclock.Duration
@@ -79,7 +72,7 @@ type ScalePoint struct {
 	// Grants/Acquisitions/Overlapped/MaxInflight echo the executor log
 	// page; AcqPerGrant is Acquisitions/Grants — how often the sequencer
 	// had to take the arbitration lock per command it granted (1.0
-	// serial, ~1/batch for the batched executor under deep backlogs).
+	// serial, down to 1/16 for the engine under deep backlogs).
 	Grants       int64
 	Acquisitions int64
 	AcqPerGrant  float64
@@ -94,51 +87,27 @@ type ScalePoint struct {
 	Speedup float64
 }
 
-// Scale runs the sweep: for each PU count, a serial reference run, one
-// pipelined run per worker count and one batched run per batch size. It
-// returns an error if any engine run's virtual timing diverges from the
-// serial reference — the determinism contract, enforced on every
-// invocation.
+// Scale runs the sweep: for each PU count, a serial reference run and
+// one engine run per worker count. It returns an error if any engine
+// run's virtual timing diverges from the serial reference — the
+// determinism contract, enforced on every invocation.
 func Scale(cfg ScaleConfig) ([]ScalePoint, error) {
 	var out []ScalePoint
 	for _, pus := range cfg.PUCounts {
-		serial, err := scaleRun(cfg, pus, "", 0, 0)
+		serial, err := scaleRun(cfg, pus, "", 0)
 		if err != nil {
 			return out, fmt.Errorf("scale %d PUs serial: %w", pus, err)
 		}
 		serial.Speedup = 1
 		out = append(out, serial)
-		check := func(p ScalePoint, what string) error {
-			if p.Elapsed != serial.Elapsed {
-				return fmt.Errorf("scale %d PUs %s: virtual elapsed %v diverged from serial %v",
-					pus, what, p.Elapsed, serial.Elapsed)
-			}
-			return nil
-		}
 		for _, workers := range cfg.Workers {
-			p, err := scaleRun(cfg, pus, hostif.ExecutorPipelined, workers, 0)
+			p, err := scaleRun(cfg, pus, hostif.ExecutorBatched, workers)
 			if err != nil {
 				return out, fmt.Errorf("scale %d PUs %d workers: %w", pus, workers, err)
 			}
-			if err := check(p, fmt.Sprintf("%d workers", workers)); err != nil {
-				return out, err
-			}
-			if p.Wall > 0 {
-				p.Speedup = float64(serial.Wall) / float64(p.Wall)
-			}
-			out = append(out, p)
-		}
-		for _, batch := range cfg.BatchSizes {
-			workers := 0
-			if n := len(cfg.Workers); n > 0 {
-				workers = cfg.Workers[n-1]
-			}
-			p, err := scaleRun(cfg, pus, hostif.ExecutorBatched, workers, batch)
-			if err != nil {
-				return out, fmt.Errorf("scale %d PUs batch %d: %w", pus, batch, err)
-			}
-			if err := check(p, fmt.Sprintf("batch %d", batch)); err != nil {
-				return out, err
+			if p.Elapsed != serial.Elapsed {
+				return out, fmt.Errorf("scale %d PUs %d workers: virtual elapsed %v diverged from serial %v",
+					pus, workers, p.Elapsed, serial.Elapsed)
 			}
 			if p.Wall > 0 {
 				p.Speedup = float64(serial.Wall) / float64(p.Wall)
@@ -179,7 +148,7 @@ func scaleOps(cfg ScaleConfig, pus int) int {
 	return per
 }
 
-func scaleRun(cfg ScaleConfig, pus int, ex hostif.ExecutorKind, workers, batch int) (ScalePoint, error) {
+func scaleRun(cfg ScaleConfig, pus int, ex hostif.ExecutorKind, workers int) (ScalePoint, error) {
 	if pus > 64 && pus%64 != 0 {
 		return ScalePoint{}, fmt.Errorf("scale: %d PUs not a multiple of 64", pus)
 	}
@@ -192,8 +161,7 @@ func scaleRun(cfg ScaleConfig, pus int, ex hostif.ExecutorKind, workers, batch i
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	hc := hostConfig(hostif.HostConfig{BatchSize: batch}, ex, workers)
-	host := hostif.NewHost(ctrl, hc)
+	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{}, ex, workers))
 	defer host.Close() // one host per sweep point: release its workers
 	admin := host.Admin()
 	nsid, err := admin.AttachNamespace(0, hostif.NewZoneNamespace(tgt))
@@ -310,10 +278,6 @@ func scaleRun(cfg ScaleConfig, pus int, ex hostif.ExecutorKind, workers, batch i
 		return ScalePoint{}, err
 	}
 	p.Workers = log.Workers
-	p.BatchSize = 0
-	if ex == hostif.ExecutorBatched {
-		p.BatchSize = log.BatchSize
-	}
 	p.Grants = log.Grants
 	p.Acquisitions = log.Acquisitions
 	if log.Grants > 0 {
@@ -335,20 +299,17 @@ func scaleRun(cfg ScaleConfig, pus int, ex hostif.ExecutorKind, workers, batch i
 // diffs for exactly that reason).
 func ScaleTable(points []ScalePoint) *Table {
 	t := &Table{
-		Title: "Executor scaling: disjoint-group zone appends, serial vs pipelined vs batched (OX-ZNS, cache-less rig)",
-		Headers: []string{"PUs", "executor", "workers", "batch", "ops",
+		Title: "Executor scaling: disjoint-group zone appends, serial vs engine (OX-ZNS, cache-less rig)",
+		Headers: []string{"PUs", "executor", "workers", "ops",
 			"virt elapsed", "virt MB/s", "acq/grant", "overlap", "max inflight",
 			"meta B/chunk", "wall ms", "speedup"},
 	}
 	for _, p := range points {
-		workers, batch := "-", "-"
-		if p.Executor == hostif.ExecutorPipelined || p.Executor == hostif.ExecutorBatched {
+		workers := "-"
+		if p.Executor == hostif.ExecutorBatched {
 			workers = fmt.Sprintf("%d", p.Workers)
 		}
-		if p.Executor == hostif.ExecutorBatched {
-			batch = fmt.Sprintf("%d", p.BatchSize)
-		}
-		t.Add(p.PUs, string(p.Executor), workers, batch, p.Ops,
+		t.Add(p.PUs, string(p.Executor), workers, p.Ops,
 			p.Elapsed.String(), fmt.Sprintf("%.0f", p.VirtMBps),
 			fmt.Sprintf("%.3f", p.AcqPerGrant),
 			p.Overlapped, p.MaxInflight,

@@ -23,11 +23,6 @@ type AdminParams struct {
 	// OpAdminCreateIOQP — requests recreation of a previously deleted
 	// queue pair under its original ID (0 allocates a fresh ID).
 	QID int
-	// Domain selects the arbitration domain an OpAdminCreateIOQP binds
-	// the new queue pair to (0, the admin domain, by default). A
-	// recreated queue pair keeps its original binding and ignores this
-	// field.
-	Domain int
 	// Attach is the namespace of an OpAdminNamespaceAttach.
 	Attach Namespace
 }
@@ -87,14 +82,9 @@ type IdentifyController struct {
 	// Weights are the active WRR arbitration bursts.
 	Weights Weights
 	// Executor is the active command-service engine; Workers is its
-	// per-domain worker-pool size (0 for the serial executor) and
-	// BatchSize its grant batch per arbitration acquisition (1 for the
-	// pipelined executor, 0 for serial).
-	Executor  ExecutorKind
-	Workers   int
-	BatchSize int
-	// Domains is the number of arbitration domains.
-	Domains int
+	// worker-pool size (0 for the serial executor).
+	Executor ExecutorKind
+	Workers  int
 }
 
 // NamespaceIdentity is the OpAdminIdentify payload for NSID ≥ 1. Only
@@ -162,14 +152,9 @@ func (h *Host) execAdmin(now vclock.Time, cmd *Command) Result {
 				IOQueuePairs: len(h.queuePairs()) - 1,
 				AdminDepth:   h.adminQP.depth,
 				Weights:      h.weights,
-				Executor:     ExecutorSerial,
-				Domains:      len(h.domains),
 			}
-			if eng := h.domains[0].eng; eng != nil {
-				id.Executor = h.cfg.Executor
-				id.Workers = eng.workers
-				id.BatchSize = eng.batch
-			}
+			log := h.executorLog()
+			id.Executor, id.Workers = log.Executor, log.Workers
 			res.Admin = id
 			return res
 		}
@@ -196,11 +181,7 @@ func (h *Host) execAdmin(now vclock.Time, cmd *Command) Result {
 			res.Admin = qp
 			return res
 		}
-		if dom := cmd.Admin.Domain; dom < 0 || dom >= len(h.domains) {
-			res.Err = fmt.Errorf("%w: domain %d of %d", ErrBadQueueID, dom, len(h.domains))
-			return res
-		}
-		res.Admin = h.openQueuePair(cmd.Admin.Domain, cmd.Admin.Depth, cmd.Admin.Class)
+		res.Admin = h.openQueuePair(cmd.Admin.Depth, cmd.Admin.Class)
 	case OpAdminDeleteIOQP:
 		res.Err = h.deleteQueuePair(cmd.Admin.QID)
 	case OpAdminNamespaceAttach:
@@ -313,19 +294,11 @@ func (a *AdminClient) AttachNamespace(now vclock.Time, ns Namespace) (int, error
 }
 
 // CreateIOQueuePair creates an I/O queue pair with the given depth
-// (minimum 1) and arbitration class, bound to arbitration domain 0.
+// (minimum 1) and arbitration class.
 func (a *AdminClient) CreateIOQueuePair(now vclock.Time, depth int, class Class) (*QueuePair, error) {
-	return a.CreateIOQueuePairIn(now, depth, class, 0)
-}
-
-// CreateIOQueuePairIn creates an I/O queue pair bound to the given
-// arbitration domain. Queue pairs whose commands may conflict — share
-// a media footprint or mutable FTL state — must share a domain; the
-// domain must exist (ErrBadQueueID otherwise).
-func (a *AdminClient) CreateIOQueuePairIn(now vclock.Time, depth int, class Class, domain int) (*QueuePair, error) {
 	comp, err := a.do(now, Command{
 		Op:    OpAdminCreateIOQP,
-		Admin: AdminParams{Depth: depth, Class: class, Domain: domain},
+		Admin: AdminParams{Depth: depth, Class: class},
 	})
 	if err != nil {
 		return nil, err
@@ -420,8 +393,8 @@ func (a *AdminClient) FaultLog(now vclock.Time) (ocssd.FaultLog, error) {
 }
 
 // ExecutorStats returns the execution-engine log page: which engine is
-// serving commands and, for the pipelined executor, how much overlap
-// the worker pool realized.
+// serving commands and, for the batched executor, how much overlap the
+// worker pool realized.
 func (a *AdminClient) ExecutorStats(now vclock.Time) (ExecutorLog, error) {
 	v, err := a.GetLogPage(now, LogExecutor, 0)
 	if err != nil {

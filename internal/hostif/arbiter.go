@@ -94,9 +94,8 @@ func bucketOf(qp *QueuePair) int {
 	}
 }
 
-// arbitrate picks the next queue pair of this domain to serve, or nil
-// when none of the domain's queues has a visible command. Caller holds
-// the domain's execMu.
+// arbitrate picks the next queue pair to serve, or nil when no queue
+// has a visible command. Caller holds execMu.
 //
 // The decision is a pure function of (submission history, credit
 // state): one scan over the per-queue atomic doorbell timestamps finds
@@ -108,13 +107,13 @@ func bucketOf(qp *QueuePair) int {
 // class therefore serves exactly the old flat round-robin order —
 // earliest doorbell, ties on (queueID, slot) — which is what keeps the
 // default-configuration figure tables byte-identical.
-func (d *domain) arbitrate() *QueuePair {
+func (h *Host) arbitrate() *QueuePair {
 	var best [numBuckets]*QueuePair
 	var bestReady [numBuckets]int64
 	for b := range bestReady {
 		bestReady[b] = noHead
 	}
-	for _, qp := range d.queuePairs() {
+	for _, qp := range h.queuePairs() {
 		r := qp.headReady.Load()
 		if r == noHead {
 			continue
@@ -136,12 +135,12 @@ func (d *domain) arbitrate() *QueuePair {
 	}
 	for {
 		for i, b := range wrrBuckets {
-			if best[b] != nil && d.credits[i] > 0 {
-				d.credits[i]--
+			if best[b] != nil && h.credits[i] > 0 {
+				h.credits[i]--
 				return best[b]
 			}
 		}
 		// Every ready class is out of credits: refill the burst.
-		d.credits = [3]int{d.h.weights.High, d.h.weights.Medium, d.h.weights.Low}
+		h.credits = [3]int{h.weights.High, h.weights.Medium, h.weights.Low}
 	}
 }

@@ -8,18 +8,19 @@ import (
 	"repro/internal/vclock"
 )
 
-// TestBatchedMatchesSerialRandomized is the batched executor's
-// equivalence oracle at the host level: the randomized multi-queue
-// mixed-footprint workload (disjoint lanes, same-lane conflicts,
-// exclusive barriers, admin interleavings) must produce completion
-// streams bit-identical to the serial reference at every batch size —
-// including batch size 1, which reduces the batched gather loop to the
-// pipelined executor's one-grant-per-acquisition behavior.
-func TestBatchedMatchesSerialRandomized(t *testing.T) {
+// matchesSerialRandomized is the executor-equivalence oracle at the
+// host level: a randomized multi-queue workload with mixed footprints
+// (disjoint lanes, same-lane conflicts, exclusive barriers, admin
+// interleavings) must produce completion streams that are
+// bit-identical — same order, same virtual times — under the serial
+// executor and the engine with the given worker count. Every round
+// stages several queues before reaping, so the engine gathers
+// multi-grant batches and meets conflicts inside them.
+func matchesSerialRandomized(t *testing.T, workers int) {
 	const queues, rounds, lanes = 6, 40, 4
-	run := func(cfg HostConfig) []Completion {
-		ctrl := testController(t)
-		h := NewHost(ctrl, cfg)
+	run := func(cfg HostConfig) ([]Completion, ExecutorLog) {
+		h := NewHost(testController(t), cfg)
+		t.Cleanup(h.Close)
 		ns := newSlowNS(lanes, 9*vclock.Microsecond)
 		attachNS(t, h, ns)
 		qps := make([]*QueuePair, queues)
@@ -47,6 +48,7 @@ func TestBatchedMatchesSerialRandomized(t *testing.T) {
 				}
 				qp.Ring(now.Add(vclock.Duration(rng.Intn(50)) * vclock.Microsecond))
 			}
+			// Interleave control plane: an admin identify mid-stream.
 			if r%7 == 3 {
 				if _, err := h.Admin().Identify(now); err != nil {
 					t.Fatal(err)
@@ -61,30 +63,45 @@ func TestBatchedMatchesSerialRandomized(t *testing.T) {
 			}
 			now = now.Add(200 * vclock.Microsecond)
 		}
-		return out
+		log, err := h.Admin().ExecutorStats(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, log
 	}
-	serial := run(HostConfig{})
-	for _, batch := range []int{1, 4, 16} {
-		got := run(HostConfig{Executor: ExecutorBatched, Workers: 4, BatchSize: batch})
-		if len(got) != len(serial) {
-			t.Fatalf("batch=%d: %d completions vs serial %d", batch, len(got), len(serial))
+	serial, _ := run(HostConfig{})
+	got, log := run(HostConfig{Executor: ExecutorBatched, Workers: workers})
+	if len(got) != len(serial) {
+		t.Fatalf("workers=%d: %d completions vs serial %d", workers, len(got), len(serial))
+	}
+	for i := range serial {
+		if keyOf(serial[i]) != keyOf(got[i]) {
+			t.Fatalf("workers=%d: completion %d diverged:\nserial  %+v\nbatched %+v",
+				workers, i, serial[i], got[i])
 		}
-		for i := range serial {
-			if keyOf(serial[i]) != keyOf(got[i]) {
-				t.Fatalf("batch=%d: completion %d diverged:\nserial  %+v\nbatched %+v",
-					batch, i, serial[i], got[i])
-			}
-		}
+	}
+	if log.Acquisitions >= log.Grants || log.ConflictStalls == 0 {
+		t.Fatalf("workers=%d: no multi-grant batch or no conflict stall: %+v", workers, log)
 	}
 }
+
+// TestPipelinedMatchesSerialRandomized runs the randomized oracle with
+// four workers: gathered grants overlap in the pool and pass the
+// reorder stage.
+func TestPipelinedMatchesSerialRandomized(t *testing.T) { matchesSerialRandomized(t, 4) }
+
+// TestBatchedMatchesSerialRandomized runs the randomized oracle with
+// one worker, so the sequencer runs most of each gathered batch itself.
+func TestBatchedMatchesSerialRandomized(t *testing.T) { matchesSerialRandomized(t, 1) }
 
 // TestBatchedAmortizesAcquisitions proves the batch gather actually
 // amortizes: with a deep multi-queue backlog visible at one doorbell
 // instant, the batched executor takes far fewer arbitration
 // acquisitions than it issues grants, while the executor log still
-// identifies the engine and its batch size.
+// identifies the engine and its pool size.
 func TestBatchedAmortizesAcquisitions(t *testing.T) {
-	h := NewHost(testController(t), HostConfig{Executor: ExecutorBatched, Workers: 4, BatchSize: 16})
+	h := NewHost(testController(t), HostConfig{Executor: ExecutorBatched, Workers: 4})
+	t.Cleanup(h.Close)
 	ns := newSlowNS(4, 10*vclock.Microsecond)
 	attachNS(t, h, ns)
 	qps := make([]*QueuePair, 4)
@@ -115,7 +132,7 @@ func TestBatchedAmortizesAcquisitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Executor != ExecutorBatched || log.BatchSize != 16 {
+	if log.Executor != ExecutorBatched || log.Workers != 4 {
 		t.Fatalf("log identity: %+v", log)
 	}
 	if log.Grants == 0 || log.Acquisitions == 0 {
@@ -128,180 +145,73 @@ func TestBatchedAmortizesAcquisitions(t *testing.T) {
 	}
 }
 
-// TestBatchedStressRace is the 8-queue mixed-footprint stress under the
-// batched executor, meant for -race: concurrent submitters drive
-// group-scoped appends, reads and exclusive resets while reapers
-// consume completions, at several batch sizes.
-func TestBatchedStressRace(t *testing.T) {
+// stressRace is the 8-queue mixed-footprint stress for the engine,
+// meant for -race: concurrent submitters drive group-scoped appends,
+// reads and exclusive resets while reapers consume completions. Two
+// queue pairs per group make eight submitters with overlapping
+// (same-group) and disjoint (cross-group) footprints.
+func stressRace(t *testing.T, workers int) {
 	const groups, rounds = 4, 30
-	for _, batch := range []int{1, 4, 16} {
-		h, nsid, report := znsHost(t, HostConfig{Executor: ExecutorBatched, Workers: 4, BatchSize: batch}, groups)
-		zoneOf := make([][]int, groups)
-		for _, zi := range report {
-			zoneOf[zi.Group] = append(zoneOf[zi.Group], zi.Index)
-		}
-		id, err := h.Admin().IdentifyNamespace(0, nsid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < 2*groups; w++ {
-			qp := openQP(t, h, 2)
-			wg.Add(1)
-			go func(w int, qp *QueuePair) {
-				defer wg.Done()
-				g := w % groups
-				zone := zoneOf[g][w/groups%len(zoneOf[g])]
-				block := make([]byte, id.BlockSize)
-				now := vclock.Time(0)
-				for r := 0; r < rounds; r++ {
-					cmd := qp.AcquireCommand()
-					switch r % 6 {
-					case 5:
-						cmd.Op, cmd.NSID, cmd.Zone = OpZoneReset, nsid, zone
-					case 2:
-						cmd.Op, cmd.NSID, cmd.Zone = OpRead, nsid, zone
-						cmd.LPN, cmd.Length = 0, int64(id.BlockSize)
-					default:
-						cmd.Op, cmd.NSID, cmd.Zone, cmd.Data = OpZoneAppend, nsid, zone, block
-					}
-					if err := qp.Push(now, cmd); err != nil {
-						t.Error(err)
-						return
-					}
-					c := qp.MustReap()
-					if c.Err != nil {
-						t.Errorf("batch %d worker %d round %d: %v", batch, w, r, c.Err)
-						return
-					}
-					now = c.Done
-				}
-			}(w, qp)
-		}
-		wg.Wait()
-		log, err := h.Admin().ExecutorStats(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := int64(2 * groups * rounds); log.Grants < want {
-			t.Fatalf("batch %d: grants %d, want ≥ %d (%+v)", batch, log.Grants, want, log)
-		}
+	h, nsid, report := znsHost(t, HostConfig{Executor: ExecutorBatched, Workers: workers}, groups)
+	zoneOf := make([][]int, groups)
+	for _, zi := range report {
+		zoneOf[zi.Group] = append(zoneOf[zi.Group], zi.Index)
 	}
-}
-
-// TestDomainShardingMatchesSingleDomain pins the sharding reduction: a
-// workload whose footprints never cross domains produces the identical
-// completion stream — same order, same virtual times — whether all
-// queue pairs share one arbitration domain or are split across two.
-// Lanes are partitioned per domain (conflicting queue pairs must share
-// a domain; that contract is what makes the split legal here).
-func TestDomainShardingMatchesSingleDomain(t *testing.T) {
-	const queuesPerDom, rounds, lanesPerDom = 3, 30, 2
-	run := func(domains int) []Completion {
-		h := NewHost(testController(t), HostConfig{Domains: domains})
-		ns := newSlowNS(2*lanesPerDom, 9*vclock.Microsecond)
-		attachNS(t, h, ns)
-		var qps []*QueuePair
-		var qdom []int
-		for d := 0; d < 2; d++ {
-			bind := 0
-			if domains > 1 {
-				bind = d
-			}
-			for q := 0; q < queuesPerDom; q++ {
-				qp, err := h.Admin().CreateIOQueuePairIn(0, 4, ClassMedium, bind)
-				if err != nil {
-					t.Fatal(err)
-				}
-				qps = append(qps, qp)
-				qdom = append(qdom, d)
-			}
-		}
-		rng := rand.New(rand.NewSource(7))
-		var out []Completion
-		now := vclock.Time(0)
-		for r := 0; r < rounds; r++ {
-			for qi, qp := range qps {
-				batch := rng.Intn(3)
-				for b := 0; b < batch; b++ {
-					cmd := qp.AcquireCommand()
-					cmd.Op = OpWrite
-					cmd.Zone = qdom[qi]*lanesPerDom + rng.Intn(lanesPerDom)
-					cmd.LPN = int64(r*1000 + qi*100 + b)
-					if _, err := qp.Submit(cmd); err != nil {
-						t.Fatal(err)
-					}
-				}
-				qp.Ring(now.Add(vclock.Duration(rng.Intn(40)) * vclock.Microsecond))
-			}
-			for {
-				c, ok := h.ReapAny()
-				if !ok {
-					break
-				}
-				out = append(out, c)
-			}
-			now = now.Add(150 * vclock.Microsecond)
-		}
-		return out
-	}
-	single := run(1)
-	sharded := run(2)
-	if len(single) != len(sharded) || len(single) == 0 {
-		t.Fatalf("completions %d vs %d", len(single), len(sharded))
-	}
-	for i := range single {
-		if keyOf(single[i]) != keyOf(sharded[i]) {
-			t.Fatalf("completion %d diverged:\nsingle  %+v\nsharded %+v", i, single[i], sharded[i])
-		}
-	}
-}
-
-// TestDomainBinding covers the domain control plane: out-of-range
-// bindings are rejected, Identify reports the domain count, and the
-// executor log exposes per-domain rows exactly when the host is
-// sharded.
-func TestDomainBinding(t *testing.T) {
-	h := NewHost(testController(t), HostConfig{Domains: 2, Executor: ExecutorBatched, Workers: 2})
-	if _, err := h.Admin().CreateIOQueuePairIn(0, 2, ClassMedium, 2); err == nil {
-		t.Fatal("domain 2 of 2 accepted")
-	}
-	if _, err := h.Admin().CreateIOQueuePairIn(0, 2, ClassMedium, -1); err == nil {
-		t.Fatal("negative domain accepted")
-	}
-	qp, err := h.Admin().CreateIOQueuePairIn(0, 2, ClassMedium, 1)
+	id, err := h.Admin().IdentifyNamespace(0, nsid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := h.Admin().Identify(0)
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for w := 0; w < 2*groups; w++ {
+		qp := openQP(t, h, 2)
+		wg.Add(1)
+		go func(w int, qp *QueuePair) {
+			defer wg.Done()
+			g := w % groups
+			zone := zoneOf[g][w/groups%len(zoneOf[g])]
+			block := make([]byte, id.BlockSize)
+			now := vclock.Time(0)
+			for r := 0; r < rounds; r++ {
+				cmd := qp.AcquireCommand()
+				switch r % 6 {
+				case 5:
+					cmd.Op, cmd.NSID, cmd.Zone = OpZoneReset, nsid, zone
+				case 2:
+					cmd.Op, cmd.NSID, cmd.Zone = OpRead, nsid, zone
+					cmd.LPN, cmd.Length = 0, int64(id.BlockSize)
+				default:
+					cmd.Op, cmd.NSID, cmd.Zone, cmd.Data = OpZoneAppend, nsid, zone, block
+				}
+				if err := qp.Push(now, cmd); err != nil {
+					t.Error(err)
+					return
+				}
+				// Reap's drain executes every visible command (waiting out
+				// the pipeline), so the completion is always present even
+				// when another goroutine's drain ran ours.
+				c := qp.MustReap()
+				if c.Err != nil {
+					t.Errorf("workers %d submitter %d round %d: %v", workers, w, r, c.Err)
+					return
+				}
+				now = c.Done
+			}
+		}(w, qp)
 	}
-	if id.Domains != 2 || id.BatchSize != DefaultBatchSize {
-		t.Fatalf("identify: %+v", id)
-	}
-	ns := newSlowNS(1, 5*vclock.Microsecond)
-	attachNS(t, h, ns)
-	cmd := qp.AcquireCommand()
-	cmd.Op, cmd.Zone = OpWrite, 0
-	if err := qp.Push(0, cmd); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := qp.Reap(); !ok {
-		t.Fatal("missing completion")
-	}
+	wg.Wait()
 	log, err := h.Admin().ExecutorStats(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Domains != 2 || len(log.PerDomain) != 2 {
-		t.Fatalf("per-domain stats: %+v", log)
-	}
-	// The I/O ran in domain 1; the admin traffic in domain 0.
-	if log.PerDomain[1].Grants == 0 || log.PerDomain[0].Grants == 0 {
-		t.Fatalf("domain activity: %+v", log)
-	}
-	if sum := log.PerDomain[0].Grants + log.PerDomain[1].Grants; sum != log.Grants {
-		t.Fatalf("aggregate grants %d != per-domain sum %d", log.Grants, sum)
+	if want := int64(2 * groups * rounds); log.Grants < want {
+		t.Fatalf("workers %d: grants %d, want ≥ %d (%+v)", workers, log.Grants, want, log)
 	}
 }
+
+// TestPipelinedStressRace runs the stress with four workers, exercising
+// the worker pool and the reorder stage.
+func TestPipelinedStressRace(t *testing.T) { stressRace(t, 4) }
+
+// TestBatchedStressRace runs the stress with one worker, so the
+// sequencer runs jobs itself whenever the pool is busy.
+func TestBatchedStressRace(t *testing.T) { stressRace(t, 1) }

@@ -6,17 +6,19 @@ import (
 	"sync"
 )
 
-// This file is the pipelined execution engine — the second stage of the
-// host's two-stage command service. The first stage (the sequencer) is
-// the arbitration loop in host.go: it picks grants in deterministic WRR
-// order, assigns each a monotonic sequence number and classifies its
-// media footprint through Namespace.Footprint. This stage takes those
-// grants and runs them on a pool of workers, overlapping commands whose
-// footprints are disjoint while conflicting, admin, host-link-charged
-// and footprint-unknown commands act as barriers. Completions come back
-// through a reorder stage keyed by sequence number, so queue-pair
-// completion order, notification order and every virtual-time result
-// are bit-for-bit identical to the serial executor.
+// This file is the execution engine — the second stage of the host's
+// two-stage command service, selected by ExecutorBatched. The first
+// stage (the sequencer) is the arbitration loop in host.go: it picks
+// grants in deterministic WRR order, gathering up to grantBatch of them
+// per arbitration acquisition, assigns each a monotonic sequence number
+// and classifies its media footprint through Namespace.Footprint. This
+// stage takes those grants and runs them on a pool of workers,
+// overlapping commands whose footprints are disjoint while conflicting,
+// admin, host-link-charged and footprint-unknown commands act as
+// barriers. Completions come back through a reorder stage keyed by
+// sequence number, so queue-pair completion order, notification order
+// and every virtual-time result are bit-for-bit identical to the serial
+// executor.
 //
 // Why this is deterministic: the sequencer dispatches in sequence
 // order, and a grant is not dispatched while any in-flight command's
@@ -55,43 +57,35 @@ const (
 	// arbitration loop — the reference oracle. The zero value of
 	// HostConfig.Executor selects it.
 	ExecutorSerial ExecutorKind = "serial"
-	// ExecutorPipelined decouples arbitration from media execution:
-	// grants with disjoint footprints run concurrently on a worker pool
-	// and a deterministic reorder stage restores serial completion
-	// order.
-	ExecutorPipelined ExecutorKind = "pipelined"
-	// ExecutorBatched is the pipelined engine with batched sequencing:
-	// the sequencer pulls up to HostConfig.BatchSize WRR grants per
-	// arbitration acquisition, footprint-classifying the whole batch up
-	// front, so workers amortize the arbitration rendezvous instead of
-	// meeting the sequencer once per command. Conflicts within a batch
-	// become intra-batch barriers; completions still release in strict
-	// grant order, so results are bit-identical to the serial oracle.
+	// ExecutorBatched decouples arbitration from media execution: the
+	// sequencer pulls up to grantBatch WRR grants per arbitration
+	// acquisition, footprint-classifying the whole batch up front, and
+	// grants with disjoint footprints run concurrently on a worker
+	// pool. Conflicts within a batch become intra-batch barriers;
+	// completions release in strict grant order through a deterministic
+	// reorder stage, so results are bit-identical to the serial oracle.
 	ExecutorBatched ExecutorKind = "batched"
 )
 
-// DefaultBatchSize is the grant-batch size of ExecutorBatched when
-// HostConfig.BatchSize is zero.
-const DefaultBatchSize = 16
+// grantBatch caps the grants the sequencer gathers per arbitration
+// acquisition. It decides wall-clock amortization only, never results;
+// on a 2-vCPU box batches of 1 and of 16 traded the lead from run to
+// run on the scale sweep at 64 and 512 PUs, so it is not a knob.
+const grantBatch = 16
 
 // ExecutorLog is the LogExecutor admin log page: the pipeline counters
-// that make the execution engine observable over queue 0. With several
-// arbitration domains the top-level counters aggregate every domain
-// and PerDomain carries the per-domain breakdown.
+// that make the execution engine observable over queue 0.
 type ExecutorLog struct {
-	// Executor, Workers, BatchSize and Domains echo the host
-	// configuration (Workers and BatchSize are per domain).
-	Executor  ExecutorKind
-	Workers   int
-	BatchSize int
-	Domains   int
+	// Executor and Workers echo the host configuration.
+	Executor ExecutorKind
+	Workers  int
 	// Grants counts commands granted by the sequencer (I/O and admin).
 	Grants int64
 	// Acquisitions counts arbitration acquisitions: sequencer rendezvous
-	// at which at least one grant was pulled. The serial and pipelined
-	// executors acquire once per grant; the batched executor amortizes
-	// up to BatchSize grants per acquisition, so Acquisitions/Grants is
-	// the amortization actually realized.
+	// at which at least one grant was pulled. The serial executor
+	// acquires once per grant; the engine amortizes up to 16 grants per
+	// acquisition, so Acquisitions/Grants is the amortization actually
+	// realized.
 	Acquisitions int64
 	// Dispatched counts grants handed to the worker pool.
 	Dispatched int64
@@ -116,28 +110,6 @@ type ExecutorLog struct {
 	// MaxInflight is the high-water mark of concurrently dispatched
 	// commands.
 	MaxInflight int
-	// PerDomain is the per-domain breakdown, one row per arbitration
-	// domain in domain order (nil on single-domain hosts).
-	PerDomain []DomainExecutorLog
-}
-
-// DomainExecutorLog is one arbitration domain's sequencer counters.
-type DomainExecutorLog struct {
-	// Domain is the domain index; QueuePairs counts the queue pairs
-	// currently bound to it (the admin queue lives in domain 0).
-	Domain     int
-	QueuePairs int
-	// The remaining fields mirror their ExecutorLog namesakes, scoped
-	// to this domain's sequencer.
-	Grants         int64
-	Acquisitions   int64
-	Dispatched     int64
-	SelfRun        int64
-	Inline         int64
-	Overlapped     int64
-	BarrierStalls  int64
-	ConflictStalls int64
-	MaxInflight    int
 }
 
 // execJob is one granted command in flight through the worker pool.
@@ -200,13 +172,11 @@ type grant struct {
 	fp     Footprint
 }
 
-// engine is the worker pool plus the reorder stage of one arbitration
-// domain. The fields below resultMu are owned by the sequencer: they
-// are only touched from the arbitration loop, under the domain's
-// execMu.
+// engine is the worker pool plus the reorder stage. The fields below
+// resultMu are owned by the sequencer: they are only touched from the
+// arbitration loop, under the host's execMu.
 type engine struct {
 	workers  int
-	batch    int // grants gathered per arbitration acquisition (1 = pipelined)
 	jobs     chan execJob
 	stopOnce sync.Once
 
@@ -219,25 +189,20 @@ type engine struct {
 	nextRelease uint64        // next sequence number to complete
 	inflight    []inflightCmd // dispatched, completion not yet released
 	batchBuf    []grant       // reusable gather buffer
-	stats       DomainExecutorLog
+	stats       ExecutorLog   // counters only; executorLog fills the identity
 }
 
 // newEngine starts a worker pool of the given size (minimum 1; zero
-// selects GOMAXPROCS) gathering batch grants per arbitration
-// acquisition. Workers live until the engine is stopped.
-func newEngine(workers, batch int) *engine {
+// selects GOMAXPROCS). Workers live until the engine is stopped.
+func newEngine(workers int) *engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if batch < 1 {
-		batch = 1
-	}
 	eng := &engine{
 		workers:  workers,
-		batch:    batch,
 		jobs:     make(chan execJob, workers),
 		done:     make([]doneSlot, minDoneSlots),
-		batchBuf: make([]grant, 0, batch),
+		batchBuf: make([]grant, 0, grantBatch),
 	}
 	eng.resultC = sync.NewCond(&eng.resultMu)
 	for i := 0; i < workers; i++ {
@@ -297,7 +262,7 @@ const (
 )
 
 // release pops finished completions from the reorder stage in sequence
-// order and posts them to their queue pairs — the only place pipelined
+// order and posts them to their queue pairs — the only place engine
 // completions become visible, which is what keeps completion-queue and
 // notification order identical to the serial executor. Caller is the
 // sequencer, holding execMu.
@@ -381,22 +346,19 @@ func (eng *engine) dispatch(h *Host, j execJob, fp Footprint) {
 // drainEngineLocked is the engine twin of drainLocked: the sequencer
 // grants commands in arbitration order and feeds the execution engine;
 // the reorder stage posts completions back in grant order. Per
-// arbitration acquisition it gathers up to eng.batch grants,
-// footprint-classifying each as it is pulled — with batch size 1 this
-// is exactly the pipelined executor's grant-at-a-time rendezvous, and
-// with larger batches the arbitration/release bookkeeping amortizes
-// across the batch. Grant order is untouched by batching: arbitrate is
-// a pure function of the doorbell and credit state, and neither
-// gathering nor dispatching rings a doorbell, so pulling B grants
-// back-to-back yields the same sequence the serial loop grants one at
-// a time. An inline-class grant (admin, host-link-charged, bad NSID)
-// terminates its batch: admin execution mutates the snapshots
-// classification reads, so no grant is ever classified after an
-// unexecuted admin command. Caller holds d.execMu and delivers
-// takeNotes() after releasing it.
-func (d *domain) drainEngineLocked() {
-	h := d.h
-	eng := d.eng
+// arbitration acquisition it gathers up to grantBatch grants,
+// footprint-classifying each as it is pulled, so the
+// arbitration/release bookkeeping amortizes across the batch. Grant
+// order is untouched by batching: arbitrate is a pure function of the
+// doorbell and credit state, and neither gathering nor dispatching
+// rings a doorbell, so pulling B grants back-to-back yields the same
+// sequence the serial loop grants one at a time. An inline-class grant
+// (admin, host-link-charged, bad NSID) terminates its batch: admin
+// execution mutates the snapshots classification reads, so no grant is
+// ever classified after an unexecuted admin command. Caller holds
+// execMu and delivers takeNotes() after releasing it.
+func (h *Host) drainEngineLocked() {
+	eng := h.eng
 	for {
 		// Opportunistically retire finished work so the in-flight window
 		// (and its conflict scans) stay short.
@@ -404,8 +366,8 @@ func (d *domain) drainEngineLocked() {
 
 		// Gather one batch of grants.
 		batch := eng.batchBuf[:0]
-		for len(batch) < eng.batch {
-			best := d.arbitrate()
+		for len(batch) < grantBatch {
+			best := h.arbitrate()
 			if best == nil {
 				break
 			}
@@ -446,7 +408,7 @@ func (d *domain) drainEngineLocked() {
 		eng.batchBuf = batch
 		if len(batch) == 0 {
 			eng.release(h, releaseAll)
-			d.flushNotifies()
+			h.flushNotifies()
 			return
 		}
 		eng.stats.Acquisitions++
@@ -474,69 +436,15 @@ func (d *domain) drainEngineLocked() {
 	}
 }
 
-// executorLog snapshots the sequencer counters of every domain,
-// aggregated into the top-level ExecutorLog with a per-domain
-// breakdown on multi-domain hosts. Caller holds execMu(0) (the admin
-// path); other domains' counters are read under their own locks. A
-// serial sequencer reports its grant count with every grant inline and
-// one acquisition per grant, every pipeline counter zero.
+// executorLog snapshots the sequencer counters. Caller holds execMu
+// (the admin path). A serial sequencer reports its grant count with
+// every grant inline and one acquisition per grant, every pipeline
+// counter zero.
 func (h *Host) executorLog() ExecutorLog {
-	log := ExecutorLog{
-		Executor: ExecutorSerial,
-		Domains:  len(h.domains),
+	if h.eng == nil {
+		return ExecutorLog{Executor: ExecutorSerial, Grants: h.grants, Acquisitions: h.grants, Inline: h.grants}
 	}
-	if eng := h.domains[0].eng; eng != nil {
-		log.Executor = h.cfg.Executor
-		log.Workers = eng.workers
-		log.BatchSize = eng.batch
-	}
-	var per []DomainExecutorLog
-	if len(h.domains) > 1 {
-		per = make([]DomainExecutorLog, 0, len(h.domains))
-	}
-	for i, d := range h.domains {
-		if i > 0 {
-			// Domain 0's lock is already held by the admin path; the
-			// ascending acquisition respects the domain lock order.
-			d.execMu.Lock()
-		}
-		dl := d.stats()
-		if i > 0 {
-			d.execMu.Unlock()
-		}
-		log.Grants += dl.Grants
-		log.Acquisitions += dl.Acquisitions
-		log.Dispatched += dl.Dispatched
-		log.SelfRun += dl.SelfRun
-		log.Inline += dl.Inline
-		log.Overlapped += dl.Overlapped
-		log.BarrierStalls += dl.BarrierStalls
-		log.ConflictStalls += dl.ConflictStalls
-		if dl.MaxInflight > log.MaxInflight {
-			log.MaxInflight = dl.MaxInflight
-		}
-		if per != nil {
-			per = append(per, dl)
-		}
-	}
-	log.PerDomain = per
+	log := h.eng.stats
+	log.Executor, log.Workers = ExecutorBatched, h.eng.workers
 	return log
-}
-
-// stats snapshots one domain's sequencer counters. Caller holds the
-// domain's execMu.
-func (d *domain) stats() DomainExecutorLog {
-	if d.eng == nil {
-		return DomainExecutorLog{
-			Domain:       d.id,
-			QueuePairs:   len(d.queuePairs()),
-			Grants:       d.grants,
-			Acquisitions: d.grants,
-			Inline:       d.grants,
-		}
-	}
-	dl := d.eng.stats
-	dl.Domain = d.id
-	dl.QueuePairs = len(d.queuePairs())
-	return dl
 }

@@ -2,7 +2,6 @@ package hostif
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -66,11 +65,11 @@ func (ns *slowNS) Execute(now vclock.Time, cmd *Command) Result {
 	return Result{End: end}
 }
 
-// pipelinedHost builds a host with the pipelined executor over a fresh
-// test controller.
-func pipelinedHost(t testing.TB, workers int) *Host {
+// engineHost builds a host with the batched executor over a fresh test
+// controller.
+func engineHost(t testing.TB, workers int) *Host {
 	t.Helper()
-	h := NewHost(testController(t), HostConfig{Executor: ExecutorPipelined, Workers: workers})
+	h := NewHost(testController(t), HostConfig{Executor: ExecutorBatched, Workers: workers})
 	t.Cleanup(h.Close)
 	return h
 }
@@ -78,9 +77,9 @@ func pipelinedHost(t testing.TB, workers int) *Host {
 // TestClosedEngineHostIsCollectable pins Close as the whole lifetime
 // contract of an engine host: once closed and dropped, the host and
 // everything attached to it are garbage. (NewHost used to set a
-// finalizer on the host; the host sits on a cycle with its domains, Go
-// never frees a cycle holding a finalizer, and every engine rig leaked
-// with the device under it.)
+// finalizer on the host; the host sits on a cycle with its queue
+// pairs, Go never frees a cycle holding a finalizer, and every engine
+// rig leaked with the device under it.)
 func TestClosedEngineHostIsCollectable(t *testing.T) {
 	freed := make(chan struct{})
 	func() {
@@ -126,84 +125,12 @@ func keyOf(c Completion) compKey {
 	}
 }
 
-// TestPipelinedMatchesSerialRandomized is the executor-equivalence
-// oracle at the host level: a randomized multi-queue workload with
-// mixed footprints (disjoint lanes, same-lane conflicts, exclusive
-// barriers, admin interleavings) must produce completion streams that
-// are bit-identical — same order, same virtual times — under both
-// executors.
-func TestPipelinedMatchesSerialRandomized(t *testing.T) {
-	const queues, rounds, lanes = 6, 40, 4
-	run := func(cfg HostConfig) []Completion {
-		ctrl := testController(t)
-		h := NewHost(ctrl, cfg)
-		ns := newSlowNS(lanes, 9*vclock.Microsecond)
-		attachNS(t, h, ns)
-		qps := make([]*QueuePair, queues)
-		for i := range qps {
-			qps[i] = openQP(t, h, 4)
-		}
-		rng := rand.New(rand.NewSource(42))
-		var out []Completion
-		now := vclock.Time(0)
-		for r := 0; r < rounds; r++ {
-			// Stage a random batch on each queue, one shared doorbell
-			// instant per queue.
-			for qi, qp := range qps {
-				batch := rng.Intn(4)
-				for b := 0; b < batch; b++ {
-					op := OpWrite
-					if rng.Intn(8) == 0 {
-						op = OpFlush // exclusive: acts as a barrier
-					}
-					cmd := qp.AcquireCommand()
-					cmd.Op = op
-					cmd.Zone = rng.Intn(lanes)
-					cmd.LPN = int64(r*1000 + qi*100 + b)
-					if _, err := qp.Submit(cmd); err != nil {
-						t.Fatal(err)
-					}
-				}
-				qp.Ring(now.Add(vclock.Duration(rng.Intn(50)) * vclock.Microsecond))
-			}
-			// Interleave control plane: an admin identify mid-stream.
-			if r%7 == 3 {
-				if _, err := h.Admin().Identify(now); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for {
-				c, ok := h.ReapAny()
-				if !ok {
-					break
-				}
-				out = append(out, c)
-			}
-			now = now.Add(200 * vclock.Microsecond)
-		}
-		return out
-	}
-	serial := run(HostConfig{})
-	for _, workers := range []int{1, 4} {
-		pipe := run(HostConfig{Executor: ExecutorPipelined, Workers: workers})
-		if len(pipe) != len(serial) {
-			t.Fatalf("workers=%d: %d completions vs serial %d", workers, len(pipe), len(serial))
-		}
-		for i := range serial {
-			if keyOf(serial[i]) != keyOf(pipe[i]) {
-				t.Fatalf("workers=%d: completion %d diverged:\nserial    %+v\npipelined %+v",
-					workers, i, serial[i], pipe[i])
-			}
-		}
-	}
-}
-
 // TestPipelinedOverlapsDisjointFootprints proves the engine actually
 // overlaps: commands on disjoint lanes dispatched from distinct queue
 // pairs report realized overlap in the executor log page, and the
 // completion order still matches arbitration order.
 func TestPipelinedOverlapsDisjointFootprints(t *testing.T) {
-	h := pipelinedHost(t, 4)
+	h := engineHost(t, 4)
 	ns := newSlowNS(4, 50*vclock.Microsecond)
 	attachNS(t, h, ns)
 	qps := make([]*QueuePair, 4)
@@ -229,7 +156,7 @@ func TestPipelinedOverlapsDisjointFootprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Executor != ExecutorPipelined || log.Workers != 4 {
+	if log.Executor != ExecutorBatched || log.Workers != 4 {
 		t.Fatalf("log identity: %+v", log)
 	}
 	if log.Dispatched == 0 || log.Overlapped == 0 {
@@ -247,7 +174,7 @@ func TestPipelinedOverlapsDisjointFootprints(t *testing.T) {
 // classified command 2, so command 2 always finds command 1 in flight
 // and the conflict stall is certain, not a race between the two.
 func TestPipelinedConflictSerializesInOrder(t *testing.T) {
-	h := pipelinedHost(t, 8)
+	h := engineHost(t, 8)
 	ns := newSlowNS(2, 10*vclock.Microsecond)
 	granted := make(chan struct{})
 	ns.classified = func(cmd *Command) {
@@ -437,13 +364,13 @@ func TestPipelinedNotifyMatchesSerial(t *testing.T) {
 		return notes
 	}
 	serial := run(HostConfig{})
-	pipe := run(HostConfig{Executor: ExecutorPipelined, Workers: 4})
-	if len(serial) == 0 || len(serial) != len(pipe) {
-		t.Fatalf("notifications %d vs %d", len(serial), len(pipe))
+	got := run(HostConfig{Executor: ExecutorBatched, Workers: 4})
+	if len(serial) == 0 || len(serial) != len(got) {
+		t.Fatalf("notifications %d vs %d", len(serial), len(got))
 	}
 	for i := range serial {
-		if serial[i] != pipe[i] {
-			t.Fatalf("notification %d diverged: %+v vs %+v", i, serial[i], pipe[i])
+		if serial[i] != got[i] {
+			t.Fatalf("notification %d diverged: %+v vs %+v", i, serial[i], got[i])
 		}
 	}
 }
@@ -485,6 +412,7 @@ func znsHost(t testing.TB, cfg HostConfig, groups int) (*Host, int, []zns.ZoneIn
 		t.Fatal(err)
 	}
 	h := NewHost(ctrl, cfg)
+	t.Cleanup(h.Close)
 	nsid, err := h.Admin().AttachNamespace(0, NewZoneNamespace(tgt))
 	if err != nil {
 		t.Fatal(err)
@@ -558,78 +486,14 @@ func TestPipelinedZNSMatchesSerial(t *testing.T) {
 		return out
 	}
 	serial := run(HostConfig{})
-	pipe := run(HostConfig{Executor: ExecutorPipelined, Workers: groups})
-	if len(serial) != len(pipe) || len(serial) == 0 {
-		t.Fatalf("completions %d vs %d", len(serial), len(pipe))
+	got := run(HostConfig{Executor: ExecutorBatched, Workers: groups})
+	if len(serial) != len(got) || len(serial) == 0 {
+		t.Fatalf("completions %d vs %d", len(serial), len(got))
 	}
 	for i := range serial {
-		if serial[i] != pipe[i] {
-			t.Fatalf("completion %d diverged:\nserial    %+v\npipelined %+v", i, serial[i], pipe[i])
+		if serial[i] != got[i] {
+			t.Fatalf("completion %d diverged:\nserial  %+v\nbatched %+v", i, serial[i], got[i])
 		}
-	}
-}
-
-// TestPipelinedStressRace is the 8-queue mixed-footprint stress for the
-// worker pool and reorder stage, meant for -race: concurrent submitters
-// drive group-scoped appends, reads, exclusive resets and admin log
-// reads while reapers consume completions.
-func TestPipelinedStressRace(t *testing.T) {
-	const groups, rounds = 4, 30
-	h, nsid, report := znsHost(t, HostConfig{Executor: ExecutorPipelined, Workers: 4}, groups)
-	// Two queue pairs per group: eight concurrent submitters with
-	// overlapping (same-group) and disjoint (cross-group) footprints.
-	zoneOf := make([][]int, groups)
-	for _, zi := range report {
-		zoneOf[zi.Group] = append(zoneOf[zi.Group], zi.Index)
-	}
-	id, err := h.Admin().IdentifyNamespace(0, nsid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 2*groups; w++ {
-		qp := openQP(t, h, 2)
-		wg.Add(1)
-		go func(w int, qp *QueuePair) {
-			defer wg.Done()
-			g := w % groups
-			zone := zoneOf[g][w/groups%len(zoneOf[g])]
-			block := make([]byte, id.BlockSize)
-			now := vclock.Time(0)
-			for r := 0; r < rounds; r++ {
-				cmd := qp.AcquireCommand()
-				switch r % 6 {
-				case 5:
-					cmd.Op, cmd.NSID, cmd.Zone = OpZoneReset, nsid, zone
-				case 2:
-					cmd.Op, cmd.NSID, cmd.Zone = OpRead, nsid, zone
-					cmd.LPN, cmd.Length = 0, int64(id.BlockSize)
-				default:
-					cmd.Op, cmd.NSID, cmd.Zone, cmd.Data = OpZoneAppend, nsid, zone, block
-				}
-				if err := qp.Push(now, cmd); err != nil {
-					t.Error(err)
-					return
-				}
-				// Reap's drain executes every visible command (waiting out
-				// the pipeline), so the completion is always present even
-				// when another goroutine's drain ran ours.
-				c := qp.MustReap()
-				if c.Err != nil {
-					t.Errorf("worker %d round %d: %v", w, r, c.Err)
-					return
-				}
-				now = c.Done
-			}
-		}(w, qp)
-	}
-	wg.Wait()
-	log, err := h.Admin().ExecutorStats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(2 * groups * rounds); log.Grants < want {
-		t.Fatalf("grants %d, want ≥ %d (%+v)", log.Grants, want, log)
 	}
 }
 

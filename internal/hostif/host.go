@@ -28,36 +28,16 @@ type HostConfig struct {
 
 	// Executor selects the command-service engine: ExecutorSerial (the
 	// reference oracle; the zero value) runs every granted command
-	// inline in the arbitration loop, ExecutorPipelined decouples
-	// arbitration from media execution and overlaps grants with
-	// disjoint footprints on a worker pool, and ExecutorBatched is the
-	// pipelined engine pulling a batch of grants per arbitration
-	// acquisition. All produce bit-identical completions; see engine.go.
+	// inline in the arbitration loop, and ExecutorBatched decouples
+	// arbitration from media execution, overlapping grants with
+	// disjoint footprints on a worker pool. Both produce bit-identical
+	// completions; see engine.go.
 	Executor ExecutorKind
 
-	// Workers sizes the pipelined executor's worker pool; zero selects
-	// GOMAXPROCS. Ignored by the serial executor. The worker count
-	// affects wall-clock speed only, never results.
+	// Workers sizes the engine's worker pool; zero selects GOMAXPROCS.
+	// Ignored by the serial executor. The worker count affects
+	// wall-clock speed only, never results.
 	Workers int
-
-	// BatchSize caps how many WRR grants the batched sequencer gathers
-	// and footprint-classifies per arbitration acquisition; zero selects
-	// DefaultBatchSize. Ignored by the serial and pipelined executors
-	// (pipelined is exactly batch size 1). The batch size affects
-	// wall-clock amortization only, never results.
-	BatchSize int
-
-	// Domains is the number of arbitration domains (minimum and default
-	// 1). Each domain is an independent sequencer — its own execution
-	// lock, WRR credit state and (for the engine executors) worker pool
-	// and reorder stage — so queue pairs bound to different domains
-	// never contend on a shared serial section. Queue pairs bind to a
-	// domain at creation (CreateIOQueuePairIn); the admin queue lives in
-	// domain 0. Footprint conflicts are only detected within a domain:
-	// queue pairs whose commands may share media resources or FTL state
-	// must share a domain. A single-domain host behaves exactly like the
-	// pre-domain host.
-	Domains int
 }
 
 // Host is the host-interface runtime: it owns the attached namespaces
@@ -73,17 +53,15 @@ type HostConfig struct {
 // Locking discipline: queue-pair state (slot accounting, staging,
 // completion reaping, the command arena, notification coalescing)
 // lives behind each QueuePair's own mutex, so concurrent submitters on
-// different queue pairs never contend. Each arbitration domain carries
-// one execMu, which serializes that domain's arbitration-and-execution
-// step — picking the next head by admin > urgent > WRR credits (a scan
-// over per-queue atomic doorbell timestamps) and running it through
-// the namespace adapter or the admin executor. Namespace and
-// queue-pair registration use copy-on-write snapshots read lock-free
-// on the submission path. Lock order: execMu(domain 0) → execMu(domain
-// 1) → … → setupMu → QueuePair.mu, never the reverse; host-wide
-// operations (Drain, ReapAny) take every domain lock in ascending
-// domain order, per-queue operations (Reap) take only their own
-// domain's. Notification callbacks run with no host lock held.
+// different queue pairs never contend. One execMu serializes the
+// arbitration-and-execution step — picking the next head by admin >
+// urgent > WRR credits (a scan over per-queue atomic doorbell
+// timestamps) and running it through the namespace adapter or the
+// admin executor. Namespace and queue-pair registration use
+// copy-on-write snapshots read lock-free on the submission path. Lock
+// order: execMu → setupMu → QueuePair.mu, never the reverse; the
+// engine's resultMu is a leaf. Notification callbacks run with no host
+// lock held.
 type Host struct {
 	ctrl *ox.Controller
 	cfg  HostConfig
@@ -91,26 +69,10 @@ type Host struct {
 	setupMu sync.Mutex // serializes snapshot writers (attach/open/delete)
 	ns      atomic.Pointer[[]Namespace]
 	qps     atomic.Pointer[[]*QueuePair]
-	nextQID int         // monotonic: queue IDs are never reused
-	qidDom  map[int]int // queue ID → domain index (setupMu)
+	nextQID int // monotonic: queue IDs are never reused
 
 	adminQP *QueuePair
 	weights Weights
-
-	domains   []*domain
-	executed  atomic.Int64
-	notifiers atomic.Int32 // queue pairs with a notify handler
-}
-
-// domain is one arbitration domain: an independent sequencer over the
-// queue pairs bound to it. Everything the pre-domain host serialized
-// under its single host-wide execution lock lives here, once per
-// domain.
-type domain struct {
-	h  *Host
-	id int
-
-	qps atomic.Pointer[[]*QueuePair] // queue pairs bound to this domain
 
 	execMu  sync.Mutex // arbitration + execution + completion consumption
 	credits [3]int     // high/medium/low WRR credits (execMu)
@@ -120,14 +82,9 @@ type domain struct {
 
 	// eng is the execution engine (nil with ExecutorSerial).
 	eng *engine
-}
 
-// queuePairs returns the domain's queue-pair snapshot (lock-free).
-func (d *domain) queuePairs() []*QueuePair {
-	if p := d.qps.Load(); p != nil {
-		return *p
-	}
-	return nil
+	executed  atomic.Int64
+	notifiers atomic.Int32 // queue pairs with a notify handler
 }
 
 // NewHost builds a host interface over the controller. The admin queue
@@ -140,33 +97,18 @@ func NewHost(ctrl *ox.Controller, cfg HostConfig) *Host {
 	if cfg.AdminDepth < 16 {
 		cfg.AdminDepth = 16
 	}
-	if cfg.Domains < 1 {
-		cfg.Domains = 1
-	}
-	h := &Host{ctrl: ctrl, cfg: cfg, weights: cfg.Weights.withDefaults(), qidDom: make(map[int]int)}
-	batch := 1
+	h := &Host{ctrl: ctrl, cfg: cfg, weights: cfg.Weights.withDefaults()}
 	switch cfg.Executor {
-	case "", ExecutorSerial, ExecutorPipelined:
+	case "", ExecutorSerial:
 	case ExecutorBatched:
-		batch = cfg.BatchSize
-		if batch < 1 {
-			batch = DefaultBatchSize
-		}
+		h.eng = newEngine(cfg.Workers)
 	default:
 		panic(fmt.Sprintf("hostif: unknown executor %q", cfg.Executor))
 	}
-	h.domains = make([]*domain, cfg.Domains)
-	for i := range h.domains {
-		d := &domain{h: h, id: i}
-		d.credits = [3]int{h.weights.High, h.weights.Medium, h.weights.Low}
-		d.noteBox = notePool.Get().(*[]Notification)
-		d.notes = (*d.noteBox)[:0]
-		if cfg.Executor == ExecutorPipelined || cfg.Executor == ExecutorBatched {
-			d.eng = newEngine(cfg.Workers, batch)
-		}
-		h.domains[i] = d
-	}
-	h.adminQP = h.openQueuePair(0, cfg.AdminDepth, ClassMedium)
+	h.credits = [3]int{h.weights.High, h.weights.Medium, h.weights.Low}
+	h.noteBox = notePool.Get().(*[]Notification)
+	h.notes = (*h.noteBox)[:0]
+	h.adminQP = h.openQueuePair(cfg.AdminDepth, ClassMedium)
 	h.adminQP.admin = true
 	return h
 }
@@ -223,71 +165,53 @@ func checkNSID(ns []Namespace, nsid int) error {
 	return nil
 }
 
-// openQueuePair creates a queue pair bound to arbitration domain dom
-// with the given depth (minimum 1) and arbitration class. Reached
-// through OpAdminCreateIOQP.
-func (h *Host) openQueuePair(dom, depth int, class Class) *QueuePair {
+// openQueuePair creates a queue pair with the given depth (minimum 1)
+// and arbitration class. Reached through OpAdminCreateIOQP.
+func (h *Host) openQueuePair(depth int, class Class) *QueuePair {
+	h.setupMu.Lock()
+	defer h.setupMu.Unlock()
+	qp := h.addQueuePairLocked(h.nextQID, depth, class)
+	h.nextQID++
+	return qp
+}
+
+// addQueuePairLocked appends a fresh queue pair with ID qid to the
+// queue-pair snapshot. Caller holds setupMu.
+func (h *Host) addQueuePairLocked(qid, depth int, class Class) *QueuePair {
 	if depth < 1 {
 		depth = 1
 	}
-	h.setupMu.Lock()
-	defer h.setupMu.Unlock()
 	cur := h.queuePairs()
-	qp := &QueuePair{host: h, dom: h.domains[dom], id: h.nextQID, depth: depth, class: class}
-	h.qidDom[h.nextQID] = dom
-	h.nextQID++
+	qp := &QueuePair{host: h, id: qid, depth: depth, class: class}
 	qp.headReady.Store(noHead)
 	next := make([]*QueuePair, len(cur)+1)
 	copy(next, cur)
 	next[len(cur)] = qp
 	h.qps.Store(&next)
-	h.bindLocked(qp)
 	return qp
-}
-
-// bindLocked appends qp to its domain's queue-pair snapshot. Caller
-// holds setupMu.
-func (h *Host) bindLocked(qp *QueuePair) {
-	d := qp.dom
-	cur := d.queuePairs()
-	next := make([]*QueuePair, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = qp
-	d.qps.Store(&next)
 }
 
 // reopenQueuePair recreates a previously deleted I/O queue pair under
 // its original ID — the resumption path of a fabric session whose
 // connection died: the recreated pair is the same logical queue
-// continuing, so it keeps the arbitration tie-break identity — and the
-// domain binding — its earlier incarnation held. The ID must have been
-// issued before and must not be live (ErrBadQueueID / ErrQueueBusy
-// otherwise); the never-reused discipline of nextQID is preserved
-// because only IDs the host itself once handed out can come back.
-// Reached through OpAdminCreateIOQP with a non-zero QID.
+// continuing, so it keeps the arbitration tie-break identity its
+// earlier incarnation held. The ID must have been issued before and
+// must not be live (ErrBadQueueID / ErrQueueBusy otherwise); the
+// never-reused discipline of nextQID is preserved because only IDs the
+// host itself once handed out can come back. Reached through
+// OpAdminCreateIOQP with a non-zero QID.
 func (h *Host) reopenQueuePair(qid, depth int, class Class) (*QueuePair, error) {
-	if depth < 1 {
-		depth = 1
-	}
 	h.setupMu.Lock()
 	defer h.setupMu.Unlock()
 	if qid <= 0 || qid >= h.nextQID {
 		return nil, fmt.Errorf("%w: queue %d was never issued", ErrBadQueueID, qid)
 	}
-	cur := h.queuePairs()
-	for _, qp := range cur {
+	for _, qp := range h.queuePairs() {
 		if qp.id == qid {
 			return nil, fmt.Errorf("%w: queue %d is live", ErrQueueBusy, qid)
 		}
 	}
-	qp := &QueuePair{host: h, dom: h.domains[h.qidDom[qid]], id: qid, depth: depth, class: class}
-	qp.headReady.Store(noHead)
-	next := make([]*QueuePair, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = qp
-	h.qps.Store(&next)
-	h.bindLocked(qp)
-	return qp, nil
+	return h.addQueuePairLocked(qid, depth, class), nil
 }
 
 // deleteQueuePair removes the idle I/O queue pair qid from arbitration
@@ -330,14 +254,6 @@ func (h *Host) deleteQueuePair(qid int) error {
 	next = append(next, cur[:idx]...)
 	next = append(next, cur[idx+1:]...)
 	h.qps.Store(&next)
-	dcur := qp.dom.queuePairs()
-	dnext := make([]*QueuePair, 0, len(dcur)-1)
-	for _, dq := range dcur {
-		if dq != qp {
-			dnext = append(dnext, dq)
-		}
-	}
-	qp.dom.qps.Store(&dnext)
 	return nil
 }
 
@@ -346,110 +262,63 @@ func (h *Host) deleteQueuePair(qid int) error {
 func (h *Host) Executed() int64 { return h.executed.Load() }
 
 // Close releases the host's execution engine: the worker goroutines of
-// a pipelined or batched executor exit. Close is the only thing that
-// stops them — there is no finalizer — so whoever builds a host with an
-// engine must Close it, or its workers (and, through them, the host and
-// the device under it) stay reachable for the life of the process.
-// Closing a serial host is a no-op; Close is idempotent. The host must
-// be idle — no Drain/Reap in progress and none issued afterwards.
+// a batched executor exit. Close is the only thing that stops them —
+// there is no finalizer — so whoever builds a host with an engine must
+// Close it, or its workers (and, through them, the host and the device
+// under it) stay reachable for the life of the process. Closing a
+// serial host is a no-op; Close is idempotent. The host must be idle —
+// no Drain/Reap in progress and none issued afterwards.
 func (h *Host) Close() {
-	for _, d := range h.domains {
-		if d.eng != nil {
-			d.eng.stop()
-		}
-	}
-}
-
-// lockAll acquires every domain's execution lock in ascending domain
-// order — the host-wide critical section of Drain and ReapAny.
-func (h *Host) lockAll() {
-	for _, d := range h.domains {
-		d.execMu.Lock()
-	}
-}
-
-// unlockAll releases every domain's execution lock.
-func (h *Host) unlockAll() {
-	for _, d := range h.domains {
-		d.execMu.Unlock()
-	}
-}
-
-// drainAllLocked drains every domain and collects their pending
-// notifications in domain order. The first pending box is returned
-// separately so the ubiquitous single-domain host allocates nothing.
-// Caller holds all domain locks and delivers first, then rest, after
-// releasing them.
-func (h *Host) drainAllLocked() (first *[]Notification, rest []*[]Notification) {
-	for _, d := range h.domains {
-		d.drainLocked()
-		if box := d.takeNotes(); box != nil {
-			if first == nil {
-				first = box
-			} else {
-				rest = append(rest, box)
-			}
-		}
-	}
-	return first, rest
-}
-
-// deliverAll delivers the notification boxes drainAllLocked collected,
-// holding no locks.
-func (h *Host) deliverAll(first *[]Notification, rest []*[]Notification) {
-	h.deliver(first)
-	for _, box := range rest {
-		h.deliver(box)
+	if h.eng != nil {
+		h.eng.stop()
 	}
 }
 
 // Drain executes every visible command across all queue pairs in
 // arbitration order, filling the completion queues and delivering any
-// due notifications. With several domains, each domain drains
-// independently in domain order.
+// due notifications.
 func (h *Host) Drain() {
-	h.lockAll()
-	first, rest := h.drainAllLocked()
-	h.unlockAll()
-	h.deliverAll(first, rest)
+	h.execMu.Lock()
+	h.drainLocked()
+	notes := h.takeNotes()
+	h.execMu.Unlock()
+	h.deliver(notes)
 }
 
 // noHead is the per-queue doorbell timestamp meaning "no visible
 // command" — it loses every arbitration comparison.
 const noHead = math.MaxInt64
 
-// drainLocked is the arbitration loop of one domain: while any of its
-// submission queues has a visible command, let the arbiter pick one
-// (admin strictly first, then urgent, then the weighted classes by
-// credit — see arbitrate), serve its head, and repeat. Within a queue,
-// commands execute in slot (FIFO) order. The order is a pure function
-// of the submission history, which is what keeps figure tables
-// bit-identical across runs. Partial notification batches are flushed
-// when the drain runs dry (the coalescing-timer analog).
+// drainLocked is the arbitration loop: while any submission queue has
+// a visible command, let the arbiter pick one (admin strictly first,
+// then urgent, then the weighted classes by credit — see arbitrate),
+// serve its head, and repeat. Within a queue, commands execute in slot
+// (FIFO) order. The order is a pure function of the submission
+// history, which is what keeps figure tables bit-identical across
+// runs. Partial notification batches are flushed when the drain runs
+// dry (the coalescing-timer analog).
 //
-// With ExecutorPipelined or ExecutorBatched the same grant order feeds
-// the worker pool instead (engine.go); the reorder stage restores this
-// loop's completion order exactly, so all paths satisfy the same
-// contract.
+// With ExecutorBatched the same grant order feeds the worker pool
+// instead (engine.go); the reorder stage restores this loop's
+// completion order exactly, so both paths satisfy the same contract.
 //
-// Caller holds d.execMu and delivers takeNotes() after releasing it.
-func (d *domain) drainLocked() {
-	if d.eng != nil {
-		d.drainEngineLocked()
+// Caller holds execMu and delivers takeNotes() after releasing it.
+func (h *Host) drainLocked() {
+	if h.eng != nil {
+		h.drainEngineLocked()
 		return
 	}
-	h := d.h
 	for {
-		best := d.arbitrate()
+		best := h.arbitrate()
 		if best == nil {
-			d.flushNotifies()
+			h.flushNotifies()
 			return
 		}
 		e, ok := best.takeHead()
 		if !ok {
 			continue
 		}
-		d.grants++
+		h.grants++
 		best.complete(h.exec(best, e))
 		if !e.cmd.Op.IsAdmin() {
 			h.executed.Add(1)
@@ -523,12 +392,12 @@ func (h *Host) exec(qp *QueuePair, e sqe) Completion {
 // own submissions), so a data-plane ReapAny loop can run concurrently
 // with control-plane calls without stealing their completions.
 func (h *Host) ReapAny() (Completion, bool) {
-	h.lockAll()
-	first, rest := h.drainAllLocked()
-	// Completion queues are only mutated under their domain's execMu,
-	// all of which are held, so the scan sees a stable snapshot;
-	// per-queue mutexes are taken around each access to stay ordered
-	// with concurrent Outstanding/Submit readers.
+	h.execMu.Lock()
+	h.drainLocked()
+	notes := h.takeNotes()
+	// Completion queues are only mutated under execMu, so the scan sees
+	// a stable snapshot; per-queue mutexes are taken around each access
+	// to stay ordered with concurrent Outstanding/Submit readers.
 	var bestQP *QueuePair
 	bestIdx := -1
 	var bestC Completion
@@ -546,16 +415,16 @@ func (h *Host) ReapAny() (Completion, bool) {
 		qp.mu.Unlock()
 	}
 	if bestQP == nil {
-		h.unlockAll()
-		h.deliverAll(first, rest)
+		h.execMu.Unlock()
+		h.deliver(notes)
 		return Completion{}, false
 	}
 	bestQP.mu.Lock()
 	c := bestQP.cq.removeAt(bestIdx)
 	bestQP.recycleLocked(c.cmd)
 	bestQP.mu.Unlock()
-	h.unlockAll()
-	h.deliverAll(first, rest)
+	h.execMu.Unlock()
+	h.deliver(notes)
 	return c, true
 }
 

@@ -375,7 +375,7 @@ type Namespace interface {
 	// equal (state, now, cmd) sequences yield equal results.
 	Execute(now vclock.Time, cmd *Command) Result
 	// Footprint classifies the media resources cmd will touch before it
-	// executes — the pipelined execution engine's overlap oracle. The
+	// executes — the execution engine's overlap oracle. The
 	// returned footprint must be conservative: two commands whose
 	// footprints do not Conflict may Execute concurrently, and doing so
 	// must leave every result and every virtual-time reservation exactly
@@ -385,7 +385,7 @@ type Namespace interface {
 
 // Footprint describes the serialization scope of one data command: the
 // timing domain it executes in and the device groups (channels) it
-// touches. The pipelined executor overlaps commands whose footprints
+// touches. The batched executor overlaps commands whose footprints
 // are disjoint and serializes the rest in grant order.
 //
 // Domain identifies the set of shared virtual-time resources the

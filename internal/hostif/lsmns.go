@@ -63,7 +63,7 @@ func (n *LSMNamespace) logPage(now vclock.Time, cmd *Command) (any, error) {
 // shared across every table, so commands of one environment never
 // overlap. (The writer map below is mutated by Execute on the
 // assumption that same-namespace commands are serialized — which this
-// footprint is what guarantees under the pipelined executor.)
+// footprint is what guarantees under the batched executor.)
 //
 // The one exception is OpOffloadGet: its in-device path touches only
 // the target block's group/PU media timelines and that group's lookup

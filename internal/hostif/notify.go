@@ -55,8 +55,8 @@ func (qp *QueuePair) SetNotify(threshold int, fn func(Notification)) {
 }
 
 // noteCompletion records one completion toward the queue pair's
-// coalescing threshold, appending a due notification to the pair's
-// domain's pending list. Caller holds the domain's execMu and qp.mu.
+// coalescing threshold, appending a due notification to the host's
+// pending list. Caller holds execMu and qp.mu.
 func (qp *QueuePair) noteCompletion(done vclock.Time) {
 	if qp.notifyFn == nil {
 		return
@@ -64,7 +64,7 @@ func (qp *QueuePair) noteCompletion(done vclock.Time) {
 	qp.notifyPend++
 	qp.notifyLast = done
 	if qp.notifyPend >= qp.notifyEvery {
-		qp.dom.notes = append(qp.dom.notes, Notification{
+		qp.host.notes = append(qp.host.notes, Notification{
 			Queue:     qp,
 			At:        done,
 			Coalesced: qp.notifyPend,
@@ -73,17 +73,17 @@ func (qp *QueuePair) noteCompletion(done vclock.Time) {
 	}
 }
 
-// flushNotifies appends a signal for every queue pair of the domain
-// holding a partial coalescing batch — called once at the end of a
-// drain, in queue-ID order. Caller holds the domain's execMu.
-func (d *domain) flushNotifies() {
-	if d.h.notifiers.Load() == 0 {
+// flushNotifies appends a signal for every queue pair holding a
+// partial coalescing batch — called once at the end of a drain, in
+// queue-ID order. Caller holds execMu.
+func (h *Host) flushNotifies() {
+	if h.notifiers.Load() == 0 {
 		return
 	}
-	for _, qp := range d.queuePairs() {
+	for _, qp := range h.queuePairs() {
 		qp.mu.Lock()
 		if qp.notifyFn != nil && qp.notifyPend > 0 {
-			d.notes = append(d.notes, Notification{
+			h.notes = append(h.notes, Notification{
 				Queue:     qp,
 				At:        qp.notifyLast,
 				Coalesced: qp.notifyPend,
@@ -101,18 +101,18 @@ func (d *domain) flushNotifies() {
 // path) never touch the pool at all.
 var notePool = sync.Pool{New: func() any { return new([]Notification) }}
 
-// takeNotes detaches the domain's pending notification list as a boxed
-// slice, leaving a recycled buffer in its place. Caller holds the
-// domain's execMu; the result is delivered after the lock is released.
-func (d *domain) takeNotes() *[]Notification {
-	if len(d.notes) == 0 {
+// takeNotes detaches the pending notification list as a boxed slice,
+// leaving a recycled buffer in its place. Caller holds execMu; the
+// result is delivered after the lock is released.
+func (h *Host) takeNotes() *[]Notification {
+	if len(h.notes) == 0 {
 		return nil
 	}
-	box := d.noteBox
-	*box = d.notes
+	box := h.noteBox
+	*box = h.notes
 	fresh := notePool.Get().(*[]Notification)
-	d.notes = (*fresh)[:0]
-	d.noteBox = fresh
+	h.notes = (*fresh)[:0]
+	h.noteBox = fresh
 	return box
 }
 

@@ -191,12 +191,12 @@ func offloadGetWorkload(t *testing.T, cfg HostConfig) (*Host, [2][]Completion) {
 
 // TestOffloadGetOverlapsDisjointGroups proves the group-scoped
 // footprint of OpOffloadGet is real: offloaded lookups on tables in
-// different device groups overlap under the pipelined executor, and the
+// different device groups overlap under the batched executor, and the
 // completion streams — order, virtual times, payloads — stay
 // bit-identical to the serial executor.
 func TestOffloadGetOverlapsDisjointGroups(t *testing.T) {
-	pipe, pipeOut := offloadGetWorkload(t, HostConfig{Executor: ExecutorPipelined, Workers: 4})
-	log, err := pipe.Admin().ExecutorStats(0)
+	eng, engOut := offloadGetWorkload(t, HostConfig{Executor: ExecutorBatched, Workers: 4})
+	log, err := eng.Admin().ExecutorStats(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,13 +209,13 @@ func TestOffloadGetOverlapsDisjointGroups(t *testing.T) {
 
 	_, serialOut := offloadGetWorkload(t, HostConfig{})
 	for q := range serialOut {
-		if len(serialOut[q]) != len(pipeOut[q]) {
-			t.Fatalf("queue %d: %d pipelined completions vs %d serial", q, len(pipeOut[q]), len(serialOut[q]))
+		if len(serialOut[q]) != len(engOut[q]) {
+			t.Fatalf("queue %d: %d batched completions vs %d serial", q, len(engOut[q]), len(serialOut[q]))
 		}
 		for i := range serialOut[q] {
-			s, p := serialOut[q][i], pipeOut[q][i]
-			if keyOf(s) != keyOf(p) || !bytes.Equal(s.Data, p.Data) {
-				t.Fatalf("queue %d completion %d diverged:\nserial    %+v\npipelined %+v", q, i, s, p)
+			s, b := serialOut[q][i], engOut[q][i]
+			if keyOf(s) != keyOf(b) || !bytes.Equal(s.Data, b.Data) {
+				t.Fatalf("queue %d completion %d diverged:\nserial  %+v\nbatched %+v", q, i, s, b)
 			}
 		}
 	}

@@ -47,7 +47,6 @@ const (
 // a time; different queue pairs may be driven concurrently.
 type QueuePair struct {
 	host  *Host
-	dom   *domain // arbitration domain the pair is bound to
 	id    int
 	depth int
 	class Class
@@ -214,8 +213,8 @@ func (qp *QueuePair) Ring(now vclock.Time) int {
 }
 
 // takeHead pops the oldest visible entry and refreshes the atomic
-// doorbell timestamp. Caller holds the domain's execMu (only the
-// arbitration loop consumes visible entries).
+// doorbell timestamp. Caller holds execMu (only the arbitration loop
+// consumes visible entries).
 func (qp *QueuePair) takeHead() (sqe, bool) {
 	qp.mu.Lock()
 	defer qp.mu.Unlock()
@@ -233,7 +232,7 @@ func (qp *QueuePair) takeHead() (sqe, bool) {
 }
 
 // complete queues an executed command's completion and advances the
-// notification coalescing batch. Caller holds the domain's execMu.
+// notification coalescing batch. Caller holds execMu.
 func (qp *QueuePair) complete(c Completion) {
 	qp.mu.Lock()
 	defer qp.mu.Unlock()
@@ -252,16 +251,14 @@ func (qp *QueuePair) Push(now vclock.Time, cmd *Command) error {
 	return nil
 }
 
-// Reap pops the oldest completion-queue entry, first letting the
-// queue pair's arbitration domain execute every visible command. It
-// reports false when the completion queue is empty. Reaping recycles
-// the completed command's arena slot. Only the pair's own domain
-// drains: queue pairs in other domains are untouched.
+// Reap pops the oldest completion-queue entry, first letting the host
+// execute every visible command. It reports false when the completion
+// queue is empty. Reaping recycles the completed command's arena slot.
 func (qp *QueuePair) Reap() (Completion, bool) {
-	d := qp.dom
-	d.execMu.Lock()
-	d.drainLocked()
-	notes := d.takeNotes()
+	h := qp.host
+	h.execMu.Lock()
+	h.drainLocked()
+	notes := h.takeNotes()
 	qp.mu.Lock()
 	var c Completion
 	ok := qp.cq.len() > 0
@@ -270,8 +267,8 @@ func (qp *QueuePair) Reap() (Completion, bool) {
 		qp.recycleLocked(c.cmd)
 	}
 	qp.mu.Unlock()
-	d.execMu.Unlock()
-	qp.host.deliver(notes)
+	h.execMu.Unlock()
+	h.deliver(notes)
 	return c, ok
 }
 

@@ -46,7 +46,7 @@ func (n *ZoneNamespace) logPage(now vclock.Time, cmd *Command) (any, error) {
 // group, so a zone command's media footprint is exactly that group:
 // the per-group channel bus, the group's per-PU chip timelines and the
 // zone's own state. Commands on zones in different groups share
-// nothing and overlap freely under the pipelined executor — the §2.2
+// nothing and overlap freely under the batched executor — the §2.2
 // "parallel units never interfere" argument, end to end. Writes on a
 // device with a write-back cache are the exception (cache admission is
 // device-global), so they fall back to exclusive; reads never touch

@@ -633,7 +633,7 @@ func (e *Env) FreeChunks() int { return e.alloc.FreeCount() }
 func (e *Env) Offload() *offload.Engine { return e.offl }
 
 // BlockGroup reports the device group holding the given block of a
-// committed table — the pipelined executor's footprint oracle for
+// committed table — the batched executor's footprint oracle for
 // offloaded lookups: two OffloadGets on disjoint groups touch disjoint
 // chip timelines and lookup lanes, so their commands may overlap. ok
 // is false for unknown tables or out-of-range blocks.
@@ -654,7 +654,7 @@ func (e *Env) BlockGroup(id lsm.TableID, block int) (int, bool) {
 // bypasses the host-facing dispatch thread and every other device-wide
 // resource: it touches only the block's own group/PU media timelines
 // and that group's lookup lane, which is what makes the adapter's
-// GroupFootprint sound under the pipelined executor. Media faults
+// GroupFootprint sound under the batched executor. Media faults
 // surface as the injector's typed errors (wrapped with %w), so
 // hostif.StatusOf classifies them exactly as host-side block reads.
 func (e *Env) OffloadGet(now vclock.Time, h lsm.TableHandle, block int, key []byte) (res []byte, end vclock.Time, err error) {

@@ -509,7 +509,7 @@ func (d *Device) Geometry() Geometry { return d.geo }
 // cache. The cache admission tracker is device-global, serially
 // reusable state: when it is on, concurrent writes — even to disjoint
 // groups — interact through it, so callers that overlap writes for
-// wall-clock speed (the host's pipelined executor) must serialize all
+// wall-clock speed (the host's batched executor) must serialize all
 // writes on a cached device to keep virtual timing deterministic.
 // Reads never mutate the tracker and stay group-scoped either way.
 func (d *Device) WriteCacheEnabled() bool { return d.cache.enabled() }

@@ -282,7 +282,7 @@ func BenchmarkAppendReadReset(b *testing.B) {
 }
 
 // TestCrossGroupTimingCommutes is the device-level audit behind the
-// host's pipelined executor: on a cache-less device, the same per-group
+// host's batched executor: on a cache-less device, the same per-group
 // schedule of appends, reads and resets must yield bit-identical
 // virtual completion times whether the groups run one after another on
 // a single goroutine or concurrently on one goroutine per group. It

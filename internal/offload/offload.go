@@ -36,7 +36,7 @@
 //
 // Point-lookup compute is charged to a per-group lane, so offload Gets
 // on disjoint device groups reserve disjoint virtual-time resources and
-// may execute concurrently under the pipelined executor (the adapter
+// may execute concurrently under the batched executor (the adapter
 // advertises a GroupFootprint). Scans and compactions use the shared
 // device-wide unit and run under exclusive footprints. All statistics
 // are atomic counters, order-independent by construction.

@@ -258,7 +258,7 @@ func TestDurationString(t *testing.T) {
 }
 
 // TestDisjointResourcesCommute pins the premise of the host's
-// pipelined executor: reservation schedules on *disjoint* resources
+// batched executor: reservation schedules on *disjoint* resources
 // yield identical timelines regardless of interleaving, while
 // reservations on a *shared* resource are order-sensitive — which is
 // why overlap is only ever granted to commands whose footprints share

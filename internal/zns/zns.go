@@ -84,7 +84,7 @@ type ZoneInfo struct {
 // contend in the FTL, and because every zone is confined to one device
 // group, commands on zones in *different groups* share no media timing
 // resource at all (per-group channel bus, per-PU chip timeline). That
-// is the overlap the host's pipelined executor exploits: disjoint-group
+// is the overlap the host's batched executor exploits: disjoint-group
 // zone commands run concurrently end-to-end with bit-identical virtual
 // timing. The one device-global exception is the write-back cache
 // admission tracker; see ConcurrentWriteSafe.
