@@ -5,7 +5,6 @@
 //
 //	oxbench -run all
 //	oxbench -run fig3,fig7 -csv out/
-//	oxbench -run fig3,gc -executor batched -workers 4
 //	oxbench -run scale
 //	oxbench -run gc -cpuprofile /tmp/gc.cpu -memprofile /tmp/gc.mem
 package main
@@ -20,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/exp"
-	"repro/internal/hostif"
 	"repro/internal/landscape"
 	"repro/internal/lightlsm"
 )
@@ -28,8 +26,6 @@ import (
 func main() {
 	runs := flag.String("run", "all", "comma-separated experiments: fig1,fig3,fig5,fig6,fig7,gc,unit,qd,qdwrr,qdfabric,tenants,scale,crashstorm,fabric,netstorm,offload,offloadfabric,all")
 	csvDir := flag.String("csv", "", "directory for CSV output (optional)")
-	executor := flag.String("executor", "serial", "host command-service engine: serial | batched (tables are bit-identical either way)")
-	workers := flag.Int("workers", 0, "batched executor worker-pool size (0 = GOMAXPROCS)")
 	addr := flag.String("addr", "", "oxfabd address for -run fabric (default: in-process loopback server; remote runs are not deterministic)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (must lie outside -csv)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file when the run ends (must lie outside -csv)")
@@ -47,16 +43,6 @@ func main() {
 		stopProfiles()
 		fmt.Fprintln(os.Stderr, "oxbench:", err)
 		os.Exit(1)
-	}
-
-	var ex hostif.ExecutorKind
-	switch *executor {
-	case "", "serial":
-		ex = hostif.ExecutorSerial
-	case "batched":
-		ex = hostif.ExecutorBatched
-	default:
-		fatal(fmt.Errorf("unknown -executor %q (serial | batched)", *executor))
 	}
 
 	want := map[string]bool{}
@@ -86,18 +72,14 @@ func main() {
 		emit("unit_of_write", exp.UnitOfWriteTable(exp.UnitOfWrite()))
 	}
 	if all || want["fig3"] {
-		cfg := exp.DefaultFig3()
-		cfg.Executor, cfg.Workers = ex, *workers
-		points, err := exp.Figure3(cfg)
+		points, err := exp.Figure3(exp.DefaultFig3())
 		if err != nil {
 			fatal(err)
 		}
 		emit("figure3", exp.Figure3Table(points))
 	}
 	if all || want["fig5"] || want["fig6"] {
-		cfg := exp.DefaultFig5()
-		cfg.Executor, cfg.Workers = ex, *workers
-		cells, err := exp.Figure5(cfg)
+		cells, err := exp.Figure5(exp.DefaultFig5())
 		if err != nil {
 			fatal(err)
 		}
@@ -110,27 +92,21 @@ func main() {
 		}
 	}
 	if all || want["fig7"] {
-		cfg := exp.DefaultFig7()
-		cfg.Executor, cfg.Workers = ex, *workers
-		points, err := exp.Figure7(cfg)
+		points, err := exp.Figure7(exp.DefaultFig7())
 		if err != nil {
 			fatal(err)
 		}
 		emit("figure7", exp.Figure7Table(points))
 	}
 	if all || want["gc"] {
-		cfg := exp.DefaultGCLocality()
-		cfg.Executor, cfg.Workers = ex, *workers
-		points, err := exp.GCLocality(cfg)
+		points, err := exp.GCLocality(exp.DefaultGCLocality())
 		if err != nil {
 			fatal(err)
 		}
 		emit("gc_locality", exp.GCLocalityTable(points))
 	}
 	if all || want["qd"] {
-		cfg := exp.DefaultQDSweep()
-		cfg.Executor, cfg.Workers = ex, *workers
-		points, err := exp.QDSweep(cfg)
+		points, err := exp.QDSweep(exp.DefaultQDSweep())
 		if err != nil {
 			fatal(err)
 		}
@@ -141,36 +117,28 @@ func main() {
 		// layer over loopback. Not part of "all": its table is required
 		// to be byte-identical to qd_sweep, which is exactly what the CI
 		// cross-transport cmp checks.
-		cfg := exp.DefaultQDSweep()
-		cfg.Executor, cfg.Workers = ex, *workers
-		points, err := exp.QDSweepLoopback(cfg)
+		points, err := exp.QDSweepLoopback(exp.DefaultQDSweep())
 		if err != nil {
 			fatal(err)
 		}
 		emit("qd_fabric", exp.QDSweepTable(points))
 	}
 	if all || want["qdwrr"] {
-		cfg := exp.DefaultWRRSweep()
-		cfg.Executor, cfg.Workers = ex, *workers
-		points, err := exp.WRRSweep(cfg)
+		points, err := exp.WRRSweep(exp.DefaultWRRSweep())
 		if err != nil {
 			fatal(err)
 		}
 		emit("wrr_sweep", exp.WRRSweepTable(points))
 	}
 	if all || want["tenants"] {
-		cfg := exp.DefaultTenants()
-		cfg.Executor, cfg.Workers = ex, *workers
-		points, err := exp.Tenants(cfg)
+		points, err := exp.Tenants(exp.DefaultTenants())
 		if err != nil {
 			fatal(err)
 		}
 		emit("tenants", exp.TenantsTable(points))
 		// The asymmetric QoS companion: WRR classes, unequal load, and
 		// the shared-vs-solo p99 isolation metric.
-		qcfg := exp.DefaultTenantsQoS()
-		qcfg.Executor, qcfg.Workers = ex, *workers
-		qos, err := exp.TenantsQoS(qcfg)
+		qos, err := exp.TenantsQoS(exp.DefaultTenantsQoS())
 		if err != nil {
 			fatal(err)
 		}
@@ -181,9 +149,7 @@ func main() {
 		// device; errors out on the first lost acknowledged write.
 		// All metrics are virtual or op counts, so the table joins the
 		// figure tables in the CI byte-diff determinism set.
-		cfg := exp.DefaultCrashstorm()
-		cfg.Executor, cfg.Workers = ex, *workers
-		points, err := exp.Crashstorm(cfg)
+		points, err := exp.Crashstorm(exp.DefaultCrashstorm())
 		if err != nil {
 			fatal(err)
 		}
@@ -195,7 +161,6 @@ func main() {
 		// backlog shedding. All columns are virtual-time-derived, so the
 		// default (loopback) run joins the CI determinism byte-diff.
 		cfg := exp.DefaultFabric()
-		cfg.Executor, cfg.Workers = ex, *workers
 		cfg.Addr = *addr
 		points, err := exp.Fabric(cfg)
 		if err != nil {
@@ -210,9 +175,7 @@ func main() {
 		// applications. Fault triggers are frame-count-based and the
 		// orchestrator is single-threaded over virtual time, so the
 		// table joins the CI determinism byte-diff.
-		cfg := exp.DefaultNetstorm()
-		cfg.Executor, cfg.Workers = ex, *workers
-		points, err := exp.Netstorm(cfg)
+		points, err := exp.Netstorm(exp.DefaultNetstorm())
 		if err != nil {
 			fatal(err)
 		}
@@ -224,9 +187,7 @@ func main() {
 		// size and predicate selectivity. Every column is virtual-time-
 		// or counter-derived, so the table joins the CI determinism
 		// byte-diff.
-		cfg := exp.DefaultOffload()
-		cfg.Executor, cfg.Workers = ex, *workers
-		points, err := exp.Offload(cfg)
+		points, err := exp.Offload(exp.DefaultOffload())
 		if err != nil {
 			fatal(err)
 		}
@@ -237,21 +198,18 @@ func main() {
 		// wire layer over loopback. Not part of "all": its table is
 		// required to be byte-identical to offload, which is exactly
 		// what the CI cross-transport cmp checks.
-		cfg := exp.DefaultOffload()
-		cfg.Executor, cfg.Workers = ex, *workers
-		points, err := exp.OffloadLoopback(cfg)
+		points, err := exp.OffloadLoopback(exp.DefaultOffload())
 		if err != nil {
 			fatal(err)
 		}
 		emit("offload_fabric", exp.OffloadTable(points))
 	}
 	if all || want["scale"] {
-		// The scale sweep runs all three executors itself (serial
-		// reference rows plus one row per worker count and per batch
-		// size) and fails if their virtual timings diverge; -executor
-		// does not apply. Its wall-clock and
-		// speedup columns measure this machine and vary run to run, so
-		// the scenario stays out of the byte-diff determinism set.
+		// The scale sweep runs both executors itself (a serial reference
+		// row plus one engine row per worker count) and fails if any
+		// engine run's completions diverge from serial. Its wall-clock
+		// and speedup columns measure this machine and vary run to run,
+		// so the scenario stays out of the byte-diff determinism set.
 		points, err := exp.Scale(exp.DefaultScale())
 		if err != nil {
 			fatal(err)

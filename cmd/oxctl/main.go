@@ -11,7 +11,7 @@
 //	oxctl -cmd geometry [-paper]
 //	oxctl -cmd report [-addr 127.0.0.1:7710]
 //	oxctl -cmd placement -mode vertical
-//	oxctl -cmd executor [-executor serial]
+//	oxctl -cmd executor [-addr 127.0.0.1:7710]
 //	oxctl -cmd faults [-addr 127.0.0.1:7710]   # remote rig needs oxfabd -faults
 //	oxctl -cmd offload [-addr 127.0.0.1:7710]  # remote rig needs a LightLSM namespace
 package main
@@ -58,7 +58,6 @@ func main() {
 	cmd := flag.String("cmd", "geometry", "geometry | report | placement | executor | faults | offload")
 	paper := flag.Bool("paper", false, "use the paper's exact Figure 4 geometry (1.4 TB)")
 	mode := flag.String("mode", "horizontal", "placement mode: horizontal | vertical")
-	executor := flag.String("executor", "batched", "engine for -cmd executor: serial | batched")
 	addr := flag.String("addr", "", "oxfabd address: run against a served controller instead of an in-process rig")
 	flag.Parse()
 
@@ -143,69 +142,7 @@ func main() {
 			printExecutor(log)
 			return
 		}
-		// Drive a short disjoint-PU zone workload under the selected
-		// engine, then read the LogExecutor admin page back over queue
-		// 0 — the pipeline's grants, realized overlap and stalls are
-		// control-plane observable like any other log. The rig runs
-		// cache-less: with a write-back cache, zone writes fall back to
-		// exclusive footprints (cache admission is device-global) and
-		// the log would show conflict stalls instead of overlap.
-		switch *executor {
-		case "serial", "batched":
-		default:
-			fmt.Fprintf(os.Stderr, "oxctl: unknown -executor %q (serial | batched)\n", *executor)
-			os.Exit(1)
-		}
-		rig := exp.DefaultRig()
-		rig.CacheMB = 0
-		_, ctrl, err := rig.Build()
-		fail(err)
-		tgt, err := zns.New(ctrl, zns.Config{})
-		fail(err)
-		host := hostif.NewHost(ctrl, hostif.HostConfig{Executor: hostif.ExecutorKind(*executor)})
-		admin := host.Admin()
-		nsid, err := admin.AttachNamespace(0, hostif.NewZoneNamespace(tgt))
-		fail(err)
-		report, err := admin.ZoneReport(0, nsid)
-		fail(err)
-		id, err := admin.IdentifyNamespace(0, nsid)
-		fail(err)
-		zoneOf := map[int]int{} // group -> one zone
-		for _, zi := range report {
-			if _, ok := zoneOf[zi.Group]; !ok {
-				zoneOf[zi.Group] = zi.Index
-			}
-		}
-		ident, err := admin.Identify(0)
-		fail(err)
-		block := make([]byte, id.BlockSize)
-		var qps []*hostif.QueuePair
-		for g := 0; g < ident.Geometry.Groups; g++ {
-			// One queue pair per group: each only ever touches its own
-			// group's zones, so their footprints are disjoint.
-			qp, err := admin.CreateIOQueuePair(0, 1, hostif.ClassMedium)
-			fail(err)
-			qps = append(qps, qp)
-		}
-		var last vclock.Time
-		for round := 0; round < 4; round++ {
-			for g, qp := range qps {
-				c := qp.AcquireCommand()
-				c.Op, c.NSID, c.Zone, c.Data = hostif.OpZoneAppend, nsid, zoneOf[g], block
-				fail(qp.Push(last, c))
-			}
-			for _, qp := range qps {
-				comp := qp.MustReap()
-				fail(comp.Err)
-				if comp.Done > last {
-					last = comp.Done
-				}
-			}
-		}
-		log, err := admin.ExecutorStats(last)
-		fail(err)
-		printExecutor(log)
-		host.Close()
+		printExecutor(engineDemo())
 	case "faults":
 		// Hammer the device with writes and reads until chunks grow
 		// bad, then read the LogFaults admin page back over queue 0 —
@@ -346,6 +283,66 @@ func printOffload(st offload.Stats) {
 	fmt.Printf("  bytes direct    %d KB host-side equivalent\n", st.BytesDirect>>10)
 	fmt.Printf("  bytes saved     %d KB\n", st.BytesSaved()>>10)
 	fmt.Printf("  compute busy    %v in-device\n", st.ComputeBusy)
+}
+
+// engineDemo drives a short disjoint-group zone workload through the
+// execution engine, then reads the LogExecutor admin page back over
+// queue 0 — the pipeline's grants, realized overlap and stalls are
+// control-plane observable like any other log. The rig runs cache-less:
+// with a write-back cache, zone writes fall back to exclusive
+// footprints (cache admission is device-global) and the log would show
+// conflict stalls instead of overlap.
+func engineDemo() hostif.ExecutorLog {
+	rig := exp.DefaultRig()
+	rig.CacheMB = 0
+	_, ctrl, err := rig.Build()
+	fail(err)
+	tgt, err := zns.New(ctrl, zns.Config{})
+	fail(err)
+	host := hostif.NewHost(ctrl, hostif.HostConfig{Executor: hostif.ExecutorBatched})
+	defer host.Close()
+	admin := host.Admin()
+	nsid, err := admin.AttachNamespace(0, hostif.NewZoneNamespace(tgt))
+	fail(err)
+	report, err := admin.ZoneReport(0, nsid)
+	fail(err)
+	id, err := admin.IdentifyNamespace(0, nsid)
+	fail(err)
+	zoneOf := map[int]int{} // group -> one zone
+	for _, zi := range report {
+		if _, ok := zoneOf[zi.Group]; !ok {
+			zoneOf[zi.Group] = zi.Index
+		}
+	}
+	ident, err := admin.Identify(0)
+	fail(err)
+	block := make([]byte, id.BlockSize)
+	var qps []*hostif.QueuePair
+	for g := 0; g < ident.Geometry.Groups; g++ {
+		// One queue pair per group: each only ever touches its own
+		// group's zones, so their footprints are disjoint.
+		qp, err := admin.CreateIOQueuePair(0, 1, hostif.ClassMedium)
+		fail(err)
+		qps = append(qps, qp)
+	}
+	var last vclock.Time
+	for round := 0; round < 4; round++ {
+		for g, qp := range qps {
+			c := qp.AcquireCommand()
+			c.Op, c.NSID, c.Zone, c.Data = hostif.OpZoneAppend, nsid, zoneOf[g], block
+			fail(qp.Push(last, c))
+		}
+		for _, qp := range qps {
+			comp := qp.MustReap()
+			fail(comp.Err)
+			if comp.Done > last {
+				last = comp.Done
+			}
+		}
+	}
+	log, err := admin.ExecutorStats(last)
+	fail(err)
+	return log
 }
 
 func printExecutor(log hostif.ExecutorLog) {

@@ -36,20 +36,8 @@ func main() {
 	ftl := flag.String("ftl", "block", "served namespace FTL: block | zns | lsm")
 	pages := flag.Int64("pages", 16384, "OX-Block namespace size in 4 KB logical pages")
 	placement := flag.String("placement", "horizontal", "LightLSM SSTable placement: horizontal | vertical")
-	executor := flag.String("executor", "serial", "host command-service engine: serial | batched")
-	workers := flag.Int("workers", 0, "batched executor worker-pool size (0 = GOMAXPROCS)")
 	faults := flag.Bool("faults", false, "inject media faults (read errors, program fails, grown-bad chunks)")
 	flag.Parse()
-
-	var ex hostif.ExecutorKind
-	switch *executor {
-	case "", "serial":
-		ex = hostif.ExecutorSerial
-	case "batched":
-		ex = hostif.ExecutorBatched
-	default:
-		fail(fmt.Errorf("unknown -executor %q (serial | batched)", *executor))
-	}
 
 	rig := exp.DefaultRig()
 	if *faults {
@@ -66,18 +54,13 @@ func main() {
 	ns, now, err := buildNamespace(ctrl, *ftl, *pages, *placement)
 	fail(err)
 
-	host := hostif.NewHost(ctrl, hostif.HostConfig{
-		ChargeHostLink: true,
-		Executor:       ex,
-		Workers:        *workers,
-	})
-	defer host.Close()
+	host := hostif.NewHost(ctrl, hostif.HostConfig{ChargeHostLink: true})
 	nsid, err := host.Admin().AttachNamespace(now, ns)
 	fail(err)
 
 	l, err := net.Listen("tcp", *addr)
 	fail(err)
-	fmt.Printf("oxfabd: serving %s namespace %d on %s (executor %s)\n", *ftl, nsid, l.Addr(), ex)
+	fmt.Printf("oxfabd: serving %s namespace %d on %s\n", *ftl, nsid, l.Addr())
 	srv := fabrics.NewServer(host)
 
 	// SIGINT/SIGTERM drain gracefully: stop accepting, flush every

@@ -37,10 +37,6 @@ type CrashstormConfig struct {
 	// Dir holds the backend files; empty uses a private temp directory
 	// removed afterwards.
 	Dir string
-	// Executor/Workers select the host engine for the OX-Block storm
-	// (the one storm driven through queue pairs).
-	Executor hostif.ExecutorKind
-	Workers  int
 }
 
 // DefaultCrashstorm returns the default configuration: 50 cycles per
@@ -189,7 +185,7 @@ func crashstormBlock(cfg CrashstormConfig, dir string) (CrashstormPoint, error) 
 			p.ReplayRecs += int64(rep.ReplayedRecords)
 			p.RecoveryMs += float64(rep.Duration) / float64(vclock.Millisecond)
 		}
-		host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{}, cfg.Executor, cfg.Workers))
+		host := hostif.NewHost(ctrl, hostif.HostConfig{})
 		admin := host.Admin()
 		nsid, err := admin.AttachNamespace(now, hostif.NewBlockNamespace(d))
 		if err != nil {

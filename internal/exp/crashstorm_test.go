@@ -1,10 +1,6 @@
 package exp
 
-import (
-	"testing"
-
-	"repro/internal/hostif"
-)
+import "testing"
 
 // TestCrashstormShape runs a reduced storm (the full 50-cycle run is
 // cmd/oxbench -run crashstorm and the CI determinism diff) and checks
@@ -44,25 +40,20 @@ func TestCrashstormShape(t *testing.T) {
 }
 
 // TestCrashstormDeterministic pins the storm table bit-for-bit across
-// two runs, including under the batched engine: recovery time is
-// virtual, cut points are op-count-based, and the oracle iterates in
-// sorted order, so nothing in the table may wobble.
+// two runs: recovery time is virtual, cut points are op-count-based,
+// and the oracle iterates in sorted order, so nothing in the table may
+// wobble.
 func TestCrashstormDeterministic(t *testing.T) {
-	run := func(ex hostif.ExecutorKind, workers int) string {
+	run := func() string {
 		cfg := DefaultCrashstorm()
 		cfg.Cycles = 6
-		cfg.Executor, cfg.Workers = ex, workers
 		pts, err := Crashstorm(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return CrashstormTable(pts).CSV()
 	}
-	a := run(hostif.ExecutorSerial, 0)
-	if b := run(hostif.ExecutorSerial, 0); a != b {
+	if a, b := run(), run(); a != b {
 		t.Fatalf("storm table differs between runs:\n%s\nvs\n%s", a, b)
-	}
-	if e := run(hostif.ExecutorBatched, 4); a != e {
-		t.Fatalf("storm table differs under the engine:\n%s\nvs\n%s", a, e)
 	}
 }

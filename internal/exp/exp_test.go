@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -435,149 +434,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-// TestExecutorEquivalence is the table-level oracle of the execution
-// engines: every scenario renders a byte-identical table under the
-// serial reference executor and the batched engine.
-// Scaled-down configurations keep it fast; the full-scale twin is the
-// CI determinism job, which regenerates the figure CSVs in all modes
-// and diffs them.
-func TestExecutorEquivalence(t *testing.T) {
-	const workers = 4
-	cases := []struct {
-		name string
-		run  func(ex hostif.ExecutorKind) (string, error)
-	}{
-		{"fig3", func(ex hostif.ExecutorKind) (string, error) {
-			cfg := smallFig3()
-			cfg.Executor, cfg.Workers = ex, workers
-			p, err := Figure3(cfg)
-			if err != nil {
-				return "", err
-			}
-			return Figure3Table(p).Render(), nil
-		}},
-		{"fig7", func(ex hostif.ExecutorKind) (string, error) {
-			cfg := DefaultFig7()
-			cfg.BuffersPerThread = 6
-			cfg.ThreadCounts = []int{1, 2}
-			cfg.Executor, cfg.Workers = ex, workers
-			p, err := Figure7(cfg)
-			if err != nil {
-				return "", err
-			}
-			return Figure7Table(p).Render(), nil
-		}},
-		{"gc", func(ex hostif.ExecutorKind) (string, error) {
-			cfg := DefaultGCLocality()
-			cfg.ChannelCounts = []int{8}
-			cfg.TxnsPerWriter = 300
-			cfg.Executor, cfg.Workers = ex, workers
-			p, err := GCLocality(cfg)
-			if err != nil {
-				return "", err
-			}
-			return GCLocalityTable(p).Render(), nil
-		}},
-		{"qd", func(ex hostif.ExecutorKind) (string, error) {
-			cfg := smallQD()
-			cfg.Depths = []int{4}
-			cfg.Executor, cfg.Workers = ex, workers
-			p, err := QDSweep(cfg)
-			if err != nil {
-				return "", err
-			}
-			return QDSweepTable(p).Render(), nil
-		}},
-		{"tenants", func(ex hostif.ExecutorKind) (string, error) {
-			cfg := DefaultTenants()
-			cfg.OpsPerTenant = 200
-			cfg.PagesPerTenant = 2048
-			cfg.Executor, cfg.Workers = ex, workers
-			p, err := Tenants(cfg)
-			if err != nil {
-				return "", err
-			}
-			return TenantsTable(p).Render(), nil
-		}},
-		{"qdwrr", func(ex hostif.ExecutorKind) (string, error) {
-			cfg := DefaultWRRSweep()
-			cfg.Ops = 200
-			cfg.Classes = []hostif.Class{hostif.ClassHigh, hostif.ClassLow}
-			cfg.Executor, cfg.Workers = ex, workers
-			p, err := WRRSweep(cfg)
-			if err != nil {
-				return "", err
-			}
-			return WRRSweepTable(p).Render(), nil
-		}},
-		{"offload", func(ex hostif.ExecutorKind) (string, error) {
-			cfg := DefaultOffload()
-			cfg.ValueSizes = []int{1024, 16384}
-			cfg.FillMB = 1
-			cfg.Gets = 64
-			cfg.ScanMasks = []byte{0x0F}
-			cfg.Scans = 24
-			cfg.LogicalPages = 1024
-			cfg.CompactMB = 4
-			cfg.Executor, cfg.Workers = ex, workers
-			p, err := Offload(cfg)
-			if err != nil {
-				return "", err
-			}
-			return OffloadTable(p).Render(), nil
-		}},
-		{"scale", func(ex hostif.ExecutorKind) (string, error) {
-			// Scale verifies serial≡engine equality internally
-			// on every run; here we additionally pin that two invocations
-			// agree on the deterministic virtual columns (wall/speedup
-			// vary run to run and are excluded).
-			p, err := Scale(smallScale())
-			if err != nil {
-				return "", err
-			}
-			var out strings.Builder
-			for _, pt := range p {
-				fmt.Fprintf(&out, "%d %s %d %v %.0f\n", pt.PUs, pt.Executor, pt.Ops, pt.Elapsed, pt.VirtMBps)
-			}
-			return out.String(), nil
-		}},
-	}
-	if !testing.Short() {
-		// fig5 runs the mini-RocksDB end to end; keep it but at the
-		// smallest grid.
-		cases = append(cases, struct {
-			name string
-			run  func(ex hostif.ExecutorKind) (string, error)
-		}{"fig5", func(ex hostif.ExecutorKind) (string, error) {
-			cfg := smallFig5()
-			cfg.ClientCounts = []int{2}
-			cfg.FillOpsPerClient = 4000
-			cfg.ReadOpsPerClient = 500
-			cfg.Executor, cfg.Workers = ex, workers
-			c, err := Figure5(cfg)
-			if err != nil {
-				return "", err
-			}
-			return Figure5Table(c).Render(), nil
-		}})
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			serial, err := tc.run(hostif.ExecutorSerial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := tc.run(hostif.ExecutorBatched)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial != got {
-				t.Fatalf("the engine changed the table:\n--- serial ---\n%s\n--- batched ---\n%s", serial, got)
-			}
-		})
-	}
-}
-
 func smallScale() ScaleConfig {
 	return ScaleConfig{
 		PUCounts:     []int{1, 4, 128},
@@ -589,13 +445,41 @@ func smallScale() ScaleConfig {
 	}
 }
 
+// TestExecutorEquivalence is the oracle of the execution engines at
+// sweep level. The figure scenarios run only the serial executor; the
+// scale sweep is the one scenario that runs both, and Scale itself fails
+// when an engine row's per-completion digest diverges from the serial
+// row's. Here two invocations must also agree on the deterministic
+// virtual columns (wall/speedup vary run to run and are excluded).
+func TestExecutorEquivalence(t *testing.T) {
+	t.Run("scale", func(t *testing.T) {
+		first, err := Scale(smallScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Scale(smallScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(again) != len(first) {
+			t.Fatalf("second invocation: %d points, want %d", len(again), len(first))
+		}
+		for i, p := range first {
+			q := again[i]
+			if p.PUs != q.PUs || p.Executor != q.Executor || p.Ops != q.Ops || p.Elapsed != q.Elapsed || p.VirtMBps != q.VirtMBps {
+				t.Fatalf("row %d differs across invocations:\n%+v\n%+v", i, p, q)
+			}
+		}
+	})
+}
+
 // TestScaleShape checks the scale sweep's structure: the serial row and
-// every engine row agree on virtual timing (enforced inside Scale), the
-// engine rows realize overlap on multi-PU geometry and amortize
+// every engine row agree on every completion (enforced inside Scale),
+// the engine rows realize overlap on multi-PU geometry and amortize
 // arbitration acquisitions, the packed per-chunk metadata stays within
-// budget, and
-// the table renders every row. One PU count above 64 exercises the
-// deep-group geometry (64 groups, PUs/group > 1) with the MaxOps cap.
+// budget, and the table renders every row. One PU count above 64
+// exercises the deep-group geometry (64 groups, PUs/group > 1) with the
+// MaxOps cap.
 func TestScaleShape(t *testing.T) {
 	cfg := smallScale()
 	points, err := Scale(cfg)

@@ -55,10 +55,7 @@ type FabricConfig struct {
 	// connection every ChurnEvery completed ops.
 	ChurnClients int
 	ChurnEvery   int
-	// Executor/Workers select the host's command-service engine.
-	Executor hostif.ExecutorKind
-	Workers  int
-	Seed     int64
+	Seed         int64
 	// Addr, when non-empty, targets an already-running oxfabd server
 	// instead of a fresh loopback rig per load point. Remote targets
 	// accumulate state across points, so output is not deterministic
@@ -97,8 +94,6 @@ func (cfg FabricConfig) qd() QDSweepConfig {
 		TxnPages:     cfg.TxnPages,
 		ReadPages:    cfg.ReadPages,
 		LogicalPages: cfg.LogicalPages,
-		Executor:     cfg.Executor,
-		Workers:      cfg.Workers,
 		Seed:         cfg.Seed,
 	}
 }

@@ -30,10 +30,6 @@ type Fig3Config struct {
 	// TxnEvery paces the writer (one transaction per TxnEvery).
 	TxnEvery vclock.Duration
 	Seed     int64
-	// Executor/Workers select the host's command-service engine
-	// (results are identical for either engine).
-	Executor hostif.ExecutorKind
-	Workers  int
 }
 
 // DefaultFig3 returns the scaled default configuration.
@@ -102,7 +98,7 @@ func figure3Run(cfg Fig3Config, interval, failAt vclock.Duration) (Fig3Point, er
 	// at the writer's clock and reaped before the next is issued. Setup
 	// is pure control plane: namespace attach and queue-pair creation
 	// are admin commands over queue 0.
-	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{}, cfg.Executor, cfg.Workers))
+	host := hostif.NewHost(ctrl, hostif.HostConfig{})
 	defer host.Close()
 	admin := host.Admin()
 	nsid, err := admin.AttachNamespace(now, hostif.NewBlockNamespace(d))

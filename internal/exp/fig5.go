@@ -37,10 +37,6 @@ type Fig5Config struct {
 	// interrupt-style completion notification (timing-equivalent; the
 	// tables are identical either way).
 	Notify bool
-	// Executor/Workers select the host's command-service engine
-	// (results are identical for either engine).
-	Executor hostif.ExecutorKind
-	Workers  int
 }
 
 // DefaultFig5 returns the scaled default configuration.
@@ -104,7 +100,7 @@ func figure5Run(cfg Fig5Config, placement lightlsm.Placement, clients int) ([]Fi
 	// queue pair instead of calling LightLSM directly. Attachment is
 	// all admin-queue commands; cfg.Notify swaps Reap-polling for
 	// interrupt-style completion delivery.
-	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{}, cfg.Executor, cfg.Workers))
+	host := hostif.NewHost(ctrl, hostif.HostConfig{})
 	defer host.Close()
 	cli, err := hostif.AttachLSM(host, env)
 	if err != nil {

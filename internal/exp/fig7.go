@@ -20,11 +20,6 @@ type Fig7Config struct {
 	Seed             int64
 	// ZeroCopyRX enables the §4.4 ablation (AF_XDP-style receive).
 	ZeroCopyRX bool
-	// Executor selects the host's command-service engine (zero value:
-	// serial); Workers sizes the engine's worker pool. Results are
-	// identical for either engine.
-	Executor hostif.ExecutorKind
-	Workers  int
 }
 
 // DefaultFig7 returns the default configuration.
@@ -87,7 +82,7 @@ func figure7Run(cfg Fig7Config, threads int) (Fig7Point, error) {
 	// adapter performs both controller copies. The closed loop always
 	// resumes the thread whose command completes first (ReapAny) — the
 	// queue-pair incarnation of the old smallest-clock DES loop.
-	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{ChargeHostLink: true}, cfg.Executor, cfg.Workers))
+	host := hostif.NewHost(ctrl, hostif.HostConfig{ChargeHostLink: true})
 	defer host.Close()
 	admin := host.Admin()
 	nsid, err := admin.AttachNamespace(0, hostif.NewEleosNamespace(store))

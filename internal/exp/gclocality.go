@@ -24,10 +24,6 @@ type GCLocalityConfig struct {
 	// GlobalGC disables group marking (the ablation: interference
 	// spreads everywhere).
 	GlobalGC bool
-	// Executor/Workers select the host's command-service engine
-	// (results are identical for either engine).
-	Executor hostif.ExecutorKind
-	Workers  int
 }
 
 // DefaultGCLocality returns the default configuration.
@@ -95,7 +91,7 @@ func gcLocalityRun(cfg GCLocalityConfig, channels int) (GCLocalityPoint, error) 
 	// rings its doorbell at the completion instant, so the shared random
 	// stream is consumed in deterministic completion order.
 	data := make([]byte, cfg.TxnPages*4096)
-	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{}, cfg.Executor, cfg.Workers))
+	host := hostif.NewHost(ctrl, hostif.HostConfig{})
 	defer host.Close()
 	admin := host.Admin()
 	nsid, err := admin.AttachNamespace(now, hostif.NewBlockNamespace(d))

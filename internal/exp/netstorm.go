@@ -47,9 +47,6 @@ type NetstormConfig struct {
 	// cannot touch virtual time).
 	KeepAlive time.Duration
 	Seed      int64
-	// Executor/Workers select the host's command-service engine.
-	Executor hostif.ExecutorKind
-	Workers  int
 }
 
 // DefaultNetstorm returns the default storm shape: 9 clients × 60 ops
@@ -364,7 +361,7 @@ func netstormBlockBench(cfg NetstormConfig) (*netstormBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{ChargeHostLink: true}, cfg.Executor, cfg.Workers))
+	host := hostif.NewHost(ctrl, hostif.HostConfig{ChargeHostLink: true})
 	nsid, err := host.Admin().AttachNamespace(now, hostif.NewBlockNamespace(d))
 	if err != nil {
 		return nil, err
@@ -447,7 +444,7 @@ func netstormEleosBench(cfg NetstormConfig) (*netstormBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{ChargeHostLink: true}, cfg.Executor, cfg.Workers))
+	host := hostif.NewHost(ctrl, hostif.HostConfig{ChargeHostLink: true})
 	nsid, err := host.Admin().AttachNamespace(0, hostif.NewEleosNamespace(s))
 	if err != nil {
 		return nil, err
@@ -540,7 +537,7 @@ func netstormZNSBench(cfg NetstormConfig) (*netstormBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{ChargeHostLink: true}, cfg.Executor, cfg.Workers))
+	host := hostif.NewHost(ctrl, hostif.HostConfig{ChargeHostLink: true})
 	nsid, err := host.Admin().AttachNamespace(0, hostif.NewZoneNamespace(t))
 	if err != nil {
 		return nil, err

@@ -3,8 +3,6 @@ package exp
 import (
 	"testing"
 	"time"
-
-	"repro/internal/hostif"
 )
 
 // netstormTestConfig is the reduced storm the tests run (the full
@@ -55,30 +53,21 @@ func TestNetstormShape(t *testing.T) {
 }
 
 // TestNetstormDeterministic pins the storm table bit-for-bit across
-// two runs and under the batched engine: fault triggers are
-// frame-count-based, the orchestrator keeps one command in flight
-// globally, and replay re-executes at original doorbell instants, so
-// nothing in the table may wobble.
+// two runs: fault triggers are frame-count-based, the orchestrator
+// keeps one command in flight globally, and replay re-executes at
+// original doorbell instants, so nothing in the table may wobble.
 func TestNetstormDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storm determinism run is slow")
 	}
-	run := func(ex hostif.ExecutorKind, workers int) string {
-		cfg := netstormTestConfig()
-		cfg.Executor, cfg.Workers = ex, workers
-		pts, err := Netstorm(cfg)
+	run := func() string {
+		pts, err := Netstorm(netstormTestConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return NetstormTable(pts).CSV()
 	}
-	a := run(hostif.ExecutorSerial, 0)
-	b := run(hostif.ExecutorSerial, 0)
-	if a != b {
+	if a, b := run(), run(); a != b {
 		t.Fatalf("netstorm table differs across runs:\n%s\n---\n%s", a, b)
-	}
-	c := run(hostif.ExecutorBatched, 2)
-	if a != c {
-		t.Fatalf("netstorm table differs across executors:\n%s\n---\n%s", a, c)
 	}
 }

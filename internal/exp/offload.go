@@ -36,10 +36,8 @@ import (
 //     traffic, not latency.
 //
 // Every column is virtual-time- or counter-derived, so the table is a
-// pure function of the seed: it joins the CI determinism diff, must be
-// identical under the serial and batched executors (offload data
-// commands are host-link-charged and therefore inline barriers), and
-// identical again when every command crosses the fabrics loopback
+// pure function of the seed: it joins the CI determinism diff and must
+// be identical when every command crosses the fabrics loopback
 // transport (OffloadLoopback).
 type OffloadConfig struct {
 	// ValueSizes are the KV value sizes swept, in bytes.
@@ -60,11 +58,7 @@ type OffloadConfig struct {
 	// CompactMB is the fill volume of the compaction comparison (sized
 	// to trigger several L0 compactions).
 	CompactMB int
-	// Executor/Workers select the host's command-service engine
-	// (results are identical for either engine).
-	Executor hostif.ExecutorKind
-	Workers  int
-	Seed     int64
+	Seed      int64
 }
 
 // DefaultOffload returns the default crossover sweep.
@@ -177,7 +171,7 @@ func offloadLSMRig(cfg OffloadConfig, fabric bool) (*ox.Controller, offloadEnv, 
 	if err != nil {
 		return nil, nil, nil, 0, nil, err
 	}
-	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{ChargeHostLink: true}, cfg.Executor, cfg.Workers))
+	host := hostif.NewHost(ctrl, hostif.HostConfig{ChargeHostLink: true})
 	if !fabric {
 		cli, err := hostif.AttachLSM(host, env)
 		if err != nil {
@@ -306,7 +300,7 @@ func offloadScanPoint(cfg OffloadConfig, mask byte, fabric bool) (OffloadPoint, 
 		if err != nil {
 			return p, err
 		}
-		host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{ChargeHostLink: true}, cfg.Executor, cfg.Workers))
+		host := hostif.NewHost(ctrl, hostif.HostConfig{ChargeHostLink: true})
 		nsid, err := host.Admin().AttachNamespace(now, hostif.NewBlockNamespace(dev))
 		if err != nil {
 			host.Close()

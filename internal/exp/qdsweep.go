@@ -28,10 +28,6 @@ type QDSweepConfig struct {
 	TxnPages int
 	// ReadPages is the size of each read in 4 KB pages.
 	ReadPages int
-	// Executor/Workers select the host's command-service engine
-	// (results are identical for either engine).
-	Executor hostif.ExecutorKind
-	Workers  int
 	// LogicalPages sizes the OX-Block namespace (prefilled before
 	// measuring so reads hit mapped pages).
 	LogicalPages int64
@@ -172,7 +168,7 @@ func qdRig(cfg QDSweepConfig) (*hostif.Host, int, vclock.Time, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{ChargeHostLink: true}, cfg.Executor, cfg.Workers))
+	host := hostif.NewHost(ctrl, hostif.HostConfig{ChargeHostLink: true})
 	nsid, err := host.Admin().AttachNamespace(now, hostif.NewBlockNamespace(d))
 	if err != nil {
 		return nil, 0, 0, err

@@ -42,17 +42,6 @@ func DefaultRig() RigConfig {
 	}
 }
 
-// hostConfig applies a scenario's executor selection to its base host
-// configuration. Scenario configs carry Executor/Workers so every
-// figure can run under the serial reference executor (the zero value)
-// or the batched engine; results are bit-identical either way, which
-// TestExecutorEquivalence pins table by table.
-func hostConfig(base hostif.HostConfig, ex hostif.ExecutorKind, workers int) hostif.HostConfig {
-	base.Executor = ex
-	base.Workers = workers
-	return base
-}
-
 // reapLoop is the shared closed-loop driver: reap the globally
 // earliest completion, let the scenario's callback do its bookkeeping
 // and resubmit on that completion's queue, repeat total times. Every

@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"repro/internal/hostif"
@@ -89,25 +91,26 @@ type ScalePoint struct {
 
 // Scale runs the sweep: for each PU count, a serial reference run and
 // one engine run per worker count. It returns an error if any engine
-// run's virtual timing diverges from the serial reference — the
+// run's completion stream diverges from the serial reference in any
+// completion's queue, slot, submit or done instant or status — the
 // determinism contract, enforced on every invocation.
 func Scale(cfg ScaleConfig) ([]ScalePoint, error) {
 	var out []ScalePoint
 	for _, pus := range cfg.PUCounts {
-		serial, err := scaleRun(cfg, pus, "", 0)
+		serial, want, err := scaleRun(cfg, pus, hostif.ExecutorSerial, 0)
 		if err != nil {
 			return out, fmt.Errorf("scale %d PUs serial: %w", pus, err)
 		}
 		serial.Speedup = 1
 		out = append(out, serial)
 		for _, workers := range cfg.Workers {
-			p, err := scaleRun(cfg, pus, hostif.ExecutorBatched, workers)
+			p, got, err := scaleRun(cfg, pus, hostif.ExecutorBatched, workers)
 			if err != nil {
 				return out, fmt.Errorf("scale %d PUs %d workers: %w", pus, workers, err)
 			}
-			if p.Elapsed != serial.Elapsed {
-				return out, fmt.Errorf("scale %d PUs %d workers: virtual elapsed %v diverged from serial %v",
-					pus, workers, p.Elapsed, serial.Elapsed)
+			if got != want {
+				return out, fmt.Errorf("scale %d PUs %d workers: completion digest %016x diverged from serial %016x",
+					pus, workers, got, want)
 			}
 			if p.Wall > 0 {
 				p.Speedup = float64(serial.Wall) / float64(p.Wall)
@@ -148,33 +151,36 @@ func scaleOps(cfg ScaleConfig, pus int) int {
 	return per
 }
 
-func scaleRun(cfg ScaleConfig, pus int, ex hostif.ExecutorKind, workers int) (ScalePoint, error) {
+// scaleRun runs one sweep point and returns it with a digest of every
+// reaped completion (queue, slot, submit and done instants, status) in
+// reap order.
+func scaleRun(cfg ScaleConfig, pus int, ex hostif.ExecutorKind, workers int) (ScalePoint, uint64, error) {
 	if pus > 64 && pus%64 != 0 {
-		return ScalePoint{}, fmt.Errorf("scale: %d PUs not a multiple of 64", pus)
+		return ScalePoint{}, 0, fmt.Errorf("scale: %d PUs not a multiple of 64", pus)
 	}
 	rig := scaleRig(cfg, pus)
 	dev, ctrl, err := rig.Build()
 	if err != nil {
-		return ScalePoint{}, err
+		return ScalePoint{}, 0, err
 	}
 	tgt, err := zns.New(ctrl, zns.Config{})
 	if err != nil {
-		return ScalePoint{}, err
+		return ScalePoint{}, 0, err
 	}
-	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{}, ex, workers))
+	host := hostif.NewHost(ctrl, hostif.HostConfig{Executor: ex, Workers: workers})
 	defer host.Close() // one host per sweep point: release its workers
 	admin := host.Admin()
 	nsid, err := admin.AttachNamespace(0, hostif.NewZoneNamespace(tgt))
 	if err != nil {
-		return ScalePoint{}, err
+		return ScalePoint{}, 0, err
 	}
 	report, err := admin.ZoneReport(0, nsid)
 	if err != nil {
-		return ScalePoint{}, err
+		return ScalePoint{}, 0, err
 	}
 	id, err := admin.IdentifyNamespace(0, nsid)
 	if err != nil {
-		return ScalePoint{}, err
+		return ScalePoint{}, 0, err
 	}
 
 	// One actor per group: its zones are the ones in its group (spanning
@@ -190,7 +196,7 @@ func scaleRun(cfg ScaleConfig, pus int, ex hostif.ExecutorKind, workers int) (Sc
 	appendBytes := cfg.AppendBlocks * id.BlockSize
 	perZone := int(id.ZoneCapacity) / appendBytes
 	if perZone == 0 {
-		return ScalePoint{}, fmt.Errorf("scale: %d-byte appends exceed the %d-byte zone capacity", appendBytes, id.ZoneCapacity)
+		return ScalePoint{}, 0, fmt.Errorf("scale: %d-byte appends exceed the %d-byte zone capacity", appendBytes, id.ZoneCapacity)
 	}
 	data := make([]byte, appendBytes)
 	perPU := scaleOps(cfg, pus)
@@ -205,14 +211,14 @@ func scaleRun(cfg ScaleConfig, pus int, ex hostif.ExecutorKind, workers int) (Sc
 	for i := range actors {
 		qp, err := admin.CreateIOQueuePair(0, 1, hostif.ClassMedium)
 		if err != nil {
-			return ScalePoint{}, err
+			return ScalePoint{}, 0, err
 		}
 		actors[i] = &actor{qp: qp, zones: zonesOf[i]}
 	}
 	need := (perActor + perZone - 1) / perZone
 	for _, a := range actors {
 		if len(a.zones) < need {
-			return ScalePoint{}, fmt.Errorf("scale: %d zones per group, need %d", len(a.zones), need)
+			return ScalePoint{}, 0, fmt.Errorf("scale: %d zones per group, need %d", len(a.zones), need)
 		}
 	}
 	submit := func(a *actor, at vclock.Time) error {
@@ -233,14 +239,22 @@ func scaleRun(cfg ScaleConfig, pus int, ex hostif.ExecutorKind, workers int) (Sc
 	wallStart := time.Now()
 	for _, a := range actors {
 		if err := submit(a, 0); err != nil {
-			return ScalePoint{}, err
+			return ScalePoint{}, 0, err
 		}
 	}
 	qid0 := actors[0].qp.ID()
 	var end vclock.Time
 	inRound := 0
 	totalOps := perActor * groups
+	digest := fnv.New64a()
+	var rec [33]byte
 	err = reapLoop(host, "scale", totalOps, func(comp hostif.Completion) error {
+		binary.LittleEndian.PutUint64(rec[0:], uint64(comp.QueueID))
+		binary.LittleEndian.PutUint64(rec[8:], comp.Slot)
+		binary.LittleEndian.PutUint64(rec[16:], uint64(comp.Submitted))
+		binary.LittleEndian.PutUint64(rec[24:], uint64(comp.Done))
+		rec[32] = byte(comp.Status)
+		digest.Write(rec[:])
 		a := actors[comp.QueueID-qid0]
 		a.lastDone = comp.Done
 		if comp.Done > end {
@@ -259,25 +273,21 @@ func scaleRun(cfg ScaleConfig, pus int, ex hostif.ExecutorKind, workers int) (Sc
 		return nil
 	})
 	if err != nil {
-		return ScalePoint{}, err
+		return ScalePoint{}, 0, err
 	}
 	wall := time.Since(wallStart)
 
 	p := ScalePoint{
-		PUs:      pus,
-		Executor: hostif.ExecutorSerial,
-		Ops:      totalOps,
-		Elapsed:  end.Sub(0),
-		Wall:     wall,
-	}
-	if ex != "" {
-		p.Executor = ex
+		PUs:     pus,
+		Ops:     totalOps,
+		Elapsed: end.Sub(0),
+		Wall:    wall,
 	}
 	log, err := admin.ExecutorStats(end)
 	if err != nil {
-		return ScalePoint{}, err
+		return ScalePoint{}, 0, err
 	}
-	p.Workers = log.Workers
+	p.Executor, p.Workers = log.Executor, log.Workers
 	p.Grants = log.Grants
 	p.Acquisitions = log.Acquisitions
 	if log.Grants > 0 {
@@ -290,7 +300,7 @@ func scaleRun(cfg ScaleConfig, pus int, ex hostif.ExecutorKind, workers int) (Sc
 	if end > 0 {
 		p.VirtMBps = float64(p.Ops) * float64(appendBytes) / 1e6 / end.Seconds()
 	}
-	return p, nil
+	return p, digest.Sum64(), nil
 }
 
 // ScaleTable renders the sweep. Virtual columns are deterministic and

@@ -38,10 +38,6 @@ type TenantsConfig struct {
 	Classes []hostif.Class
 	// LoadFactors multiply OpsPerTenant per tenant; nil means 1 each.
 	LoadFactors []int
-	// Executor/Workers select the host's command-service engine
-	// (results are identical for either engine).
-	Executor hostif.ExecutorKind
-	Workers  int
 }
 
 // DefaultTenants returns the symmetric default scenario.
@@ -134,7 +130,7 @@ func tenantsRun(cfg TenantsConfig, active []bool) ([]TenantPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{ChargeHostLink: true}, cfg.Executor, cfg.Workers))
+	host := hostif.NewHost(ctrl, hostif.HostConfig{ChargeHostLink: true})
 	defer host.Close()
 	admin := host.Admin()
 

@@ -31,10 +31,6 @@ type WRRSweepConfig struct {
 	// PagesPerTenant sizes the two partitions.
 	PagesPerTenant int64
 	Seed           int64
-	// Executor/Workers select the host's command-service engine
-	// (results are identical for either engine).
-	Executor hostif.ExecutorKind
-	Workers  int
 }
 
 // DefaultWRRSweep returns the default sweep. The urgent, high and
@@ -92,7 +88,7 @@ func wrrRun(cfg WRRSweepConfig, class hostif.Class) (WRRPoint, error) {
 	if err != nil {
 		return WRRPoint{}, err
 	}
-	host := hostif.NewHost(ctrl, hostConfig(hostif.HostConfig{ChargeHostLink: true}, cfg.Executor, cfg.Workers))
+	host := hostif.NewHost(ctrl, hostif.HostConfig{ChargeHostLink: true})
 	defer host.Close()
 	admin := host.Admin()
 

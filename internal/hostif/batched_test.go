@@ -1,6 +1,7 @@
 package hostif
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,7 +12,7 @@ import (
 // matchesSerialRandomized is the executor-equivalence oracle at the
 // host level: a randomized multi-queue workload with mixed footprints
 // (disjoint lanes, same-lane conflicts, exclusive barriers, admin
-// interleavings) must produce completion streams that are
+// interleavings, bad NSIDs) must produce completion streams that are
 // bit-identical — same order, same virtual times — under the serial
 // executor and the engine with the given worker count. Every round
 // stages several queues before reaping, so the engine gathers
@@ -45,6 +46,9 @@ func matchesSerialRandomized(t *testing.T, workers int) {
 					if _, err := qp.Submit(cmd); err != nil {
 						t.Fatal(err)
 					}
+					if rng.Intn(16) == 0 {
+						cmd.NSID = 9 // past Submit's check: the sequencer's bad-NSID inline class
+					}
 				}
 				qp.Ring(now.Add(vclock.Duration(rng.Intn(50)) * vclock.Microsecond))
 			}
@@ -74,14 +78,18 @@ func matchesSerialRandomized(t *testing.T, workers int) {
 	if len(got) != len(serial) {
 		t.Fatalf("workers=%d: %d completions vs serial %d", workers, len(got), len(serial))
 	}
+	badNSID := 0
 	for i := range serial {
 		if keyOf(serial[i]) != keyOf(got[i]) {
 			t.Fatalf("workers=%d: completion %d diverged:\nserial  %+v\nbatched %+v",
 				workers, i, serial[i], got[i])
 		}
+		if errors.Is(got[i].Err, ErrBadNSID) {
+			badNSID++
+		}
 	}
-	if log.Acquisitions >= log.Grants || log.ConflictStalls == 0 {
-		t.Fatalf("workers=%d: no multi-grant batch or no conflict stall: %+v", workers, log)
+	if log.Acquisitions >= log.Grants || log.ConflictStalls == 0 || badNSID == 0 {
+		t.Fatalf("workers=%d: no multi-grant batch, conflict stall or bad NSID (%d): %+v", workers, badNSID, log)
 	}
 }
 

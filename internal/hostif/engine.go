@@ -14,11 +14,10 @@ import (
 // and classifies its media footprint through Namespace.Footprint. This
 // stage takes those grants and runs them on a pool of workers,
 // overlapping commands whose footprints are disjoint while conflicting,
-// admin, host-link-charged and footprint-unknown commands act as
-// barriers. Completions come back through a reorder stage keyed by
-// sequence number, so queue-pair completion order, notification order
-// and every virtual-time result are bit-for-bit identical to the serial
-// executor.
+// admin and footprint-unknown commands act as barriers. Completions
+// come back through a reorder stage keyed by sequence number, so
+// queue-pair completion order, notification order and every
+// virtual-time result are bit-for-bit identical to the serial executor.
 //
 // Why this is deterministic: the sequencer dispatches in sequence
 // order, and a grant is not dispatched while any in-flight command's
@@ -93,8 +92,8 @@ type ExecutorLog struct {
 	// because every worker was busy and the job queue was full (a
 	// subset of Dispatched; see engine.go).
 	SelfRun int64
-	// Inline counts grants executed inline in the sequencer (admin
-	// commands, host-link-charged data commands, unknown namespaces).
+	// Inline counts grants executed inline in the sequencer: admin
+	// commands and commands naming an unknown namespace.
 	Inline int64
 	// Overlapped counts dispatches that entered the pool while at least
 	// one other command was already in flight — the concurrency the
@@ -120,9 +119,9 @@ type execJob struct {
 	ns  Namespace
 }
 
-// run executes the job's data path. It mirrors Host.exec for the
-// non-admin, non-host-link case: the namespace adapter does all
-// controller and media accounting itself.
+// run executes the job's data path. It mirrors Host.exec for a data
+// command on an engine host, which never charges the host link: the
+// namespace adapter does all controller and media accounting itself.
 func (j execJob) run() Completion {
 	cmd := j.e.cmd
 	res := j.ns.Execute(j.e.ready, cmd)
@@ -353,7 +352,7 @@ func (eng *engine) dispatch(h *Host, j execJob, fp Footprint) {
 // doorbell and credit state, and neither gathering nor dispatching
 // rings a doorbell, so pulling B grants back-to-back yields the same
 // sequence the serial loop grants one at a time. An inline-class grant
-// (admin, host-link-charged, bad NSID) terminates its batch: admin
+// (admin, bad NSID) terminates its batch: admin
 // execution mutates the snapshots classification reads, so no grant is
 // ever classified after an unexecuted admin command. Caller holds
 // execMu and delivers takeNotes() after releasing it.
@@ -382,14 +381,11 @@ func (h *Host) drainEngineLocked() {
 
 			// Inline classes — each acts as a full barrier at dispatch.
 			// Admin commands mutate host structures the sequencer itself
-			// reads; host-link transfers share one bus whose reservation
-			// order is the serial order; a bad NSID never reaches an
-			// adapter.
+			// reads; a bad NSID never reaches an adapter. (An engine host
+			// never charges the host link: NewHost refuses it.)
 			g.inline = cmd.Op.IsAdmin()
 			if !g.inline {
-				if h.cfg.ChargeHostLink {
-					g.inline = true
-				} else if err := checkNSID(h.namespaces(), cmd.NSID); err != nil {
+				if err := checkNSID(h.namespaces(), cmd.NSID); err != nil {
 					g.inline = true
 				} else {
 					nsid := cmd.NSID

@@ -566,3 +566,15 @@ func TestReorderRingGrows(t *testing.T) {
 		}
 	}
 }
+
+// TestNewHostRefusesEngineBehindHostLink pins the configuration NewHost
+// rejects besides an unknown executor: the engine on a host that
+// charges the host link, where every data command would run inline.
+func TestNewHostRefusesEngineBehindHostLink(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewHost accepted ExecutorBatched with ChargeHostLink")
+		}
+	}()
+	NewHost(testController(t), HostConfig{ChargeHostLink: true, Executor: ExecutorBatched})
+}

@@ -31,7 +31,8 @@ type HostConfig struct {
 	// inline in the arbitration loop, and ExecutorBatched decouples
 	// arbitration from media execution, overlapping grants with
 	// disjoint footprints on a worker pool. Both produce bit-identical
-	// completions; see engine.go.
+	// completions; see engine.go. NewHost refuses ExecutorBatched
+	// together with ChargeHostLink.
 	Executor ExecutorKind
 
 	// Workers sizes the engine's worker pool; zero selects GOMAXPROCS.
@@ -101,6 +102,9 @@ func NewHost(ctrl *ox.Controller, cfg HostConfig) *Host {
 	switch cfg.Executor {
 	case "", ExecutorSerial:
 	case ExecutorBatched:
+		if cfg.ChargeHostLink {
+			panic("hostif: the engine cannot charge the host link (every charged command would run inline)")
+		}
 		h.eng = newEngine(cfg.Workers)
 	default:
 		panic(fmt.Sprintf("hostif: unknown executor %q", cfg.Executor))
