@@ -395,9 +395,15 @@ func (c *Chip) program(plane, blk, pg int, prefix, oob []byte) error {
 		// retained from a previous program/erase cycle.
 		p.data = nil
 	case cap(p.data) < len(prefix):
+		// A new buffer is usually memory the kernel has just faulted in
+		// and zeroed through the cache: a plain copy hits those lines,
+		// where streaming stores would evict them and write each twice.
 		p.data = append([]byte(nil), prefix...)
 	default:
-		p.data = append(p.data[:0], prefix...)
+		// A reused buffer was last written one erase cycle ago, so it has
+		// usually left the cache: streaming stores skip reading it back.
+		p.data = p.data[:len(prefix)]
+		storeCopy(p.data, prefix)
 	}
 	p.oob = append(p.oob[:0], oob...)
 	b.next++

@@ -1284,17 +1284,16 @@ func (d *Device) Copy(now vclock.Time, src []PPA, dst ChunkID) (int, vclock.Time
 	}
 	sz := geo.Chip.SectorSize
 	need := len(src) * sz
-	var buf []byte
-	if v := d.copyBufs.Get(); v != nil {
-		buf = *(v.(*[]byte))
+	// The pool holds *[]byte, and the pointer Get returned is the one put
+	// back: taking the address of a local here would move it to the heap
+	// on every call.
+	bp, _ := d.copyBufs.Get().(*[]byte)
+	if bp == nil || cap(*bp) < need {
+		b := make([]byte, need)
+		bp = &b
 	}
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	buf = buf[:need]
-	defer func() {
-		d.copyBufs.Put(&buf)
-	}()
+	defer d.copyBufs.Put(bp)
+	buf := (*bp)[:need]
 	// Device-internal read of the sources (tR per page, no host channel).
 	end, err := d.VectorRead(now, src, buf)
 	if err != nil {
