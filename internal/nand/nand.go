@@ -451,7 +451,7 @@ func isZero(b []byte) bool {
 // A page stored as a partial prefix is widened to a whole page the first
 // time it is read whole (one allocation; the page then stores its zero
 // tail as bytes until it is programmed again); an all-zero page reads
-// the chip's shared zero page. ReadSector, the device's read, never
+// the chip's shared zero page. ReadSectors, the device's read, never
 // widens anything.
 func (c *Chip) Read(plane, blk, pg int) (data, oob []byte, err error) {
 	if err := c.checkAddr(plane, blk, pg); err != nil {
@@ -476,33 +476,51 @@ func (c *Chip) Read(plane, blk, pg int) (data, oob []byte, err error) {
 }
 
 // ReadSector returns one sector of a page, costing exactly what Read of
-// the page costs: same checks, same counters, same bit-error draw. A
-// sector past the page's stored prefix is the chip's shared zero sector.
-// The slice is chip memory: it must not be written.
+// the page costs: same checks, same counters, same bit-error draw. It is
+// ReadSectors of one sector.
 func (c *Chip) ReadSector(plane, blk, pg, sector int) ([]byte, error) {
-	if err := c.checkAddr(plane, blk, pg); err != nil {
+	var out [1][]byte
+	if err := c.ReadSectors(plane, blk, pg, sector, out[:]); err != nil {
 		return nil, err
 	}
-	if sector < 0 || sector >= c.geo.SectorsPerPage {
-		return nil, ErrAddress
+	return out[0], nil
+}
+
+// ReadSectors reads len(out) consecutive sectors of one page, starting
+// at sector first, under one lock, and costs exactly what that many
+// ReadSector calls cost: each sector is sensed once, in order, with its
+// own read count and bit-error draw. out[i] receives sector first+i; a
+// sector past the page's stored prefix is the chip's shared zero sector.
+// The slices are chip memory: they must not be written. On an error out
+// is left as it was and nothing is counted or drawn.
+func (c *Chip) ReadSectors(plane, blk, pg, first int, out [][]byte) error {
+	if err := c.checkAddr(plane, blk, pg); err != nil {
+		return err
+	}
+	if first < 0 || len(out) == 0 || first+len(out) > c.geo.SectorsPerPage {
+		return ErrAddress
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, err := c.sense(plane, blk, pg)
-	if err != nil {
-		return nil, err
-	}
 	sz := c.geo.SectorSize
-	off := sector * sz
-	if off+sz > len(p.data) {
-		return c.zeros()[:sz:sz], nil
+	for i := range out {
+		p, err := c.sense(plane, blk, pg)
+		if err != nil {
+			return err // only the first sense can fail: the page is the same
+		}
+		off := (first + i) * sz
+		if off+sz > len(p.data) {
+			out[i] = c.zeros()[:sz:sz]
+		} else {
+			out[i] = p.data[off : off+sz : off+sz]
+		}
 	}
-	return p.data[off : off+sz : off+sz], nil
+	return nil
 }
 
-// sense is the array read shared by Read and ReadSector: it enforces the
-// read rules, draws the bit-error injection and counts the read. Caller
-// holds c.mu.
+// sense is the array read shared by Read and ReadSectors: it enforces
+// the read rules, draws the bit-error injection and counts the read.
+// Caller holds c.mu.
 func (c *Chip) sense(plane, blk, pg int) (*page, error) {
 	b := &c.planes[plane][blk]
 	if b.bad {

@@ -820,11 +820,12 @@ func sameTypedErr(got, want error) bool {
 // FuzzChipAgainstModel drives a Chip and the full-page model with one
 // operation stream decoded from the input: Program of pages with
 // arbitrary zero-sector patterns (whole, trailing, interior, partly-zero
-// sectors), ProgramPrefix, ProgramZero, Erase, MarkBad, Read and
-// ReadSector, at the write pointer or anywhere (out of range included),
-// with program failures, read bit errors, wear-out and factory bad
-// blocks injected. Every error, every byte read and the Stats must agree:
-// storing only a page's non-zero-sector prefix is invisible.
+// sectors), ProgramPrefix, ProgramZero, Erase, MarkBad, Read, ReadSector
+// and ReadSectors, at the write pointer or anywhere (out of range
+// included), with program failures, read bit errors, wear-out and
+// factory bad blocks injected. Every error, every byte read and the
+// Stats must agree: storing only a page's non-zero-sector prefix is
+// invisible.
 func FuzzChipAgainstModel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0x5, 7, 1, 0, 0, 0x3, 2, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0, 2})
 	f.Add([]byte("\x00\x00\x00\x00\x0e\x01\x00\x00\x00\x09\x02\x03\x00\x00\x00\x04\x00\x00\x00\x05\x00\x00\x03\x03\x00\x00"))
@@ -912,17 +913,25 @@ func FuzzChipAgainstModel(f *testing.F) {
 				if err == nil && (!bytes.Equal(got, want) || !bytes.Equal(gotOOB, wantOOB)) {
 					t.Fatalf("step %d: Read %d/%d/%d returned other bytes than were programmed", step, plane, blk, pg)
 				}
-			case 7:
-				s := next() % (spp + 1)
-				got, err := c.ReadSector(plane, blk, pg, s)
-				errC = err
-				if s == spp {
-					errM = ErrAddress
+			case 7: // ReadSector (n = 0) or ReadSectors of n sectors, each sensed once
+				s, n := next()%(spp+1), next()%(spp+1)
+				got := make([][]byte, max(n, 1))
+				if n == 0 {
+					got[0], errC = c.ReadSector(plane, blk, pg, s)
 				} else {
+					errC = c.ReadSectors(plane, blk, pg, s, got)
+				}
+				if _, aerr := m.block(plane, blk, pg); aerr == nil && s+len(got) > spp {
+					errM = ErrAddress
+					break
+				}
+				for i := range got {
 					want, _, werr := m.read(plane, blk, pg)
-					errM = werr
-					if err == nil && !bytes.Equal(got, want[s*sz:(s+1)*sz]) {
-						t.Fatalf("step %d: ReadSector %d/%d/%d/%d returned other bytes than were programmed", step, plane, blk, pg, s)
+					if errM = werr; werr != nil {
+						break
+					}
+					if errC == nil && !bytes.Equal(got[i], want[(s+i)*sz:(s+i+1)*sz]) {
+						t.Fatalf("step %d: ReadSectors %d/%d/%d/%d+%d returned other bytes than were programmed", step, plane, blk, pg, s, i)
 					}
 				}
 			}

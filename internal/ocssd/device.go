@@ -1083,28 +1083,53 @@ func (d *Device) VectorRead(now vclock.Time, ppas []PPA, dst []byte) (vclock.Tim
 // keeps: virtual time models the transfer, the host pays only for the
 // bytes a caller copies.
 //
-// visit runs under the sector's PU lock. The slice it receives is device
-// memory: it is valid only for that call, must not be retained or
-// written, and visit must not call back into the device. Sectors visited
-// before an error are not undone; the caller discards what it gathered.
+// Media sectors are read in page runs. A page run is a stretch of
+// sectors adjacent in the vector that are consecutive sectors of one
+// chunk on one NAND page, written and below the stripe-buffer base; it
+// costs one chip call and one channel reservation, where a sector-by-
+// sector read would make one of each per sector. Nothing simulated
+// changes: the chip still senses every sector, so the read count and the
+// bit-error draws are the same and in the same order; the page is
+// charged tR once per vector, as before; and one reservation of n sector
+// transfers ends exactly where n back-to-back reservations would, since
+// a channel is a free-at timeline. Fault injection stays one media op
+// per chunk change.
+//
+// visit runs under the sector's PU lock, once per sector. The slice it
+// receives is device memory: it is valid only for that call, must not
+// be retained or written, and visit must not call back into the device.
+// Sectors visited before an error are not undone; the caller discards
+// what it gathered.
 func (d *Device) VectorView(now vclock.Time, ppas []PPA, visit func(i int, sector []byte)) (vclock.Time, error) {
-	geo := d.geo
+	geo := &d.geo
 	if err := d.alive(); err != nil {
 		return now, err
 	}
+	spc := geo.SectorsPerChunk()
 	for _, p := range ppas {
-		if err := geo.CheckPPA(p); err != nil {
-			return now, err
+		if uint(p.Group) >= uint(geo.Groups) || uint(p.PU) >= uint(geo.PUsPerGroup) ||
+			uint(p.Chunk) >= uint(geo.ChunksPerPU) || uint(p.Sector) >= uint(spc) {
+			return now, geo.CheckPPA(p)
 		}
 	}
 
-	sz := geo.Chip.SectorSize
+	sz, spp := geo.Chip.SectorSize, geo.Chip.SectorsPerPage
+	// One sector's transfer over the channel. A run of n reserves
+	// n·xfer, never DurationFor(n·sz): that rounds once instead of n
+	// times and would move virtual time.
+	xfer := vclock.DurationFor(int64(sz), geo.ChannelMBps)
 	end := now
 	var cacheHits, mediaReads int64
 	// Track distinct pages charged per chip so one page read serves all
 	// its sectors in this vector. The slice stays on the stack for
 	// typical vector sizes.
 	charged := make([]chargedPage, 0, 16)
+	// The sectors of one page run, as the chip hands them out. A run
+	// also stops at len(run) sectors, so a page of more sectors is read
+	// in several runs, all but the first finding the page charged: an
+	// array for 64 sectors made the one-sector read measurably slower,
+	// zeroing it on every call.
+	var run [16][]byte
 
 	i := 0
 	for i < len(ppas) {
@@ -1116,8 +1141,9 @@ func (d *Device) VectorView(now vclock.Time, ppas []PPA, visit func(i int, secto
 			j++
 		}
 		pu := d.pu(g, u)
+		chip, chipRes, channel := d.chips[g][u], d.chipRes[g][u], d.channels[g]
 		pu.mu.Lock()
-		for k := i; k < j; k++ {
+		for k := i; k < j; {
 			p := ppas[k]
 			m := &pu.chunks[p.Chunk]
 			if m.state == ChunkOffline {
@@ -1145,34 +1171,48 @@ func (d *Device) VectorView(now vclock.Time, ppas []PPA, visit func(i int, secto
 				}
 			}
 			// Still in the partial-stripe controller buffer?
-			if base, buf := d.bufBase(pu, m), pu.buffered(m); m.state == ChunkOpen && p.Sector >= base && (p.Sector-base+1)*sz <= len(buf) {
+			base, buf := d.bufBase(pu, m), pu.buffered(m)
+			if m.state == ChunkOpen && p.Sector >= base && (p.Sector-base+1)*sz <= len(buf) {
 				i := p.Sector - base
 				if d.isZeroSector(d.zeroMask(pu, m.bufSlot), i) {
 					visit(k, d.zeroSector)
 				} else {
 					visit(k, buf[i*sz:(i+1)*sz:(i+1)*sz])
 				}
-				t := now.Add(vclock.DurationFor(int64(sz), geo.CacheMBps))
-				if t > end {
-					end = t
-				}
+				end = max(end, now.Add(vclock.DurationFor(int64(sz), geo.CacheMBps)))
 				cacheHits++
+				k++
 				continue
 			}
+			// The page run from p: it ends at the page end, and at the
+			// write pointer or, on an open chunk, the stripe-buffer base,
+			// where the sectors still in DRAM begin. (Writes come in whole
+			// pages, so both fall on page ends today; the run does not lean
+			// on that.) Every sector after the first is in p's chunk and
+			// follows a sector of it, so the checks above, made for p, hold
+			// for the whole run.
 			loc := geo.locate(p.Sector)
-			sector, err := d.chips[g][u].ReadSector(loc.plane, p.Chunk, loc.page, loc.sector)
-			if err != nil {
+			limit := min(int(m.wp), p.Sector-loc.sector+spp)
+			if m.state == ChunkOpen {
+				limit = min(limit, base)
+			}
+			n := 1
+			for k+n < j && n < len(run) && p.Sector+n < limit && ppas[k+n].Chunk == p.Chunk && ppas[k+n].Sector == p.Sector+n {
+				n++
+			}
+			sectors := run[:n]
+			if err := chip.ReadSectors(loc.plane, p.Chunk, loc.page, loc.sector, sectors); err != nil {
 				pu.mu.Unlock()
 				return now, fmt.Errorf("read %v: %w", p, err)
 			}
-			visit(k, sector)
+			for x, sector := range sectors {
+				visit(k+x, sector)
+			}
+			k += n
 			// Write-back cache window: data not yet drained reads at DRAM speed.
 			if d.cache.enabled() && m.flushEnd > now {
-				t := now.Add(vclock.DurationFor(int64(sz), geo.CacheMBps))
-				if t > end {
-					end = t
-				}
-				cacheHits++
+				end = max(end, now.Add(vclock.DurationFor(int64(sz), geo.CacheMBps)))
+				cacheHits += int64(n)
 				continue
 			}
 			id := p.ChunkOf()
@@ -1186,14 +1226,12 @@ func (d *Device) VectorView(now vclock.Time, ppas []PPA, visit func(i int, secto
 				}
 			}
 			if !found {
-				_, tREnd = d.chipRes[g][u].Acquire(now, d.chips[g][u].ReadTime())
+				_, tREnd = chipRes.Acquire(now, chip.ReadTime())
 				charged = append(charged, chargedPage{id: id, page: loc.page, end: tREnd})
 			}
-			_, xferEnd := d.channels[g].Acquire(tREnd, vclock.DurationFor(int64(sz), geo.ChannelMBps))
-			if xferEnd > end {
-				end = xferEnd
-			}
-			mediaReads++
+			_, xferEnd := channel.Acquire(tREnd, vclock.Duration(n)*xfer)
+			end = max(end, xferEnd)
+			mediaReads += int64(n)
 		}
 		pu.mu.Unlock()
 		i = j

@@ -11,23 +11,28 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/nand"
 	"repro/internal/vclock"
 )
 
 // goldenHashes pins, per device configuration, the SHA-256 over
 // everything one seeded command sequence can observe: every returned
 // virtual instant, start sector and error, the final Stats, the chunk
-// report, every read-back byte and (file-backed) the backend files. The
-// values were computed at the commit before the zero-aware write path
-// (pad as a length, whole stripes programmed from the caller's slice)
-// and must never move: host-time work on the write path may not shift a
-// virtual tick, a counter or a stored byte.
+// report, every read-back byte and (file-backed) the backend files, and
+// with faults the fault log and the NAND read and bit-error counters.
+// The values were computed at the commit before the zero-aware write
+// path (pad as a length, whole stripes programmed from the caller's
+// slice), mem-faults at the commit before page-run reads, and must never
+// move: host-time work on the write or read path may not shift a
+// virtual tick, a counter, a stored byte or a fault draw.
 var goldenHashes = map[string]string{
 	"mem":           "7cc8cfc4f2d65841113f982e4ed3439855e60ce276b4a083f2eb941d1d33dc9f",
 	"mem-plp":       "fdbfc6c5e93ed91991bd71afbbbb4361e108c204f65a0e6cb47f046a6d725d0d",
 	"mem-cache":     "18c01adf21f779ec9f10895b73d60d3b2d6a6a9c02f7d2fa6afc92d4b8ffbf4e",
 	"mem-plp-cache": "183caf3ff25a119c8beccaa81b66a61c519c6ffd6a0c6a21473fa55871bd5735",
 	"file-plp":      "628a03f91d4d279be507036881a7577d068af8a26751b37c73399c262837ac82",
+	"mem-faults":    "b8b95ef20a7da3c933812c50b7b22b6c81c76a547589787d661a6cff6f3f4774",
 }
 
 func TestGoldenCommandSequence(t *testing.T) {
@@ -35,12 +40,17 @@ func TestGoldenCommandSequence(t *testing.T) {
 		name       string
 		plp, cache bool
 		file       bool
+		// faults raises NAND bit errors and program failures and wires an
+		// injector whose read errors retire chunks, so the read path's
+		// per-sector draw order and per-chunk fault ops are in the hash.
+		faults bool
 	}{
 		{name: "mem"},
 		{name: "mem-plp", plp: true},
 		{name: "mem-cache", cache: true},
 		{name: "mem-plp-cache", plp: true, cache: true},
 		{name: "file-plp", plp: true, cache: true, file: true},
+		{name: "mem-faults", faults: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			geo := smallGeo()
@@ -51,10 +61,17 @@ func TestGoldenCommandSequence(t *testing.T) {
 			if tc.file {
 				opts.BackendPath = filepath.Join(t.TempDir(), "dev.img")
 			}
+			if tc.faults {
+				opts.Reliability = nand.Reliability{ReadErrorBase: 0.05, ProgramFailRate: 0.001}
+				opts.Faults = fault.New(fault.Config{Seed: 7, ReadErrorRate: 0.04, GrowBadAfter: 2})
+			}
 			h := sha256.New()
 			d := newDev(t, geo, opts)
 			goldenSequence(h, d, 20260917, 2500)
 			goldenFinalState(h, d)
+			if tc.faults {
+				fmt.Fprintf(h, "faultlog %+v\nchips %+v\n", d.FaultLog(), chipStats(d))
+			}
 			if err := d.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
