@@ -80,31 +80,6 @@ func BenchmarkFigure5DbBench(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure5DbBenchNotify is the notification-mode twin of
-// BenchmarkFigure5DbBench: the host-interface client consumes
-// completions through interrupt-style notification instead of polling
-// Reap. Virtual-time results are identical by the timing-equality
-// contract; the entry exists so benchcheck tracks the notification
-// path's allocation budget separately.
-func BenchmarkFigure5DbBenchNotify(b *testing.B) {
-	cfg := benchFig5()
-	cfg.Notify = true
-	for i := 0; i < b.N; i++ {
-		cells, err := exp.Figure5(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range cells {
-			if c.Clients == 1 && c.Workload == 0 && c.Placement == 0 {
-				b.ReportMetric(c.KOps, "fillH1_kops")
-			}
-		}
-		if i == 0 {
-			b.Log("\n" + exp.Figure5Table(cells).Render())
-		}
-	}
-}
-
 func BenchmarkFigure6Timeline(b *testing.B) {
 	cfg := benchFig5()
 	cfg.ClientCounts = []int{1, 8}

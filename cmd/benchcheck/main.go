@@ -37,7 +37,6 @@ import (
 // tracked are the benchmarks recorded in BENCH_baseline.json.
 var tracked = []string{
 	"BenchmarkFigure5DbBench",
-	"BenchmarkFigure5DbBenchNotify",
 	"BenchmarkFigure3Recovery",
 	"BenchmarkFigure7DataCopies",
 	"BenchmarkHostPipelinedExecutor",

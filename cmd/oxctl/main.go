@@ -35,17 +35,6 @@ import (
 	"repro/internal/zns"
 )
 
-// adminSurface is the control-plane slice oxctl needs; both the
-// in-process hostif.AdminClient and the fabrics.AdminClient satisfy
-// it, which is what makes -addr a drop-in.
-type adminSurface interface {
-	Identify(vclock.Time) (hostif.IdentifyController, error)
-	ChunkReport(vclock.Time) ([]ocssd.ChunkInfo, error)
-	FaultLog(vclock.Time) (ocssd.FaultLog, error)
-	ExecutorStats(vclock.Time) (hostif.ExecutorLog, error)
-	OffloadStats(vclock.Time, int) (offload.Stats, error)
-}
-
 // ioSession is the data-path slice the faults hammer drives; satisfied
 // by hostif.QueuePair and fabrics.QueuePair alike.
 type ioSession interface {
@@ -152,7 +141,7 @@ func main() {
 		// against a server started with oxfabd -faults.
 		var (
 			qp    ioSession
-			admin adminSurface
+			admin *hostif.AdminReader
 			nsid  = 1
 			now   vclock.Time
 		)
@@ -179,7 +168,7 @@ func main() {
 			fail(err)
 			hqp, err := host.Admin().CreateIOQueuePair(at, 1, hostif.ClassMedium)
 			fail(err)
-			qp, admin, now = hqp, host.Admin(), at
+			qp, admin, now = hqp, host.Admin().AdminReader, at
 		}
 		data := make([]byte, 8*4096)
 		failures := map[hostif.Status]int{}
@@ -364,18 +353,18 @@ func printExecutor(log hostif.ExecutorLog) {
 	fmt.Printf("  max inflight    %d\n", log.MaxInflight)
 }
 
-// adminFor returns the control-plane client: a fabric admin connection
-// when addr is set, otherwise the default in-process rig's admin
+// adminFor returns the admin reads: over a fabric admin connection
+// when addr is set, otherwise over the default in-process rig's admin
 // queue.
-func adminFor(addr string) adminSurface {
+func adminFor(addr string) *hostif.AdminReader {
 	if addr != "" {
 		a, err := fabrics.Dial(addr).Admin()
 		fail(err)
-		return a
+		return a.AdminReader
 	}
 	_, ctrl, err := exp.DefaultRig().Build()
 	fail(err)
-	return hostif.NewHost(ctrl, hostif.HostConfig{}).Admin()
+	return hostif.NewHost(ctrl, hostif.HostConfig{}).Admin().AdminReader
 }
 
 // geoFor reads the geometry over the admin queue (or returns the

@@ -334,31 +334,6 @@ func TestTenantsFairness(t *testing.T) {
 	}
 }
 
-// TestFig5NotifyMatchesPoll: the db_bench grid produces the identical
-// table whether the host-interface client polls Reap or consumes
-// interrupt-style notifications — the end-to-end timing-equality proof
-// behind the notification-mode baseline entry.
-func TestFig5NotifyMatchesPoll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	cfg := smallFig5()
-	cfg.ClientCounts = []int{2}
-	poll, err := Figure5(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Notify = true
-	notified, err := Figure5(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := Figure5Table(poll).Render(), Figure5Table(notified).Render()
-	if a != b {
-		t.Fatalf("notification mode changed the table:\n%s\nvs\n%s", a, b)
-	}
-}
-
 func TestTenantsQoSIsolation(t *testing.T) {
 	cfg := DefaultTenantsQoS()
 	cfg.OpsPerTenant = 200

@@ -33,10 +33,6 @@ type Fig5Config struct {
 	// (768 MB) to the flush size, so this should be close to the
 	// 32-chunk table capacity.
 	MemtableMB int
-	// Notify switches the host-interface client from Reap-polling to
-	// interrupt-style completion notification (timing-equivalent; the
-	// tables are identical either way).
-	Notify bool
 }
 
 // DefaultFig5 returns the scaled default configuration.
@@ -98,16 +94,12 @@ func figure5Run(cfg Fig5Config, placement lightlsm.Placement, clients int) ([]Fi
 	// The database drives the FTL through the host interface: every
 	// SSTable command (create/append/commit/read/delete) crosses a
 	// queue pair instead of calling LightLSM directly. Attachment is
-	// all admin-queue commands; cfg.Notify swaps Reap-polling for
-	// interrupt-style completion delivery.
+	// all admin-queue commands.
 	host := hostif.NewHost(ctrl, hostif.HostConfig{})
 	defer host.Close()
 	cli, err := hostif.AttachLSM(host, env)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Notify {
-		cli.EnableNotify()
 	}
 	memtable := int64(cfg.MemtableMB)
 	if memtable <= 0 {

@@ -107,20 +107,6 @@ func (p OffloadPoint) Winner() string {
 	return "host"
 }
 
-// offloadEnv is the lsm.Env surface plus the two offload hooks, as
-// implemented by both the in-process and the fabric environment
-// clients — what lets one scenario body run over either transport.
-type offloadEnv interface {
-	lsm.Env
-	OffloadGet(now vclock.Time, h lsm.TableHandle, block int, key []byte) ([]byte, bool, bool, vclock.Time, error)
-	OffloadCompact(now vclock.Time, inputs []lsm.TableHandle, bitsPerKey int, dropDeletes bool) ([]*lsm.TableMeta, vclock.Time, error)
-}
-
-// offloadAdmin reads the LogOffload page, over either transport.
-type offloadAdmin interface {
-	OffloadStats(now vclock.Time, nsid int) (offload.Stats, error)
-}
-
 // Offload runs the crossover scenario with in-process queue pairs.
 func Offload(cfg OffloadConfig) ([]OffloadPoint, error) {
 	return offloadRun(cfg, false)
@@ -158,32 +144,34 @@ func offloadRun(cfg OffloadConfig, fabric bool) ([]OffloadPoint, error) {
 }
 
 // offloadLSMRig builds one KV measurement's testbed: rig, LightLSM
-// namespace, host-link-charged host, and an environment client over
-// the selected transport.
-func offloadLSMRig(cfg OffloadConfig, fabric bool) (*ox.Controller, offloadEnv, offloadAdmin, int, func(), error) {
+// namespace, host-link-charged host, and a client over the selected
+// transport. env is what the database runs on: in process it is the
+// EnvClient, which searches blocks in place; cli is the same client's
+// typed commands, for the offload hooks.
+func offloadLSMRig(cfg OffloadConfig, fabric bool) (*ox.Controller, lsm.Env, *hostif.LSMClient, *hostif.AdminReader, func(), error) {
 	rigCfg := DefaultRig()
 	rigCfg.Seed = cfg.Seed
 	_, ctrl, err := rigCfg.Build()
 	if err != nil {
-		return nil, nil, nil, 0, nil, err
+		return nil, nil, nil, nil, nil, err
 	}
 	env, err := lightlsm.New(ctrl, lightlsm.Config{Placement: lightlsm.Horizontal})
 	if err != nil {
-		return nil, nil, nil, 0, nil, err
+		return nil, nil, nil, nil, nil, err
 	}
 	host := hostif.NewHost(ctrl, hostif.HostConfig{ChargeHostLink: true})
 	if !fabric {
 		cli, err := hostif.AttachLSM(host, env)
 		if err != nil {
 			host.Close()
-			return nil, nil, nil, 0, nil, err
+			return nil, nil, nil, nil, nil, err
 		}
-		return ctrl, cli, host.Admin(), cli.NSID(), host.Close, nil
+		return ctrl, cli, &cli.LSMClient, host.Admin().AdminReader, host.Close, nil
 	}
 	nsid, err := host.Admin().AttachNamespace(0, hostif.NewLSMNamespace(env))
 	if err != nil {
 		host.Close()
-		return nil, nil, nil, 0, nil, err
+		return nil, nil, nil, nil, nil, err
 	}
 	srv := fabrics.NewServer(host)
 	cli := fabrics.Loopback(srv)
@@ -191,13 +179,14 @@ func offloadLSMRig(cfg OffloadConfig, fabric bool) (*ox.Controller, offloadEnv, 
 	if err != nil {
 		srv.Close()
 		host.Close()
-		return nil, nil, nil, 0, nil, err
+		return nil, nil, nil, nil, nil, err
 	}
 	admin, err := cli.Admin()
 	if err != nil {
+		fenv.Close()
 		srv.Close()
 		host.Close()
-		return nil, nil, nil, 0, nil, err
+		return nil, nil, nil, nil, nil, err
 	}
 	cleanup := func() {
 		admin.Close()
@@ -205,7 +194,7 @@ func offloadLSMRig(cfg OffloadConfig, fabric bool) (*ox.Controller, offloadEnv, 
 		srv.Close()
 		host.Close()
 	}
-	return ctrl, fenv, admin, nsid, cleanup, nil
+	return ctrl, fenv, fenv.LSMClient, admin.AdminReader, cleanup, nil
 }
 
 // offloadKey renders the i-th fill key (fixed width keeps table order
@@ -236,13 +225,13 @@ func offloadGetPoint(cfg OffloadConfig, valueSize int, fabric bool) (OffloadPoin
 	keys := cfg.FillMB << 20 / valueSize
 	p := OffloadPoint{Op: "get", Param: fmt.Sprintf("%d B values", valueSize)}
 	for _, offl := range []bool{false, true} {
-		ctrl, env, admin, nsid, cleanup, err := offloadLSMRig(cfg, fabric)
+		ctrl, env, cli, admin, cleanup, err := offloadLSMRig(cfg, fabric)
 		if err != nil {
 			return p, err
 		}
 		opts := lsm.Options{Env: env, MemtableBytes: 1 << 20, Seed: cfg.Seed}
 		if offl {
-			opts.Lookup = env.OffloadGet
+			opts.Lookup = cli.OffloadGet
 		}
 		db, err := lsm.Open(opts)
 		if err != nil {
@@ -271,7 +260,7 @@ func offloadGetPoint(cfg OffloadConfig, valueSize int, fabric bool) (OffloadPoin
 		linkKB := float64(ctrl.Stats().BytesHost-linkStart) / float64(cfg.Gets) / 1024
 		if offl {
 			p.DevLat, p.DevLinkKB = lat, linkKB
-			st, err := admin.OffloadStats(now, nsid)
+			st, err := admin.OffloadStats(now, cli.NSID())
 			if err != nil {
 				cleanup()
 				return p, err
@@ -413,13 +402,13 @@ func offloadCompactPoint(cfg OffloadConfig, fabric bool) (OffloadPoint, error) {
 	keySpace := puts / 4
 	p := OffloadPoint{Op: "compact"}
 	for _, offl := range []bool{false, true} {
-		ctrl, env, admin, nsid, cleanup, err := offloadLSMRig(cfg, fabric)
+		ctrl, env, cli, admin, cleanup, err := offloadLSMRig(cfg, fabric)
 		if err != nil {
 			return p, err
 		}
 		opts := lsm.Options{Env: env, MemtableBytes: 1 << 20, Seed: cfg.Seed}
 		if offl {
-			opts.Compactor = env.OffloadCompact
+			opts.Compactor = cli.OffloadCompact
 		}
 		db, err := lsm.Open(opts)
 		if err != nil {
@@ -448,7 +437,7 @@ func offloadCompactPoint(cfg OffloadConfig, fabric bool) (OffloadPoint, error) {
 		linkKB := float64(ctrl.Stats().BytesHost-linkStart) / float64(puts) / 1024
 		if offl {
 			p.DevLat, p.DevLinkKB = lat, linkKB
-			st, err := admin.OffloadStats(end, nsid)
+			st, err := admin.OffloadStats(end, cli.NSID())
 			if err != nil {
 				cleanup()
 				return p, err

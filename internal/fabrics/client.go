@@ -11,13 +11,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ftl/ftlcore"
 	"repro/internal/hostif"
-	"repro/internal/ocssd"
-	"repro/internal/offload"
-	"repro/internal/ox"
 	"repro/internal/vclock"
-	"repro/internal/zns"
 )
 
 // Default wall-clock guard rails. They bound how long a frame exchange
@@ -372,6 +367,16 @@ func (qp *QueuePair) recycleLocked(cmd *hostif.Command) {
 	*cmd = hostif.Command{}
 	qp.state[cmd] = cmdFree
 	qp.free = append(qp.free, cmd)
+}
+
+// ReleaseCommand returns an acquired-but-unsubmitted arena command to
+// the free list: the discard path for a rejected submit, as in process.
+func (qp *QueuePair) ReleaseCommand(cmd *hostif.Command) {
+	qp.mu.Lock()
+	defer qp.mu.Unlock()
+	if st, ok := qp.state[cmd]; ok && st == cmdAcquired {
+		qp.recycleLocked(cmd)
+	}
 }
 
 // Err reports the queue pair's terminal error: nil while healthy (or
@@ -947,14 +952,15 @@ func (qp *QueuePair) handleCompletions(payload []byte) error {
 	return d.done() // the reader wakes the waiters as it gives up the role
 }
 
-// AdminClient issues identify and log-page commands to a remote
-// controller over an admin connection, with the same typed surface as
-// the in-process hostif.AdminClient. Queue-pair lifecycle is not here:
-// opening an I/O connection is the remote AdminCreateIOQP, closing it
-// the delete. One admin client is one synchronous actor; calls are
-// serialized internally. Every round trip runs under the configured
-// AdminTimeout; a miss surfaces as ErrTimeout.
+// AdminClient reads a remote controller over an admin connection: the
+// typed admin reads of hostif.AdminReader, each one round trip. Only
+// identify and get-log-page are remotable; queue-pair lifecycle is not
+// here: opening an I/O connection is the remote AdminCreateIOQP,
+// closing it the delete. One admin client is one synchronous actor;
+// calls are serialized internally. Every round trip runs under the
+// configured AdminTimeout; a miss surfaces as ErrTimeout.
 type AdminClient struct {
+	*hostif.AdminReader
 	mu      sync.Mutex
 	conn    net.Conn
 	timeout time.Duration
@@ -969,14 +975,17 @@ func (c *Client) Admin() (*AdminClient, error) {
 	if a.conn, _, _, _, err = c.connect(&a.fr, connKindAdmin, 0, 0, 0, 0, 0); err != nil {
 		return nil, err
 	}
+	a.AdminReader = hostif.NewAdminReader(a)
 	return a, nil
 }
 
 // Close closes the admin connection.
 func (a *AdminClient) Close() error { return a.conn.Close() }
 
-// do issues one admin request and decodes the reply synchronously.
-func (a *AdminClient) do(now vclock.Time, op hostif.Op, nsid int, handle uint64, log hostif.LogPage) (any, hostif.Completion, error) {
+// RoundTrip implements hostif.AdminTransport: it sends cmd's Op, NSID,
+// Handle and Admin.Log as one admin frame and decodes the reply, whose
+// gob payload becomes the completion's Admin.
+func (a *AdminClient) RoundTrip(now vclock.Time, cmd hostif.Command) (hostif.Completion, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.timeout > 0 {
@@ -984,138 +993,84 @@ func (a *AdminClient) do(now vclock.Time, op hostif.Op, nsid int, handle uint64,
 		defer a.conn.SetDeadline(time.Time{})
 	}
 	a.wbuf.start(frameAdmin)
-	a.wbuf.u8(uint8(op))
-	a.wbuf.u32(uint32(nsid))
-	a.wbuf.u64(handle)
-	a.wbuf.u8(uint8(log))
+	a.wbuf.u8(uint8(cmd.Op))
+	a.wbuf.u32(uint32(cmd.NSID))
+	a.wbuf.u64(cmd.Handle)
+	a.wbuf.u8(uint8(cmd.Admin.Log))
 	a.wbuf.i64(int64(now))
 	if _, err := a.conn.Write(a.wbuf.finish()); err != nil {
-		return nil, hostif.Completion{}, wrapTimeout(err)
+		return hostif.Completion{}, wrapTimeout(err)
 	}
 	ftype, payload, err := a.fr.readFrame()
 	if err != nil {
-		return nil, hostif.Completion{}, wrapTimeout(err)
+		return hostif.Completion{}, wrapTimeout(err)
 	}
 	d := decoder{b: payload}
 	switch ftype {
 	case frameAdminReply:
 	case frameError:
-		return nil, hostif.Completion{}, wireError(payload)
+		return hostif.Completion{}, wireError(payload)
 	default:
-		return nil, hostif.Completion{}, fmt.Errorf("%w: %d on admin connection", ErrBadFrameType, ftype)
+		return hostif.Completion{}, fmt.Errorf("%w: %d on admin connection", ErrBadFrameType, ftype)
 	}
 	code := d.u16()
 	msg := d.str()
 	var comp hostif.Completion
-	comp.Op, comp.NSID = op, nsid
+	comp.Op, comp.NSID = cmd.Op, cmd.NSID
 	comp.Done = vclock.Time(d.i64())
 	comp.Handle = d.u64()
 	comp.Blocks = int(d.i32())
 	gobBytes := d.bytes()
 	if err := d.done(); err != nil {
-		return nil, hostif.Completion{}, err
+		return hostif.Completion{}, err
 	}
 	if cerr := errorFor(code, msg); cerr != nil {
 		comp.Err = cerr
 		comp.Status = hostif.StatusOf(cerr)
-		return nil, comp, cerr
+		return comp, cerr
 	}
 	var box payloadBox
 	if len(gobBytes) > 0 {
 		if err := gob.NewDecoder(bytes.NewReader(gobBytes)).Decode(&box); err != nil {
-			return nil, comp, fmt.Errorf("%w: admin payload: %v", ErrBadPayload, err)
+			return comp, fmt.Errorf("%w: admin payload: %v", ErrBadPayload, err)
 		}
 	}
 	comp.Admin = box.V
-	return box.V, comp, nil
+	return comp, nil
 }
 
-// payloadAs asserts a decoded admin payload's type, surfacing a typed
-// error instead of a panic when the server sent something else.
-func payloadAs[T any](v any, err error) (T, error) {
-	var zero T
+// Env is a served LightLSM namespace's lsm.Env: hostif's LSMClient over
+// a fabric queue pair. It does not search blocks in place (it is no
+// lsm.BlockSearcher): over a wire each block really crosses.
+type Env struct {
+	*hostif.LSMClient
+	qp *QueuePair
+}
+
+// OpenLSM connects to a served LightLSM namespace: identify the
+// namespace over an admin connection for the block geometry, then open
+// a depth-1 queue pair for the data path — the fabric analog of
+// hostif.AttachLSM's setup half.
+func (c *Client) OpenLSM(now vclock.Time, nsid int) (*Env, error) {
+	admin, err := c.Admin()
 	if err != nil {
-		return zero, err
+		return nil, fmt.Errorf("fabrics: opening admin connection: %w", err)
 	}
-	t, ok := v.(T)
-	if !ok {
-		return zero, fmt.Errorf("%w: admin payload is %T", ErrBadPayload, v)
+	id, err := admin.IdentifyNamespace(now, nsid)
+	admin.Close()
+	if err != nil {
+		return nil, fmt.Errorf("fabrics: identifying namespace %d: %w", nsid, err)
 	}
-	return t, nil
+	if id.BlockSize == 0 || id.MaxTableBlocks == 0 {
+		return nil, fmt.Errorf("%w: namespace %d (%s) has no table geometry",
+			hostif.ErrUnsupported, nsid, id.Name)
+	}
+	qp, err := c.QueuePair(now, 1, hostif.ClassMedium, 1)
+	if err != nil {
+		return nil, fmt.Errorf("fabrics: opening queue pair: %w", err)
+	}
+	return &Env{LSMClient: hostif.NewLSMClient(qp, nsid, id), qp: qp}, nil
 }
 
-// Identify reports the remote controller's identity.
-func (a *AdminClient) Identify(now vclock.Time) (hostif.IdentifyController, error) {
-	v, _, err := a.do(now, hostif.OpAdminIdentify, 0, 0, 0)
-	return payloadAs[hostif.IdentifyController](v, err)
-}
-
-// IdentifyNamespace reports one namespace's identity and geometry.
-func (a *AdminClient) IdentifyNamespace(now vclock.Time, nsid int) (hostif.NamespaceIdentity, error) {
-	v, _, err := a.do(now, hostif.OpAdminIdentify, nsid, 0, 0)
-	return payloadAs[hostif.NamespaceIdentity](v, err)
-}
-
-// GetLogPage returns the selected log page; nsid is 0 for controller-
-// and device-scoped pages.
-func (a *AdminClient) GetLogPage(now vclock.Time, page hostif.LogPage, nsid int) (any, error) {
-	v, _, err := a.do(now, hostif.OpAdminGetLogPage, nsid, 0, page)
-	return v, err
-}
-
-// ControllerStats returns the controller counters log page.
-func (a *AdminClient) ControllerStats(now vclock.Time) (ox.Stats, error) {
-	return payloadAs[ox.Stats](a.GetLogPage(now, hostif.LogControllerStats, 0))
-}
-
-// Utilization returns memory-bus and core utilization at now.
-func (a *AdminClient) Utilization(now vclock.Time) (hostif.UtilizationLog, error) {
-	return payloadAs[hostif.UtilizationLog](a.GetLogPage(now, hostif.LogUtilization, 0))
-}
-
-// ChunkReport returns the device's Open-Channel chunk report.
-func (a *AdminClient) ChunkReport(now vclock.Time) ([]ocssd.ChunkInfo, error) {
-	return payloadAs[[]ocssd.ChunkInfo](a.GetLogPage(now, hostif.LogChunkReport, 0))
-}
-
-// MediaStats returns the device counters log page.
-func (a *AdminClient) MediaStats(now vclock.Time) (ocssd.Stats, error) {
-	return payloadAs[ocssd.Stats](a.GetLogPage(now, hostif.LogMediaStats, 0))
-}
-
-// FaultLog returns the device fault log page.
-func (a *AdminClient) FaultLog(now vclock.Time) (ocssd.FaultLog, error) {
-	return payloadAs[ocssd.FaultLog](a.GetLogPage(now, hostif.LogFaults, 0))
-}
-
-// ExecutorStats returns the execution-engine log page.
-func (a *AdminClient) ExecutorStats(now vclock.Time) (hostif.ExecutorLog, error) {
-	return payloadAs[hostif.ExecutorLog](a.GetLogPage(now, hostif.LogExecutor, 0))
-}
-
-// NamespaceStats returns a namespace's FTL counters; the concrete type
-// depends on the adapter.
-func (a *AdminClient) NamespaceStats(now vclock.Time, nsid int) (any, error) {
-	return a.GetLogPage(now, hostif.LogNamespaceStats, nsid)
-}
-
-// ZoneReport returns an OX-ZNS namespace's zone report.
-func (a *AdminClient) ZoneReport(now vclock.Time, nsid int) ([]zns.ZoneInfo, error) {
-	return payloadAs[[]zns.ZoneInfo](a.GetLogPage(now, hostif.LogZoneReport, nsid))
-}
-
-// GCStats returns an OX-Block namespace's garbage-collection counters.
-func (a *AdminClient) GCStats(now vclock.Time, nsid int) (ftlcore.GCStats, error) {
-	return payloadAs[ftlcore.GCStats](a.GetLogPage(now, hostif.LogGCStats, nsid))
-}
-
-// TableChunks returns the chunks backing a committed LightLSM table.
-func (a *AdminClient) TableChunks(now vclock.Time, nsid int, table uint64) ([]ocssd.ChunkID, error) {
-	v, _, err := a.do(now, hostif.OpAdminGetLogPage, nsid, table, hostif.LogTableChunks)
-	return payloadAs[[]ocssd.ChunkID](v, err)
-}
-
-// OffloadStats returns a namespace's computational-storage counters.
-func (a *AdminClient) OffloadStats(now vclock.Time, nsid int) (offload.Stats, error) {
-	return payloadAs[offload.Stats](a.GetLogPage(now, hostif.LogOffload, nsid))
-}
+// Close closes the env's queue-pair connection.
+func (e *Env) Close() error { return e.qp.Close() }

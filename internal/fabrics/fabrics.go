@@ -36,8 +36,10 @@
 // buffers and the queue pairs' command arenas on both sides, so
 // encode/decode is allocation-free at steady state like the rest of
 // the submit path. The control plane rides the same framing: an admin
-// connection serves identify and log pages through a remote
-// AdminClient with the same API shape as the in-process one.
+// connection serves identify and log pages. On the client side this
+// package keeps only the wire: OpenLSM and Admin run hostif's typed
+// clients (LSMClient, AdminReader) over a fabric queue pair and an
+// admin connection.
 package fabrics
 
 import "errors"

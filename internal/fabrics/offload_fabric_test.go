@@ -222,8 +222,8 @@ func TestFabricRejectsSearchingTableRead(t *testing.T) {
 	if c := qp.MustReap(); c.Err != nil || !bytes.Contains(read.Dst[:64], []byte("offloaded-value")) {
 		t.Fatalf("plain read after the rejection: %v", c.Err)
 	}
-	var fabricEnv lsm.Env = &fabrics.EnvClient{}
+	var fabricEnv lsm.Env = &fabrics.Env{}
 	if _, ok := fabricEnv.(lsm.BlockSearcher); ok {
-		t.Fatal("fabrics.EnvClient offers SearchBlock; over a wire the block must really cross")
+		t.Fatal("fabrics.Env offers SearchBlock; over a wire the block must really cross")
 	}
 }

@@ -1110,11 +1110,8 @@ func (s *Server) serveAdmin(conn net.Conn, fr *frameReader) {
 			s.sendError(conn, err)
 			return
 		}
-		comp, err := s.execRemoteAdmin(now, &cmd)
+		comp, err := s.execRemoteAdmin(now, cmd)
 		f.start(frameAdminReply)
-		if err == nil {
-			err = comp.Err
-		}
 		code := codeFor(err)
 		msg := ""
 		if code == errOther && err != nil {
@@ -1151,7 +1148,7 @@ func (s *Server) deleteQP(now vclock.Time, qp *hostif.QueuePair) {
 
 // execRemoteAdmin issues one remotable admin command through the
 // shared admin queue, serialized against handshakes and teardowns.
-func (s *Server) execRemoteAdmin(now vclock.Time, cmd *hostif.Command) (hostif.Completion, error) {
+func (s *Server) execRemoteAdmin(now vclock.Time, cmd hostif.Command) (hostif.Completion, error) {
 	switch cmd.Op {
 	case hostif.OpAdminIdentify, hostif.OpAdminGetLogPage:
 	default:
@@ -1160,15 +1157,5 @@ func (s *Server) execRemoteAdmin(now vclock.Time, cmd *hostif.Command) (hostif.C
 	}
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
-	aqp := s.admin.Queue()
-	ac := aqp.AcquireCommand()
-	op, nsid, handle, log := cmd.Op, cmd.NSID, cmd.Handle, cmd.Admin.Log
-	ac.Op, ac.NSID, ac.Handle = op, nsid, handle
-	ac.Admin.Log = log
-	if err := aqp.Push(now, ac); err != nil {
-		aqp.ReleaseCommand(ac)
-		return hostif.Completion{Done: now}, err
-	}
-	comp := aqp.MustReap()
-	return comp, nil
+	return s.admin.RoundTrip(now, cmd)
 }

@@ -26,12 +26,9 @@ const (
 // checkpoint (first boot, or both torn).
 var ErrNoCheckpoint = errors.New("ftlcore: no valid checkpoint")
 
-// CheckpointConfig tunes the checkpoint process.
-type CheckpointConfig struct {
-	// SerializeMBps is the controller CPU cost of rendering the mapping
-	// snapshot (charged on a core).
-	SerializeMBps float64
-}
+// serializeMBps is the controller CPU cost of rendering the mapping
+// snapshot (charged on a core).
+const serializeMBps = 2000
 
 // Checkpointer persists mapping snapshots into two alternating slots of
 // reserved chunks (Figure 2: "mapping and block metadata may be
@@ -40,7 +37,6 @@ type CheckpointConfig struct {
 type Checkpointer struct {
 	media ox.Media
 	ctrl  *ox.Controller
-	cfg   CheckpointConfig
 	slots [2][]ocssd.ChunkID
 	seq   uint64
 	// stream is Write's serialization buffer, kept from one checkpoint to
@@ -50,14 +46,11 @@ type Checkpointer struct {
 
 // NewCheckpointer builds a checkpointer over two reserved chunk slots.
 // Each slot must be able to hold a full mapping snapshot.
-func NewCheckpointer(media ox.Media, ctrl *ox.Controller, slots [2][]ocssd.ChunkID, cfg CheckpointConfig) (*Checkpointer, error) {
+func NewCheckpointer(media ox.Media, ctrl *ox.Controller, slots [2][]ocssd.ChunkID) (*Checkpointer, error) {
 	if len(slots[0]) == 0 || len(slots[1]) == 0 {
 		return nil, errors.New("ftlcore: checkpoint slots must hold at least one chunk each")
 	}
-	if cfg.SerializeMBps <= 0 {
-		cfg.SerializeMBps = 2000
-	}
-	return &Checkpointer{media: media, ctrl: ctrl, cfg: cfg, slots: slots}, nil
+	return &Checkpointer{media: media, ctrl: ctrl, slots: slots}, nil
 }
 
 // SlotBytesNeeded reports the stream size of a checkpoint for a map with
@@ -105,7 +98,7 @@ func (c *Checkpointer) Write(now vclock.Time, m *PageMap, walEpoch uint64, walLS
 	n := len(stream)
 
 	// Serialization CPU.
-	end := c.ctrl.CPUWork(now, vclock.DurationFor(int64(n), c.cfg.SerializeMBps))
+	end := c.ctrl.CPUWork(now, vclock.DurationFor(int64(n), serializeMBps))
 
 	slot := c.slots[seq%2]
 	// Reset previously used slot chunks.
@@ -200,7 +193,7 @@ func (c *Checkpointer) Load(now vclock.Time, m *PageMap) (uint64, LSN, vclock.Ti
 		return 0, 0, end, ErrNoCheckpoint
 	}
 	// Install CPU cost mirrors serialization.
-	end = c.ctrl.CPUWork(end, vclock.DurationFor(int64(len(best.stream)), c.cfg.SerializeMBps))
+	end = c.ctrl.CPUWork(end, vclock.DurationFor(int64(len(best.stream)), serializeMBps))
 	for p := 0; p < best.pages && p < m.Pages(); p++ {
 		if err := m.LoadPage(p, best.stream[p*MapPageBytes:(p+1)*MapPageBytes]); err != nil {
 			return 0, 0, end, err

@@ -15,7 +15,7 @@ func newCkptUnderTest(t *testing.T) (*Checkpointer, *PageMap, *ocssd.Device) {
 		{{Group: 0, PU: 0, Chunk: 0}, {Group: 0, PU: 1, Chunk: 0}},
 		{{Group: 1, PU: 0, Chunk: 0}, {Group: 1, PU: 1, Chunk: 0}},
 	}
-	c, err := NewCheckpointer(d, ctrl, slots, CheckpointConfig{})
+	c, err := NewCheckpointer(d, ctrl, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCheckpointSurvivesCrash(t *testing.T) {
 
 func TestCheckpointSlotValidation(t *testing.T) {
 	d, ctrl := testDevice(t, ocssd.Options{Seed: 1})
-	_, err := NewCheckpointer(d, ctrl, [2][]ocssd.ChunkID{{}, {{Group: 0, PU: 0, Chunk: 0}}}, CheckpointConfig{})
+	_, err := NewCheckpointer(d, ctrl, [2][]ocssd.ChunkID{{}, {{Group: 0, PU: 0, Chunk: 0}}})
 	if err == nil {
 		t.Fatal("empty slot should be rejected")
 	}
@@ -156,7 +156,7 @@ func TestCheckpointTooBigForSlot(t *testing.T) {
 		{{Group: 0, PU: 0, Chunk: 0}},
 		{{Group: 1, PU: 0, Chunk: 0}},
 	}
-	c, err := NewCheckpointer(d, ctrl, slots, CheckpointConfig{})
+	c, err := NewCheckpointer(d, ctrl, slots)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,14 +72,15 @@ func (r *ReverseMap) Drop(id ocssd.ChunkID) {
 	}
 }
 
+// cpuPerSectorMove is controller CPU charged per relocated sector.
+const cpuPerSectorMove = 2 * vclock.Microsecond
+
 // GCConfig tunes garbage collection.
 type GCConfig struct {
 	// FreeThreshold triggers collection when the allocator's pool drops
 	// below it; TargetFree is the level collection restores.
 	FreeThreshold int
 	TargetFree    int
-	// CPUPerSectorMove is controller CPU charged per relocated sector.
-	CPUPerSectorMove vclock.Duration
 	// GlobalVictims disables group marking: victims are picked device-
 	// wide, spreading interference everywhere (the ablation baseline for
 	// the §4.3 locality numbers).
@@ -158,9 +159,6 @@ type gcSample struct {
 
 // NewGC builds the collector.
 func NewGC(media ox.Media, ctrl *ox.Controller, alloc *Allocator, val *Validity, rmap *ReverseMap, cfg GCConfig) *GC {
-	if cfg.CPUPerSectorMove <= 0 {
-		cfg.CPUPerSectorMove = 2 * vclock.Microsecond
-	}
 	if cfg.TargetFree < cfg.FreeThreshold {
 		cfg.TargetFree = cfg.FreeThreshold
 	}
@@ -425,7 +423,7 @@ func (g *GC) collectChunk(now vclock.Time, victim ocssd.ChunkID, remap func(int6
 				return end, err
 			}
 			end = e
-			end = g.ctrl.CPUWork(end, vclock.Duration(take)*g.cfg.CPUPerSectorMove)
+			end = g.ctrl.CPUWork(end, vclock.Duration(take)*cpuPerSectorMove)
 			g.ctrl.NoteControllerIO()
 			for i := 0; i < take; i++ {
 				srcIdx := moved + i

@@ -235,58 +235,159 @@ func (h *Host) logPage(now vclock.Time, cmd *Command) (any, error) {
 	return lp.logPage(now, cmd)
 }
 
+// AdminTransport carries one admin command to a controller and
+// returns its completion: the in-process admin queue pair, or a fabric
+// admin connection. A fabric carries only the remotable subset —
+// identify and get-log-page, with Op, NSID, Handle and Admin.Log — and
+// its server rejects every other opcode.
+type AdminTransport interface {
+	RoundTrip(now vclock.Time, cmd Command) (Completion, error)
+}
+
+// AdminReader issues the typed admin reads — identify and the log
+// pages — over any AdminTransport, so oxctl and the experiment drivers
+// read a controller the same way in process and over a fabric.
+type AdminReader struct {
+	t AdminTransport
+}
+
+// NewAdminReader returns the typed admin reads over t.
+func NewAdminReader(t AdminTransport) *AdminReader { return &AdminReader{t: t} }
+
+// adminRead runs one admin read and asserts its payload's type: a
+// transport that delivers anything else yields ErrBadAdminPayload,
+// never a panic.
+func adminRead[T any](r *AdminReader, now vclock.Time, cmd Command) (T, error) {
+	var zero T
+	comp, err := r.t.RoundTrip(now, cmd)
+	if err != nil {
+		return zero, err
+	}
+	v, ok := comp.Admin.(T)
+	if !ok {
+		return zero, fmt.Errorf("%w: %v returned %T", ErrBadAdminPayload, cmd.Op, comp.Admin)
+	}
+	return v, nil
+}
+
+// logPage reads one typed log page.
+func logPage[T any](r *AdminReader, now vclock.Time, page LogPage, nsid int) (T, error) {
+	return adminRead[T](r, now, Command{Op: OpAdminGetLogPage, NSID: nsid, Admin: AdminParams{Log: page}})
+}
+
+// Identify reports the controller identity: geometry, resource
+// configuration, attachment and queue counts, arbitration weights.
+func (r *AdminReader) Identify(now vclock.Time) (IdentifyController, error) {
+	return adminRead[IdentifyController](r, now, Command{Op: OpAdminIdentify})
+}
+
+// IdentifyNamespace reports one namespace's identity and geometry.
+func (r *AdminReader) IdentifyNamespace(now vclock.Time, nsid int) (NamespaceIdentity, error) {
+	return adminRead[NamespaceIdentity](r, now, Command{Op: OpAdminIdentify, NSID: nsid})
+}
+
+// GetLogPage returns the selected log page; nsid is 0 for controller-
+// and device-scoped pages.
+func (r *AdminReader) GetLogPage(now vclock.Time, page LogPage, nsid int) (any, error) {
+	comp, err := r.t.RoundTrip(now, Command{Op: OpAdminGetLogPage, NSID: nsid, Admin: AdminParams{Log: page}})
+	return comp.Admin, err
+}
+
+// ControllerStats returns the controller counters log page.
+func (r *AdminReader) ControllerStats(now vclock.Time) (ox.Stats, error) {
+	return logPage[ox.Stats](r, now, LogControllerStats, 0)
+}
+
+// Utilization returns controller memory-bus and core utilization at
+// virtual instant now.
+func (r *AdminReader) Utilization(now vclock.Time) (UtilizationLog, error) {
+	return logPage[UtilizationLog](r, now, LogUtilization, 0)
+}
+
+// ChunkReport returns the device's Open-Channel chunk report.
+func (r *AdminReader) ChunkReport(now vclock.Time) ([]ocssd.ChunkInfo, error) {
+	return logPage[[]ocssd.ChunkInfo](r, now, LogChunkReport, 0)
+}
+
+// MediaStats returns the device counters log page.
+func (r *AdminReader) MediaStats(now vclock.Time) (ocssd.Stats, error) {
+	return logPage[ocssd.Stats](r, now, LogMediaStats, 0)
+}
+
+// FaultLog returns the device fault log page.
+func (r *AdminReader) FaultLog(now vclock.Time) (ocssd.FaultLog, error) {
+	return logPage[ocssd.FaultLog](r, now, LogFaults, 0)
+}
+
+// ExecutorStats returns the execution-engine log page: which engine is
+// serving commands and, for the batched executor, how much overlap the
+// worker pool realized.
+func (r *AdminReader) ExecutorStats(now vclock.Time) (ExecutorLog, error) {
+	return logPage[ExecutorLog](r, now, LogExecutor, 0)
+}
+
+// OffloadStats returns a namespace's computational-storage counters
+// log page.
+func (r *AdminReader) OffloadStats(now vclock.Time, nsid int) (offload.Stats, error) {
+	return logPage[offload.Stats](r, now, LogOffload, nsid)
+}
+
+// NamespaceStats returns a namespace's FTL counters; the concrete type
+// depends on the adapter (oxblock.Stats, oxeleos.Stats, lightlsm.Stats).
+func (r *AdminReader) NamespaceStats(now vclock.Time, nsid int) (any, error) {
+	return r.GetLogPage(now, LogNamespaceStats, nsid)
+}
+
+// ZoneReport returns an OX-ZNS namespace's zone report.
+func (r *AdminReader) ZoneReport(now vclock.Time, nsid int) ([]zns.ZoneInfo, error) {
+	return logPage[[]zns.ZoneInfo](r, now, LogZoneReport, nsid)
+}
+
+// GCStats returns an OX-Block namespace's garbage-collection counters.
+func (r *AdminReader) GCStats(now vclock.Time, nsid int) (ftlcore.GCStats, error) {
+	return logPage[ftlcore.GCStats](r, now, LogGCStats, nsid)
+}
+
+// TableChunks returns the chunks backing a committed LightLSM table.
+func (r *AdminReader) TableChunks(now vclock.Time, nsid int, table uint64) ([]ocssd.ChunkID, error) {
+	return adminRead[[]ocssd.ChunkID](r, now, Command{
+		Op: OpAdminGetLogPage, NSID: nsid, Handle: table, Admin: AdminParams{Log: LogTableChunks},
+	})
+}
+
 // AdminClient issues typed admin commands over the host's admin queue
 // pair (queue 0) and reaps each completion synchronously — the way
 // cmd/oxctl and the experiment drivers manage namespaces, queue pairs
-// and diagnostics. One client is a single host actor; concurrent
-// control-plane callers should each hold their own reference serialized
-// externally (the experiment drivers issue admin commands only at
-// setup and teardown).
+// and diagnostics. Besides the admin reads it carries the lifecycle
+// commands, which need an in-process host: namespace attach and I/O
+// queue-pair create, recreate and delete. One client is a single host
+// actor; concurrent control-plane callers should each hold their own
+// reference serialized externally (the experiment drivers issue admin
+// commands only at setup and teardown).
 type AdminClient struct {
+	*AdminReader
 	qp *QueuePair
 }
 
 // Admin returns the host's admin-queue client.
-func (h *Host) Admin() *AdminClient { return &AdminClient{qp: h.adminQP} }
+func (h *Host) Admin() *AdminClient {
+	a := &AdminClient{qp: h.adminQP}
+	a.AdminReader = NewAdminReader(a)
+	return a
+}
 
 // Queue exposes the raw admin queue pair for callers that stage their
 // own admin submissions (tests of admin/IO arbitration interleaving).
 func (a *AdminClient) Queue() *QueuePair { return a.qp }
 
-// do issues one admin command synchronously through the admin queue's
-// arena.
-func (a *AdminClient) do(now vclock.Time, cmd Command) (Completion, error) {
-	ac := a.qp.AcquireCommand()
-	*ac = cmd
-	if err := a.qp.Push(now, ac); err != nil {
-		return Completion{}, err
-	}
-	comp := a.qp.MustReap()
-	return comp, comp.Err
-}
-
-// Identify reports the controller identity: geometry, resource
-// configuration, attachment and queue counts, arbitration weights.
-func (a *AdminClient) Identify(now vclock.Time) (IdentifyController, error) {
-	comp, err := a.do(now, Command{Op: OpAdminIdentify})
-	if err != nil {
-		return IdentifyController{}, err
-	}
-	return comp.Admin.(IdentifyController), nil
-}
-
-// IdentifyNamespace reports one namespace's identity and geometry.
-func (a *AdminClient) IdentifyNamespace(now vclock.Time, nsid int) (NamespaceIdentity, error) {
-	comp, err := a.do(now, Command{Op: OpAdminIdentify, NSID: nsid})
-	if err != nil {
-		return NamespaceIdentity{}, err
-	}
-	return comp.Admin.(NamespaceIdentity), nil
+// RoundTrip implements AdminTransport over the admin queue pair.
+func (a *AdminClient) RoundTrip(now vclock.Time, cmd Command) (Completion, error) {
+	return roundTrip(a.qp, now, cmd)
 }
 
 // AttachNamespace attaches ns and returns its NSID (1-based).
 func (a *AdminClient) AttachNamespace(now vclock.Time, ns Namespace) (int, error) {
-	comp, err := a.do(now, Command{Op: OpAdminNamespaceAttach, Admin: AdminParams{Attach: ns}})
+	comp, err := a.RoundTrip(now, Command{Op: OpAdminNamespaceAttach, Admin: AdminParams{Attach: ns}})
 	if err != nil {
 		return 0, err
 	}
@@ -296,14 +397,10 @@ func (a *AdminClient) AttachNamespace(now vclock.Time, ns Namespace) (int, error
 // CreateIOQueuePair creates an I/O queue pair with the given depth
 // (minimum 1) and arbitration class.
 func (a *AdminClient) CreateIOQueuePair(now vclock.Time, depth int, class Class) (*QueuePair, error) {
-	comp, err := a.do(now, Command{
+	return adminRead[*QueuePair](a.AdminReader, now, Command{
 		Op:    OpAdminCreateIOQP,
 		Admin: AdminParams{Depth: depth, Class: class},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return comp.Admin.(*QueuePair), nil
 }
 
 // RecreateIOQueuePair recreates a deleted I/O queue pair under its
@@ -315,138 +412,15 @@ func (a *AdminClient) RecreateIOQueuePair(now vclock.Time, qid, depth int, class
 	if qid <= 0 {
 		return nil, fmt.Errorf("%w: queue %d is not recreatable", ErrBadQueueID, qid)
 	}
-	comp, err := a.do(now, Command{
+	return adminRead[*QueuePair](a.AdminReader, now, Command{
 		Op:    OpAdminCreateIOQP,
 		Admin: AdminParams{QID: qid, Depth: depth, Class: class},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return comp.Admin.(*QueuePair), nil
 }
 
 // DeleteIOQueuePair deletes qp. The queue must be idle: every slot
 // reaped, nothing staged or visible (ErrQueueBusy otherwise).
 func (a *AdminClient) DeleteIOQueuePair(now vclock.Time, qp *QueuePair) error {
-	_, err := a.do(now, Command{Op: OpAdminDeleteIOQP, Admin: AdminParams{QID: qp.id}})
+	_, err := a.RoundTrip(now, Command{Op: OpAdminDeleteIOQP, Admin: AdminParams{QID: qp.id}})
 	return err
-}
-
-// GetLogPage returns the selected log page; nsid is 0 for controller-
-// and device-scoped pages.
-func (a *AdminClient) GetLogPage(now vclock.Time, page LogPage, nsid int) (any, error) {
-	comp, err := a.do(now, Command{
-		Op:    OpAdminGetLogPage,
-		NSID:  nsid,
-		Admin: AdminParams{Log: page},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return comp.Admin, nil
-}
-
-// ControllerStats returns the controller counters log page.
-func (a *AdminClient) ControllerStats(now vclock.Time) (ox.Stats, error) {
-	v, err := a.GetLogPage(now, LogControllerStats, 0)
-	if err != nil {
-		return ox.Stats{}, err
-	}
-	return v.(ox.Stats), nil
-}
-
-// Utilization returns controller memory-bus and core utilization at
-// virtual instant now.
-func (a *AdminClient) Utilization(now vclock.Time) (UtilizationLog, error) {
-	v, err := a.GetLogPage(now, LogUtilization, 0)
-	if err != nil {
-		return UtilizationLog{}, err
-	}
-	return v.(UtilizationLog), nil
-}
-
-// ChunkReport returns the device's Open-Channel chunk report.
-func (a *AdminClient) ChunkReport(now vclock.Time) ([]ocssd.ChunkInfo, error) {
-	v, err := a.GetLogPage(now, LogChunkReport, 0)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]ocssd.ChunkInfo), nil
-}
-
-// MediaStats returns the device counters log page.
-func (a *AdminClient) MediaStats(now vclock.Time) (ocssd.Stats, error) {
-	v, err := a.GetLogPage(now, LogMediaStats, 0)
-	if err != nil {
-		return ocssd.Stats{}, err
-	}
-	return v.(ocssd.Stats), nil
-}
-
-// FaultLog returns the device fault log page.
-func (a *AdminClient) FaultLog(now vclock.Time) (ocssd.FaultLog, error) {
-	v, err := a.GetLogPage(now, LogFaults, 0)
-	if err != nil {
-		return ocssd.FaultLog{}, err
-	}
-	return v.(ocssd.FaultLog), nil
-}
-
-// ExecutorStats returns the execution-engine log page: which engine is
-// serving commands and, for the batched executor, how much overlap the
-// worker pool realized.
-func (a *AdminClient) ExecutorStats(now vclock.Time) (ExecutorLog, error) {
-	v, err := a.GetLogPage(now, LogExecutor, 0)
-	if err != nil {
-		return ExecutorLog{}, err
-	}
-	return v.(ExecutorLog), nil
-}
-
-// OffloadStats returns a namespace's computational-storage counters
-// log page.
-func (a *AdminClient) OffloadStats(now vclock.Time, nsid int) (offload.Stats, error) {
-	v, err := a.GetLogPage(now, LogOffload, nsid)
-	if err != nil {
-		return offload.Stats{}, err
-	}
-	return v.(offload.Stats), nil
-}
-
-// NamespaceStats returns a namespace's FTL counters; the concrete type
-// depends on the adapter (oxblock.Stats, oxeleos.Stats, lightlsm.Stats).
-func (a *AdminClient) NamespaceStats(now vclock.Time, nsid int) (any, error) {
-	return a.GetLogPage(now, LogNamespaceStats, nsid)
-}
-
-// ZoneReport returns an OX-ZNS namespace's zone report.
-func (a *AdminClient) ZoneReport(now vclock.Time, nsid int) ([]zns.ZoneInfo, error) {
-	v, err := a.GetLogPage(now, LogZoneReport, nsid)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]zns.ZoneInfo), nil
-}
-
-// GCStats returns an OX-Block namespace's garbage-collection counters.
-func (a *AdminClient) GCStats(now vclock.Time, nsid int) (ftlcore.GCStats, error) {
-	v, err := a.GetLogPage(now, LogGCStats, nsid)
-	if err != nil {
-		return ftlcore.GCStats{}, err
-	}
-	return v.(ftlcore.GCStats), nil
-}
-
-// TableChunks returns the chunks backing a committed LightLSM table.
-func (a *AdminClient) TableChunks(now vclock.Time, nsid int, table uint64) ([]ocssd.ChunkID, error) {
-	comp, err := a.do(now, Command{
-		Op:     OpAdminGetLogPage,
-		NSID:   nsid,
-		Handle: table,
-		Admin:  AdminParams{Log: LogTableChunks},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return comp.Admin.([]ocssd.ChunkID), nil
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/lightlsm"
 	"repro/internal/vclock"
 )
 
@@ -181,5 +182,63 @@ func TestShardedHostConcurrentStress(t *testing.T) {
 		if n := qp.Outstanding(); n != 0 {
 			t.Fatalf("queue %d still holds %d slots", i, n)
 		}
+	}
+}
+
+// TestRejectedClientCallsReleaseTheirCommand: a typed client call whose
+// push is rejected returns the arena command it acquired, so repeated
+// rejections leave the arena's command count unchanged — the lsm.Env
+// client on a deleted queue pair (ErrQueueClosed) and the admin reads
+// on a full admin queue (ErrQueueFull).
+func TestRejectedClientCallsReleaseTheirCommand(t *testing.T) {
+	host := NewHost(testController(t), HostConfig{})
+	t.Cleanup(host.Close)
+	env, err := lightlsm.New(host.ctrl, lightlsm.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := AttachLSM(host, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp := cli.q.(*QueuePair)
+	if err := host.Admin().DeleteIOQueuePair(0, qp); err != nil {
+		t.Fatal(err)
+	}
+	admin := host.Admin()
+	aq := admin.Queue()
+	for {
+		if _, err := aq.Submit(&Command{Op: OpAdminIdentify}); errors.Is(err, ErrQueueFull) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls := []struct {
+		name string
+		q    *QueuePair
+		call func() error
+		want error
+	}{
+		{"CreateTable on a deleted queue pair", qp, func() error { _, err := cli.CreateTable(0); return err }, ErrQueueClosed},
+		{"Identify on a full admin queue", aq, func() error { _, err := admin.Identify(0); return err }, ErrQueueFull},
+	}
+	for _, c := range calls {
+		if err := c.call(); !errors.Is(err, c.want) {
+			t.Fatalf("%s: %v, want %v", c.name, err, c.want)
+		}
+		arena := len(c.q.state)
+		for i := 0; i < 8; i++ {
+			if err := c.call(); !errors.Is(err, c.want) {
+				t.Fatalf("%s, call %d: %v, want %v", c.name, i, err, c.want)
+			}
+		}
+		if n := len(c.q.state); n != arena {
+			t.Errorf("%s: the arena grew from %d to %d commands over 8 rejected calls", c.name, arena, n)
+		}
+	}
+	aq.Ring(0)
+	for aq.Outstanding() > 0 {
+		aq.MustReap()
 	}
 }

@@ -1,6 +1,8 @@
 package hostif
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 
 	"repro/internal/lightlsm"
@@ -9,46 +11,77 @@ import (
 	"repro/internal/vclock"
 )
 
-// EnvClient implements lsm.Env by issuing host-interface commands over
-// a queue pair — the mini-RocksDB then drives the LightLSM FTL the way
-// RocksDB drives an NVMe device: every SSTable flush block, block read
-// and table delete is a typed command through the submission queue.
-// Calls are synchronous, so the adapter adds no virtual time of its
-// own and preserves the FTL's exact accounting. Completions are
-// consumed by polling Reap, or — after EnableNotify — by interrupt-
-// style notification, with identical virtual timing.
+// Queue is the submission surface the typed clients drive, one command
+// at a time. Both transports have it: *QueuePair in process and
+// *fabrics.QueuePair over the wire.
+type Queue interface {
+	AcquireCommand() *Command
+	ReleaseCommand(cmd *Command)
+	Push(now vclock.Time, cmd *Command) error
+	Reap() (Completion, bool)
+	Err() error
+}
+
+// errCompletionTaken reports a completion another reaper (a
+// notification handler on the same queue pair) took first.
+var errCompletionTaken = errors.New("hostif: completion reaped by another actor")
+
+// roundTrip issues cmd on q synchronously. The command storage comes
+// from the queue's arena and is recycled at the reap, or released when
+// the push is rejected, so a synchronous client is allocation-free at
+// steady state and leaks nothing on a closed or full queue.
+func roundTrip(q Queue, now vclock.Time, cmd Command) (Completion, error) {
+	ac := q.AcquireCommand()
+	*ac = cmd
+	if err := q.Push(now, ac); err != nil {
+		q.ReleaseCommand(ac)
+		return Completion{}, err
+	}
+	comp, ok := q.Reap()
+	if !ok {
+		return Completion{}, cmp.Or(q.Err(), errCompletionTaken)
+	}
+	return comp, comp.Err
+}
+
+// LSMClient implements lsm.Env and the offload hooks by issuing
+// host-interface commands over a Queue — the mini-RocksDB then drives
+// the LightLSM FTL the way RocksDB drives an NVMe device: every SSTable
+// flush block, block read and table delete is one typed command, in
+// process or over a fabric. Calls are synchronous, so the client adds
+// no virtual time of its own and preserves the FTL's exact accounting.
 //
-// EnvClient is driven by one actor at a time, matching the LSM's
+// LSMClient is driven by one actor at a time, matching the LSM's
 // single-dispatch design (§4.3).
-type EnvClient struct {
-	qp        *QueuePair
+type LSMClient struct {
+	q         Queue
 	nsid      int
 	blockSize int
 	maxBlocks int
-
-	// Notification mode (EnableNotify): the registered callback reaps
-	// into comp/gotComp instead of do() polling MustReap.
-	notify  bool
-	comp    Completion
-	gotComp bool
 }
 
-// Statically assert EnvClient implements lsm.Env and can search in
-// place (in process the namespace sees the caller's key and buffer).
+// EnvClient is the in-process LSMClient. Over a *QueuePair the
+// namespace sees the caller's key and buffer, so it also searches
+// blocks where they lie (lsm.BlockSearcher); an LSMClient over a wire
+// copies each block across instead.
+type EnvClient struct {
+	LSMClient
+}
+
 var (
-	_ lsm.Env           = (*EnvClient)(nil)
+	_ lsm.Env           = (*LSMClient)(nil)
 	_ lsm.BlockSearcher = (*EnvClient)(nil)
 )
 
-// NewEnvClient builds a client over qp for the namespace attached
-// under nsid, with the block geometry from its admin identity.
+// NewLSMClient builds a client over q for the namespace attached under
+// nsid, with the block geometry from its admin identity.
+func NewLSMClient(q Queue, nsid int, id NamespaceIdentity) *LSMClient {
+	return &LSMClient{q: q, nsid: nsid, blockSize: id.BlockSize, maxBlocks: id.MaxTableBlocks}
+}
+
+// NewEnvClient builds the in-process client over qp.
 func NewEnvClient(qp *QueuePair, nsid int, id NamespaceIdentity) *EnvClient {
-	return &EnvClient{
-		qp:        qp,
-		nsid:      nsid,
-		blockSize: id.BlockSize,
-		maxBlocks: id.MaxTableBlocks,
-	}
+	return &EnvClient{*NewLSMClient(qp, nsid, id)}
 }
 
 // AttachLSM wires env into h over the admin queue — namespace attach,
@@ -73,53 +106,23 @@ func AttachLSM(h *Host, env *lightlsm.Env) (*EnvClient, error) {
 	return NewEnvClient(qp, nsid, id), nil
 }
 
-// EnableNotify switches the client from polling to interrupt-style
-// completion: each command is submitted, the host drains, and the
-// completion arrives through the queue pair's notification callback
-// (coalescing threshold 1 — the client is synchronous, one command in
-// flight). Virtual timing is identical to polling.
-func (c *EnvClient) EnableNotify() {
-	c.notify = true
-	c.qp.SetNotify(1, func(n Notification) {
-		if comp, ok := c.qp.Reap(); ok {
-			c.comp, c.gotComp = comp, true
-		}
-	})
-}
-
-// do issues one command synchronously. The command storage comes from
-// the queue pair's arena and is recycled at the reap, so the client is
-// single-actor, fully synchronous and allocation-free at steady state.
-func (c *EnvClient) do(now vclock.Time, cmd Command) (Completion, error) {
-	ac := c.qp.AcquireCommand()
-	*ac = cmd
-	ac.NSID = c.nsid
-	if err := c.qp.Push(now, ac); err != nil {
-		return Completion{}, err
-	}
-	if c.notify {
-		c.gotComp = false
-		c.qp.host.Drain()
-		if !c.gotComp {
-			panic("hostif: EnvClient notification did not deliver a completion")
-		}
-		return c.comp, c.comp.Err
-	}
-	comp := c.qp.MustReap()
-	return comp, comp.Err
+// do issues one command to the client's namespace.
+func (c *LSMClient) do(now vclock.Time, cmd Command) (Completion, error) {
+	cmd.NSID = c.nsid
+	return roundTrip(c.q, now, cmd)
 }
 
 // NSID reports the namespace the client is bound to (admin log pages).
-func (c *EnvClient) NSID() int { return c.nsid }
+func (c *LSMClient) NSID() int { return c.nsid }
 
 // BlockSize implements lsm.Env.
-func (c *EnvClient) BlockSize() int { return c.blockSize }
+func (c *LSMClient) BlockSize() int { return c.blockSize }
 
 // MaxTableBlocks implements lsm.Env.
-func (c *EnvClient) MaxTableBlocks() int { return c.maxBlocks }
+func (c *LSMClient) MaxTableBlocks() int { return c.maxBlocks }
 
 // CreateTable implements lsm.Env.
-func (c *EnvClient) CreateTable(now vclock.Time) (lsm.TableWriter, error) {
+func (c *LSMClient) CreateTable(now vclock.Time) (lsm.TableWriter, error) {
 	comp, err := c.do(now, Command{Op: OpTableCreate})
 	if err != nil {
 		return nil, err
@@ -128,7 +131,7 @@ func (c *EnvClient) CreateTable(now vclock.Time) (lsm.TableWriter, error) {
 }
 
 // ReadBlock implements lsm.Env.
-func (c *EnvClient) ReadBlock(now vclock.Time, h lsm.TableHandle, block int, dst []byte) (vclock.Time, error) {
+func (c *LSMClient) ReadBlock(now vclock.Time, h lsm.TableHandle, block int, dst []byte) (vclock.Time, error) {
 	comp, err := c.do(now, Command{
 		Op:     OpTableRead,
 		Handle: uint64(h.ID),
@@ -164,7 +167,7 @@ func (c *EnvClient) SearchBlock(now vclock.Time, h lsm.TableHandle, block, from 
 // host link, instead of the full block. The signature matches
 // lsm.Options.Lookup, so wiring `Lookup: env.OffloadGet` switches the
 // mini-RocksDB's read path to computational storage.
-func (c *EnvClient) OffloadGet(now vclock.Time, h lsm.TableHandle, block int, key []byte) (value []byte, deleted, found bool, end vclock.Time, err error) {
+func (c *LSMClient) OffloadGet(now vclock.Time, h lsm.TableHandle, block int, key []byte) (value []byte, deleted, found bool, end vclock.Time, err error) {
 	comp, err := c.do(now, Command{
 		Op:     OpOffloadGet,
 		Handle: uint64(h.ID),
@@ -183,7 +186,7 @@ func (c *EnvClient) OffloadGet(now vclock.Time, h lsm.TableHandle, block int, ke
 // input SSTables media-side and only the output table metadata crosses
 // the host link. The signature matches lsm.Options.Compactor, so wiring
 // `Compactor: env.OffloadCompact` offloads the LSM's merge work.
-func (c *EnvClient) OffloadCompact(now vclock.Time, inputs []lsm.TableHandle, bitsPerKey int, dropDeletes bool) ([]*lsm.TableMeta, vclock.Time, error) {
+func (c *LSMClient) OffloadCompact(now vclock.Time, inputs []lsm.TableHandle, bitsPerKey int, dropDeletes bool) ([]*lsm.TableMeta, vclock.Time, error) {
 	refs := make([]offload.TableRef, len(inputs))
 	for i, h := range inputs {
 		refs[i] = offload.TableRef{ID: uint64(h.ID), Blocks: uint32(h.Blocks)}
@@ -207,7 +210,7 @@ func (c *EnvClient) OffloadCompact(now vclock.Time, inputs []lsm.TableHandle, bi
 }
 
 // DeleteTable implements lsm.Env.
-func (c *EnvClient) DeleteTable(now vclock.Time, h lsm.TableHandle) (vclock.Time, error) {
+func (c *LSMClient) DeleteTable(now vclock.Time, h lsm.TableHandle) (vclock.Time, error) {
 	comp, err := c.do(now, Command{
 		Op:     OpTableDelete,
 		Handle: uint64(h.ID),
@@ -216,9 +219,9 @@ func (c *EnvClient) DeleteTable(now vclock.Time, h lsm.TableHandle) (vclock.Time
 	return comp.Done, err
 }
 
-// writerClient implements lsm.TableWriter over the queue pair.
+// writerClient implements lsm.TableWriter over the queue.
 type writerClient struct {
-	env    *EnvClient
+	env    *LSMClient
 	handle uint64
 }
 

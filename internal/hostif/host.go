@@ -22,10 +22,6 @@ type HostConfig struct {
 	// DefaultWeights (8/4/2).
 	Weights Weights
 
-	// AdminDepth sizes the admin queue pair (queue 0); minimum and
-	// default 16.
-	AdminDepth int
-
 	// Executor selects the command-service engine: ExecutorSerial (the
 	// reference oracle; the zero value) runs every granted command
 	// inline in the arbitration loop, and ExecutorBatched decouples
@@ -88,15 +84,15 @@ type Host struct {
 	notifiers atomic.Int32 // queue pairs with a notify handler
 }
 
+// adminDepth sizes the admin queue pair (queue 0).
+const adminDepth = 16
+
 // NewHost builds a host interface over the controller. The admin queue
 // pair (queue 0) is created with the host; everything else is attached
 // through admin commands.
 func NewHost(ctrl *ox.Controller, cfg HostConfig) *Host {
 	if ctrl == nil {
 		panic("hostif: nil controller")
-	}
-	if cfg.AdminDepth < 16 {
-		cfg.AdminDepth = 16
 	}
 	h := &Host{ctrl: ctrl, cfg: cfg, weights: cfg.Weights.withDefaults()}
 	switch cfg.Executor {
@@ -112,7 +108,7 @@ func NewHost(ctrl *ox.Controller, cfg HostConfig) *Host {
 	h.credits = [3]int{h.weights.High, h.weights.Medium, h.weights.Low}
 	h.noteBox = notePool.Get().(*[]Notification)
 	h.notes = (*h.noteBox)[:0]
-	h.adminQP = h.openQueuePair(cfg.AdminDepth, ClassMedium)
+	h.adminQP = h.openQueuePair(adminDepth, ClassMedium)
 	h.adminQP.admin = true
 	return h
 }

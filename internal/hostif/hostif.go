@@ -184,6 +184,9 @@ var (
 	// ErrBadSeek rejects a searching table read whose Seek lies outside
 	// the block.
 	ErrBadSeek = errors.New("hostif: seek offset outside the block")
+	// ErrBadAdminPayload flags an admin completion whose payload is not
+	// the type the read asked for.
+	ErrBadAdminPayload = errors.New("hostif: unexpected admin payload type")
 )
 
 // Status classifies a completion's Err into an NVMe-style status class

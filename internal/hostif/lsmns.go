@@ -29,7 +29,7 @@ func NewLSMNamespace(env *lightlsm.Env) *LSMNamespace {
 func (n *LSMNamespace) Name() string { return "lightlsm" }
 
 // identity serves AdminIdentify: the block and SSTable geometry the
-// EnvClient needs to satisfy lsm.Env.
+// LSMClient needs to satisfy lsm.Env.
 func (n *LSMNamespace) identity() NamespaceIdentity {
 	return NamespaceIdentity{
 		Name:           n.Name(),

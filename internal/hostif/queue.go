@@ -288,3 +288,14 @@ func (qp *QueuePair) Outstanding() int {
 	defer qp.mu.Unlock()
 	return qp.inflightLocked()
 }
+
+// Err reports why the queue pair takes no more commands: ErrQueueClosed
+// once deleted, nil while live.
+func (qp *QueuePair) Err() error {
+	qp.mu.Lock()
+	defer qp.mu.Unlock()
+	if qp.closed {
+		return ErrQueueClosed
+	}
+	return nil
+}

@@ -13,6 +13,16 @@ import (
 // ErrNotFound is returned by Get for absent or deleted keys.
 var ErrNotFound = errors.New("lsm: not found")
 
+// The tree's fixed sizes and costs.
+const (
+	// bloomBitsPerKey sizes table filters.
+	bloomBitsPerKey = 10
+	// cpuPerOp is the host CPU cost of a memtable insert or probe.
+	cpuPerOp = 2 * vclock.Microsecond
+	// compactWorkers is the number of concurrent compactions.
+	compactWorkers = 2
+)
+
 // Options tunes the tree. Zero values select defaults.
 type Options struct {
 	Env Env
@@ -26,13 +36,9 @@ type Options struct {
 	L0StallTrigger int
 	// L1TargetBytes caps L1 before spilling into L2 (default 4 tables).
 	L1TargetBytes int64
-	// BloomBitsPerKey sizes table filters (10).
-	BloomBitsPerKey int
 	// RateLimitMBps throttles flush+compaction writes, like RocksDB's
 	// rate limiter (0 = unlimited).
 	RateLimitMBps float64
-	// CPUPerOp is the host CPU cost of a memtable insert or probe (2µs).
-	CPUPerOp vclock.Duration
 	// FlushWorkers is the number of concurrent background flushes
 	// (RocksDB max_background_flushes; default 4). Parallel flushes are
 	// what let vertical placement scale across groups.
@@ -40,8 +46,6 @@ type Options struct {
 	// MaxImmutables bounds queued immutable memtables before writers
 	// stall (RocksDB max_write_buffer_number; default FlushWorkers+1).
 	MaxImmutables int
-	// CompactWorkers is the number of concurrent compactions (2).
-	CompactWorkers int
 	// Seed drives skiplist height choices.
 	Seed int64
 	// Lookup, when set, resolves a positive table probe inside the
@@ -77,20 +81,11 @@ func (o *Options) fill() error {
 	if o.L1TargetBytes <= 0 {
 		o.L1TargetBytes = 4 * int64(o.Env.BlockSize()) * int64(o.Env.MaxTableBlocks())
 	}
-	if o.BloomBitsPerKey <= 0 {
-		o.BloomBitsPerKey = 10
-	}
-	if o.CPUPerOp <= 0 {
-		o.CPUPerOp = 2 * vclock.Microsecond
-	}
 	if o.FlushWorkers <= 0 {
 		o.FlushWorkers = 4
 	}
 	if o.MaxImmutables <= 0 {
 		o.MaxImmutables = o.FlushWorkers + 1
-	}
-	if o.CompactWorkers <= 0 {
-		o.CompactWorkers = 2
 	}
 	return nil
 }
@@ -159,7 +154,7 @@ func Open(opts Options) (*DB, error) {
 		env:         opts.Env,
 		mem:         newSkiplist(opts.Seed),
 		flushPool:   vclock.NewPool("lsm-flush", opts.FlushWorkers),
-		compactPool: vclock.NewPool("lsm-compact", opts.CompactWorkers),
+		compactPool: vclock.NewPool("lsm-compact", compactWorkers),
 	}
 	if opts.RateLimitMBps > 0 {
 		db.rate = vclock.NewResource("lsm-rate")
@@ -216,7 +211,7 @@ func (db *DB) write(now vclock.Time, key, value []byte, del bool) (vclock.Time, 
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	now = now.Add(db.opts.CPUPerOp)
+	now = now.Add(cpuPerOp)
 	db.seq++
 	db.mem.insert(key, db.seq, value, del)
 	if del {
@@ -280,7 +275,7 @@ func (db *DB) rotateLocked(now vclock.Time) (vclock.Time, error) {
 	for n := imm.first(); n != nil; n = n.next[0] {
 		entries = append(entries, Entry{Key: n.key, Seq: n.seq, Value: n.value, Del: n.del})
 	}
-	metas, end, err := buildTables(db.env, clock, &sliceIterator{entries: entries}, db.opts.BloomBitsPerKey, false)
+	metas, end, err := buildTables(db.env, clock, &sliceIterator{entries: entries}, bloomBitsPerKey, false)
 	if err != nil {
 		// buildTables left nothing behind; the memtable stays active, so
 		// its keys stay readable and the next rotation retries the flush.
@@ -508,7 +503,7 @@ func (db *DB) mergeLocked(start vclock.Time, inputs []*TableMeta, dropDeletes bo
 		for i, t := range inputs {
 			hs[i] = t.Handle
 		}
-		return db.opts.Compactor(start, hs, db.opts.BloomBitsPerKey, dropDeletes)
+		return db.opts.Compactor(start, hs, bloomBitsPerKey, dropDeletes)
 	}
 	clock := start
 	its := make([]entryIterator, 0, len(inputs))
@@ -516,7 +511,7 @@ func (db *DB) mergeLocked(start vclock.Time, inputs []*TableMeta, dropDeletes bo
 		its = append(its, newTableIterator(db.env, t, &clock))
 	}
 	return buildTables(db.env, clock, newDedupIterator(newMergeIterator(its)),
-		db.opts.BloomBitsPerKey, dropDeletes)
+		bloomBitsPerKey, dropDeletes)
 }
 
 // Get returns the newest value for key. Each table probe costs a bloom
@@ -533,7 +528,7 @@ func (db *DB) Get(now vclock.Time, key []byte) ([]byte, vclock.Time, error) {
 func (db *DB) GetInto(now vclock.Time, key, dst []byte) ([]byte, vclock.Time, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	now = now.Add(db.opts.CPUPerOp)
+	now = now.Add(cpuPerOp)
 	snapshot := db.seq
 	db.stats.Gets++
 
@@ -680,7 +675,7 @@ func (it *Iterator) Next() (key, value []byte, ok bool) {
 		if !more {
 			return nil, nil, false
 		}
-		*it.clock = it.clock.Add(it.db.opts.CPUPerOp)
+		*it.clock = it.clock.Add(cpuPerOp)
 		if e.Del {
 			continue
 		}

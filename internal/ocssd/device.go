@@ -134,8 +134,6 @@ func (s *devStats) snapshot() Stats {
 type Options struct {
 	Seed        int64
 	Reliability nand.Reliability
-	// Timing overrides the per-cell-type default when non-nil.
-	Timing *nand.TimingProfile
 	// PowerLossProtected keeps partially filled stripe buffers across a
 	// Crash (capacitor-backed DRAM). Without it, un-programmed sectors
 	// are lost on crash, which is what forces FTLs to use a WAL.
@@ -360,9 +358,6 @@ func newDevice(geo Geometry, opts Options) (*Device, error) {
 		return nil, err
 	}
 	timing := nand.DefaultTiming(geo.Chip.Cell)
-	if opts.Timing != nil {
-		timing = *opts.Timing
-	}
 	d := &Device{
 		geo:      geo,
 		opts:     opts,

@@ -44,6 +44,9 @@ var (
 	ErrSector     = errors.New("oxblock: device sector size must be 4 KB")
 )
 
+// cpuPerMapUpdate is controller CPU per mapping-table operation.
+const cpuPerMapUpdate = vclock.Microsecond
+
 // Config sizes and tunes an OX-Block instance.
 type Config struct {
 	// LogicalPages is the exposed capacity in 4 KB pages. It must leave
@@ -55,8 +58,6 @@ type Config struct {
 	// CheckpointInterval is the Ci of Figure 3; zero disables
 	// checkpointing entirely (the blue line of the figure).
 	CheckpointInterval vclock.Duration
-	// CPUPerMapUpdate is controller CPU per mapping-table operation.
-	CPUPerMapUpdate vclock.Duration
 	// CPUPerRecordReplay is the per-record recovery cost (Figure 3's
 	// slope). Zero selects the ftlcore default.
 	CPUPerRecordReplay vclock.Duration
@@ -75,9 +76,6 @@ func (c *Config) fill(geo ocssd.Geometry) error {
 	totalChunks := geo.TotalPUs() * geo.ChunksPerPU
 	if c.StripeWidth <= 0 {
 		c.StripeWidth = geo.TotalPUs()
-	}
-	if c.CPUPerMapUpdate <= 0 {
-		c.CPUPerMapUpdate = vclock.Microsecond
 	}
 	if c.GCFreeThreshold <= 0 {
 		c.GCFreeThreshold = totalChunks / 12
@@ -210,7 +208,7 @@ func New(ctrl *ox.Controller, cfg Config, now vclock.Time) (*Device, *RecoveryRe
 		}
 	}
 	var err error
-	d.ckpt, err = ftlcore.NewCheckpointer(d.media, ctrl, slots, ftlcore.CheckpointConfig{})
+	d.ckpt, err = ftlcore.NewCheckpointer(d.media, ctrl, slots)
 	if err != nil {
 		return nil, nil, now, err
 	}
@@ -431,7 +429,7 @@ func (d *Device) Write(now vclock.Time, lpn int64, data []byte) (vclock.Time, er
 		binary.LittleEndian.PutUint64(payload[i*16:], uint64(lpn+int64(i)))
 		binary.LittleEndian.PutUint64(payload[i*16+8:], ppas[i].Pack())
 	}
-	end = d.ctrl.CPUWork(end, vclock.Duration(pages)*d.cfg.CPUPerMapUpdate)
+	end = d.ctrl.CPUWork(end, vclock.Duration(pages)*cpuPerMapUpdate)
 
 	// Commit point: the WAL record is forced before acknowledging.
 	d.nextTx++
@@ -496,7 +494,7 @@ func (d *Device) readLocked(now vclock.Time, lpn int64, pages int) ([]byte, vclo
 		}
 	}
 	d.ppas = ppas
-	end := d.ctrl.CPUWork(now, vclock.Duration(pages)*d.cfg.CPUPerMapUpdate)
+	end := d.ctrl.CPUWork(now, vclock.Duration(pages)*cpuPerMapUpdate)
 	if len(ppas) > 0 {
 		d.noteAppIOs(ppas, now)
 		// Fully mapped (the common case): the device reads straight into
@@ -593,7 +591,7 @@ func (d *Device) Trim(now vclock.Time, lpn int64, pages int) (vclock.Time, error
 		}
 		binary.LittleEndian.PutUint64(payload[i*8:], uint64(lpn+int64(i)))
 	}
-	end := d.ctrl.CPUWork(now, vclock.Duration(pages)*d.cfg.CPUPerMapUpdate)
+	end := d.ctrl.CPUWork(now, vclock.Duration(pages)*cpuPerMapUpdate)
 	d.nextTx++
 	_, end, err := d.wal.Append(end, ftlcore.Record{
 		Type:    ftlcore.RecTrim,

@@ -42,6 +42,9 @@ type PageDesc struct {
 	Length int   // byte length (variable-size pages: any positive value)
 }
 
+// cpuPerPageMap is controller CPU per page-mapping operation.
+const cpuPerPageMap = vclock.Microsecond
+
 // Config tunes the store.
 type Config struct {
 	// BufferBytes is the LSS I/O buffer size (default 8 MB, §4.2).
@@ -49,8 +52,6 @@ type Config struct {
 	// StripeWidth is the number of open chunks the log stripes over
 	// (0 = one per PU).
 	StripeWidth int
-	// CPUPerPageMap is controller CPU per page-mapping operation.
-	CPUPerPageMap vclock.Duration
 }
 
 // Stats aggregates store activity.
@@ -106,9 +107,6 @@ func baseStore(ctrl *ox.Controller, cfg Config) (*Store, error) {
 	}
 	if cfg.StripeWidth <= 0 {
 		cfg.StripeWidth = geo.TotalPUs()
-	}
-	if cfg.CPUPerPageMap <= 0 {
-		cfg.CPUPerPageMap = vclock.Microsecond
 	}
 	s := &Store{
 		ctrl:          ctrl,
@@ -284,7 +282,7 @@ func (s *Store) Flush(now vclock.Time, buf []byte, pages []PageDesc) (vclock.Tim
 		binary.LittleEndian.PutUint32(rec[24:], 0)
 		walPayload = append(walPayload, rec[:]...)
 	}
-	end = s.ctrl.CPUWork(end, vclock.Duration(len(pages))*s.cfg.CPUPerPageMap)
+	end = s.ctrl.CPUWork(end, vclock.Duration(len(pages))*cpuPerPageMap)
 	if _, end, err = s.wal.Append(end, ftlcore.Record{
 		Type:    ftlcore.RecAppExtent,
 		Payload: walPayload,
@@ -358,7 +356,7 @@ func (s *Store) ReadPage(now vclock.Time, id int64) ([]byte, vclock.Time, error)
 		// ppas), so consecutive sectors follow ppas order. Wrapping is
 		// handled at flush time by using the actual assigned ppas.
 	}
-	end := s.ctrl.CPUWork(now, s.cfg.CPUPerPageMap)
+	end := s.ctrl.CPUWork(now, cpuPerPageMap)
 	buf := make([]byte, nsec*secSize)
 	end, err := s.media.VectorRead(end, ppas, buf)
 	if err != nil {
@@ -390,7 +388,7 @@ func (s *Store) Delete(now vclock.Time, id int64) (vclock.Time, error) {
 		return end, err
 	}
 	s.stats.Deletes++
-	return s.ctrl.CPUWork(end, s.cfg.CPUPerPageMap), nil
+	return s.ctrl.CPUWork(end, cpuPerPageMap), nil
 }
 
 // Clean resets closed chunks that hold no live bytes (LSS cleaning is
