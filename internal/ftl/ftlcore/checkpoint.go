@@ -70,9 +70,9 @@ func (c *Checkpointer) Write(now vclock.Time, m *PageMap, walEpoch uint64, walLS
 	seq := c.seq + 1
 	pages := m.Pages()
 	geo := c.media.Geometry()
-	unit := geo.WSMin * geo.Chip.SectorSize
-	// Room for the snapshot and the zeros that pad its last unit.
-	if need := SlotBytesNeeded(pages) + unit; cap(c.stream) < need {
+	sz := geo.Chip.SectorSize
+	// Room for the snapshot and the zeros that complete its last sector.
+	if need := SlotBytesNeeded(pages) + sz; cap(c.stream) < need {
 		c.stream = make([]byte, 0, need)
 	}
 	stream := append(c.stream[:0], make([]byte, ckptHeaderLen)...)
@@ -118,14 +118,13 @@ func (c *Checkpointer) Write(now vclock.Time, m *PageMap, walEpoch uint64, walLS
 	off := 0
 	for ci := 0; ci < len(slot) && off < n; ci++ {
 		take := min(n-off, chunkBytes)
-		payload := stream[off : off+take]
-		if rem := take % unit; rem != 0 {
-			// Only the stream's last piece can end inside a unit (a chunk
-			// is whole units): pad it with zeros past the stream's end.
-			payload = append(payload, make([]byte, unit-rem)...)
-		}
+		// Only the stream's last piece can end inside a unit (a chunk is
+		// whole units): its last sector is completed with zeros past the
+		// stream's end, and the unit's other sectors are a pad count.
+		payload := ZeroToSector(stream[off:off+take], sz)
+		pad := (geo.WSMin - len(payload)/sz%geo.WSMin) % geo.WSMin
 		var err error
-		if _, end, err = c.media.Append(end, slot[ci], payload); err != nil {
+		if _, end, err = c.media.AppendPadded(end, slot[ci], payload, pad); err != nil {
 			return end, err
 		}
 		if end2, err := c.media.Pad(end, slot[ci]); err != nil {

@@ -144,8 +144,9 @@ type GC struct {
 	dst        []ocssd.ChunkID // open GC destination per group
 	dstOpen    []bool
 	dstWP      []int
-	reclaim    []int // pickGroup scratch, one counter per group
-	marked     int   // group under collection; -1 when idle
+	reclaim    []int       // pickGroup scratch, one counter per group
+	src        []ocssd.PPA // collectChunk scratch; an FTL never overlaps its Collect calls
+	marked     int         // group under collection; -1 when idle
 	windows    []gcWindow
 	samples    []gcSample
 	stats      GCStats
@@ -392,19 +393,16 @@ func (g *GC) pickVictim(group int) (ocssd.ChunkID, bool) {
 // remaps them, then resets the victim.
 func (g *GC) collectChunk(now vclock.Time, victim ocssd.ChunkID, remap func(int64, ocssd.PPA, ocssd.PPA) bool) (vclock.Time, error) {
 	end := now
-	valids := g.val.ValidSectors(victim)
-	if len(valids) > 0 {
+	src := g.val.ValidSectors(g.src[:0], victim)
+	valid := len(src)
+	if valid > 0 {
 		// Round the copy up to a ws_min multiple by appending stale
 		// sectors; the extras are never remapped so they are dead on
 		// arrival in the destination.
-		src := valids
-		if rem := len(src) % g.geo.WSMin; rem != 0 {
-			pad := g.geo.WSMin - rem
-			src = append(append([]ocssd.PPA(nil), valids...), make([]ocssd.PPA, pad)...)
-			for i := 0; i < pad; i++ {
-				src[len(valids)+i] = victim.PPAOf(i)
-			}
+		for i := 0; len(src)%g.geo.WSMin != 0; i++ {
+			src = append(src, victim.PPAOf(i))
 		}
+		g.src = src
 		moved := 0
 		for moved < len(src) {
 			dst, room, err := g.destination(victim.Group)
@@ -427,7 +425,7 @@ func (g *GC) collectChunk(now vclock.Time, victim ocssd.ChunkID, remap func(int6
 			g.ctrl.NoteControllerIO()
 			for i := 0; i < take; i++ {
 				srcIdx := moved + i
-				if srcIdx >= len(valids) {
+				if srcIdx >= valid {
 					break // ws_min round-up filler
 				}
 				old := src[srcIdx]

@@ -215,7 +215,7 @@ func TestValidityTracking(t *testing.T) {
 	if v.ValidCount(id) != 2 {
 		t.Fatalf("valid = %d, want 2", v.ValidCount(id))
 	}
-	sectors := v.ValidSectors(id)
+	sectors := v.ValidSectors(nil, id)
 	if len(sectors) != 2 || sectors[0].Sector != 0 || sectors[1].Sector != 5 {
 		t.Fatalf("sectors = %v", sectors)
 	}
@@ -227,8 +227,12 @@ func TestValidityTracking(t *testing.T) {
 	if v.InvalidCount(id, 10) != 9 {
 		t.Fatalf("invalid = %d, want 9", v.InvalidCount(id, 10))
 	}
+	// The scratch passed in is reused, not reallocated.
+	if again := v.ValidSectors(sectors[:0], id); len(again) != 1 || &again[0] != &sectors[0] || again[0].Sector != 5 {
+		t.Fatalf("sectors into scratch = %v", again)
+	}
 	v.Drop(id)
-	if v.ValidCount(id) != 0 || v.ValidSectors(id) != nil {
+	if v.ValidCount(id) != 0 || len(v.ValidSectors(nil, id)) != 0 {
 		t.Fatal("drop failed")
 	}
 	// Marking invalid on an untracked chunk is a no-op.
@@ -259,7 +263,13 @@ func TestValidityCountProperty(t *testing.T) {
 				model[s] = true
 			}
 		}
-		return v.ValidCount(id) == len(model)
+		live := v.ValidSectors(nil, id)
+		for i, p := range live {
+			if !model[p.Sector] || p.ChunkOf() != id || (i > 0 && p.Sector <= live[i-1].Sector) {
+				return false
+			}
+		}
+		return v.ValidCount(id) == len(model) && len(live) == len(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -259,22 +259,27 @@ func NewStripeWriter(media ox.Media, alloc *Allocator, t Target, width int) (*St
 	return w, nil
 }
 
-// Append writes data (a ws_min multiple) to the next chunk in the
-// rotation, allocating a replacement when a chunk fills. It appends the
-// PPA assigned to each written sector to ppas and returns the extended
+// Append writes data (whole sectors) followed by pad zero sectors,
+// together a ws_min multiple, to the next chunk in the rotation,
+// allocating a replacement when a chunk fills. The pad is a count all the
+// way to the device (ox.Media.AppendPadded), so a caller rounding a
+// payload up to a unit builds no zeros. An append splits across chunks
+// only at ws_min boundaries, so a pad shorter than a unit always travels
+// with the data it completes. It appends the PPA assigned to each
+// written sector, pad sectors included, to ppas and returns the extended
 // slice, so a caller that passes its own scratch (scratch[:0]) reuses it
 // from call to call.
-func (w *StripeWriter) Append(now vclock.Time, data []byte, ppas []ocssd.PPA) ([]ocssd.PPA, vclock.Time, error) {
+func (w *StripeWriter) Append(now vclock.Time, data []byte, pad int, ppas []ocssd.PPA) ([]ocssd.PPA, vclock.Time, error) {
 	secSize := w.geo.Chip.SectorSize
-	n := len(data) / secSize
-	if n == 0 || len(data)%secSize != 0 || n%w.geo.WSMin != 0 {
-		return ppas, now, fmt.Errorf("ftlcore: append of %d bytes is not a ws_min multiple", len(data))
+	n := len(data)/secSize + pad
+	if n == 0 || pad < 0 || len(data)%secSize != 0 || n%w.geo.WSMin != 0 {
+		return ppas, now, fmt.Errorf("ftlcore: append of %d bytes and %d pad sectors is not a ws_min multiple", len(data), pad)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 
 	end := now
-	for len(data) > 0 {
+	for n > 0 {
 		slot := w.next % w.width
 		id := w.chunks[slot]
 		room := w.geo.SectorsPerChunk() - w.wps[slot]
@@ -288,16 +293,10 @@ func (w *StripeWriter) Append(now vclock.Time, data []byte, ppas []ocssd.PPA) ([
 			id = nid
 			room = w.geo.SectorsPerChunk()
 		}
-		take := n
-		if take > room {
-			take = room
-		}
-		// Keep appends ws_min aligned.
-		take -= take % w.geo.WSMin
-		if take == 0 {
-			take = room // room is ws_min aligned by construction
-		}
-		start, e, err := w.media.Append(now, id, data[:take*secSize])
+		// n and room are ws_min multiples, so take is one too.
+		take := min(n, room)
+		in := data[:min(take*secSize, len(data))]
+		start, e, err := w.media.AppendPadded(now, id, in, take-len(in)/secSize)
 		if err != nil {
 			return ppas, now, err
 		}
@@ -308,11 +307,27 @@ func (w *StripeWriter) Append(now vclock.Time, data []byte, ppas []ocssd.PPA) ([
 			ppas = append(ppas, id.PPAOf(start+s))
 		}
 		w.wps[slot] += take
-		data = data[take*secSize:]
+		data = data[len(in):]
 		n -= take
 		w.next++
 	}
 	return ppas, end, nil
+}
+
+// ZeroToSector extends b to a whole number of sectors of sz bytes,
+// writing zeros into the extension in b's backing array (grown when it
+// lacks the room). A payload that ends inside a sector is completed this
+// way before it is appended; the zero sectors that complete its ws_min
+// unit are then a pad count (StripeWriter.Append, ox.Media.AppendPadded).
+func ZeroToSector(b []byte, sz int) []byte {
+	n := (len(b) + sz - 1) / sz * sz
+	if cap(b) < n {
+		grown := make([]byte, len(b), n)
+		copy(grown, b)
+		b = grown
+	}
+	clear(b[len(b):n])
+	return b[:n]
 }
 
 // OpenChunks returns the chunks currently held open by the writer.

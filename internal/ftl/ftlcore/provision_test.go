@@ -1,12 +1,15 @@
 package ftlcore
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/nand"
 	"repro/internal/ocssd"
 	"repro/internal/ox"
+	"repro/internal/vclock"
 )
 
 // testDevice returns a small device: 2 groups × 2 PUs × 8 chunks,
@@ -178,7 +181,7 @@ func TestStripeWriterStripesAcrossPUs(t *testing.T) {
 	unit := geo.WSOpt * geo.Chip.SectorSize
 	puSeen := make(map[[2]int]bool)
 	for i := 0; i < 4; i++ {
-		ppas, _, err := w.Append(0, make([]byte, unit), nil)
+		ppas, _, err := w.Append(0, make([]byte, unit), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +208,7 @@ func TestStripeWriterRotatesFullChunks(t *testing.T) {
 	var ppas []ocssd.PPA
 	for i := 0; i < 2; i++ {
 		var err error
-		if ppas, _, err = w.Append(0, make([]byte, chunkBytes), ppas); err != nil {
+		if ppas, _, err = w.Append(0, make([]byte, chunkBytes), 0, ppas); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,10 +230,10 @@ func TestStripeWriterRejectsMisaligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := w.Append(0, make([]byte, 100), nil); err == nil {
+	if _, _, err := w.Append(0, make([]byte, 100), 0, nil); err == nil {
 		t.Fatal("misaligned append should fail")
 	}
-	if _, _, err := w.Append(0, nil, nil); err == nil {
+	if _, _, err := w.Append(0, nil, 0, nil); err == nil {
 		t.Fatal("empty append should fail")
 	}
 	if _, err := NewStripeWriter(d, a, AnyTarget(), 0); err == nil {
@@ -248,7 +251,7 @@ func TestStripeWriterSpansChunkBoundary(t *testing.T) {
 	geo := d.Geometry()
 	// Append 1.5 chunks in one call: must span two chunks.
 	n := geo.SectorsPerChunk() + geo.SectorsPerChunk()/2
-	ppas, _, err := w.Append(0, make([]byte, n*geo.Chip.SectorSize), nil)
+	ppas, _, err := w.Append(0, make([]byte, n*geo.Chip.SectorSize), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,5 +264,102 @@ func TestStripeWriterSpansChunkBoundary(t *testing.T) {
 	}
 	if len(chunks) != 2 {
 		t.Fatalf("write spanned %d chunks, want 2", len(chunks))
+	}
+}
+
+// appendLog records the appends a writer makes to its media.
+type appendLog struct {
+	ox.Media
+	calls []string
+}
+
+func (m *appendLog) AppendPadded(now vclock.Time, id ocssd.ChunkID, data []byte, pad int) (int, vclock.Time, error) {
+	m.calls = append(m.calls, fmt.Sprintf("%v %d+%d", id, len(data)/m.Geometry().Chip.SectorSize, pad))
+	return m.Media.AppendPadded(now, id, data, pad)
+}
+
+// TestStripeWriterPaddedAppendMeetsChunkBoundary sends a padded append
+// into the last unit of a chunk, so it splits across two chunks: the
+// split falls on the unit boundary, the data before it fills the old
+// chunk, and the pad travels in the same device append as the data it
+// completes. A padded tail that exactly fills a chunk closes it without
+// a split. Everything reads back as data followed by zeros.
+func TestStripeWriterPaddedAppendMeetsChunkBoundary(t *testing.T) {
+	d, _ := testDevice(t, ocssd.Options{Seed: 1})
+	media := &appendLog{Media: d}
+	w, err := NewStripeWriter(media, NewAllocator(d, nil), InPU(0, 0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := d.Geometry()
+	sz, spc, unit := geo.Chip.SectorSize, geo.SectorsPerChunk(), geo.WSMin
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n*sz) }
+	readBack := func(p ocssd.PPA) []byte {
+		t.Helper()
+		got := make([]byte, sz)
+		if _, err := d.VectorRead(0, []ocssd.PPA{p}, got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	ppas, _, err := w.Append(0, fill(spc-unit, 1), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := ppas[0].ChunkOf()
+	// unit+1 data sectors and unit-1 pad sectors meet the chunk's last
+	// unit: one unit of data stays, one data sector and the pad move on.
+	data := append(fill(unit, 2), fill(1, 3)...)
+	ppas, _, err = w.Append(0, data, unit-1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := ppas[len(ppas)-1].ChunkOf()
+	if len(ppas) != 2*unit || ppas[unit-1] != first.PPAOf(spc-1) || ppas[unit] != second.PPAOf(0) || second == first {
+		t.Fatalf("padded append over a chunk boundary assigned %v", ppas)
+	}
+	// The tail of the second chunk, up to one unit, then a padded tail
+	// that fills it exactly.
+	if _, _, err := w.Append(0, fill(spc-2*unit, 4), 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	ppas, _, err = w.Append(0, fill(1, 5), unit-1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ppas[0] != second.PPAOf(spc-unit) || ppas[unit-1] != second.PPAOf(spc-1) {
+		t.Fatalf("padded tail filling a chunk assigned %v", ppas)
+	}
+	if info, _ := d.Chunk(second); info.State != ocssd.ChunkClosed {
+		t.Fatalf("chunk filled by a padded tail is %v", info.State)
+	}
+	want := []string{
+		fmt.Sprintf("%v %d+0", first, spc-unit),
+		fmt.Sprintf("%v %d+0", first, unit),
+		fmt.Sprintf("%v 1+%d", second, unit-1),
+		fmt.Sprintf("%v %d+0", second, spc-2*unit),
+		fmt.Sprintf("%v 1+%d", second, unit-1),
+	}
+	if fmt.Sprint(media.calls) != fmt.Sprint(want) {
+		t.Fatalf("device appends\n got %v\nwant %v", media.calls, want)
+	}
+	if got := d.Stats().SectorsWritten; got != int64(2*spc) {
+		t.Fatalf("device counted %d sectors written, want %d, pads included", got, 2*spc)
+	}
+	for _, c := range []struct {
+		p    ocssd.PPA
+		want []byte
+	}{
+		{first.PPAOf(spc - 1), fill(1, 2)},
+		{second.PPAOf(0), fill(1, 3)},
+		{second.PPAOf(1), fill(1, 0)},
+		{second.PPAOf(unit - 1), fill(1, 0)},
+		{second.PPAOf(spc - unit), fill(1, 5)},
+		{second.PPAOf(spc - 1), fill(1, 0)},
+	} {
+		if !bytes.Equal(readBack(c.p), c.want) {
+			t.Fatalf("sector %v does not read back as written", c.p)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package ftlcore
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/ocssd"
@@ -10,40 +11,44 @@ import (
 // The write path marks sectors valid when the mapping table points at
 // them and invalid when an overwrite or trim unmaps them; garbage
 // collection uses the counts to pick victims and the bitmaps to relocate
-// only live sectors.
+// only live sectors. State is indexed by flat chunk number: a count per
+// chunk, and a bitmap allocated when the chunk gets its first live
+// sector and kept, cleared, across resets, so a recycled chunk costs no
+// allocation.
 type Validity struct {
-	geo ocssd.Geometry
+	idx   chunkIndex
+	words int // bitmap words per chunk
 
 	mu     sync.Mutex
-	bitmap map[ocssd.ChunkID][]uint64
-	valid  map[ocssd.ChunkID]int
+	bitmap [][]uint64 // by flat chunk; nil until the first MarkValid
+	valid  []int32    // live sectors by flat chunk
 }
 
 // NewValidity creates an empty validity tracker for the geometry.
 func NewValidity(geo ocssd.Geometry) *Validity {
+	idx := newChunkIndex(geo)
 	return &Validity{
-		geo:    geo,
-		bitmap: make(map[ocssd.ChunkID][]uint64),
-		valid:  make(map[ocssd.ChunkID]int),
+		idx:    idx,
+		words:  (geo.SectorsPerChunk() + 63) / 64,
+		bitmap: make([][]uint64, idx.total),
+		valid:  make([]int32, idx.total),
 	}
 }
-
-func (v *Validity) words() int { return (v.geo.SectorsPerChunk() + 63) / 64 }
 
 // MarkValid records that the sector at ppa holds live data.
 func (v *Validity) MarkValid(ppa ocssd.PPA) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	id := ppa.ChunkOf()
-	bm := v.bitmap[id]
+	c := v.idx.flat(ppa.ChunkOf())
+	bm := v.bitmap[c]
 	if bm == nil {
-		bm = make([]uint64, v.words())
-		v.bitmap[id] = bm
+		bm = make([]uint64, v.words)
+		v.bitmap[c] = bm
 	}
 	w, b := ppa.Sector/64, uint(ppa.Sector%64)
 	if bm[w]&(1<<b) == 0 {
 		bm[w] |= 1 << b
-		v.valid[id]++
+		v.valid[c]++
 	}
 }
 
@@ -51,15 +56,15 @@ func (v *Validity) MarkValid(ppa ocssd.PPA) {
 func (v *Validity) MarkInvalid(ppa ocssd.PPA) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	id := ppa.ChunkOf()
-	bm := v.bitmap[id]
+	c := v.idx.flat(ppa.ChunkOf())
+	bm := v.bitmap[c]
 	if bm == nil {
 		return
 	}
 	w, b := ppa.Sector/64, uint(ppa.Sector%64)
 	if bm[w]&(1<<b) != 0 {
 		bm[w] &^= 1 << b
-		v.valid[id]--
+		v.valid[c]--
 	}
 }
 
@@ -67,32 +72,30 @@ func (v *Validity) MarkInvalid(ppa ocssd.PPA) {
 func (v *Validity) ValidCount(id ocssd.ChunkID) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.valid[id]
+	return int(v.valid[v.idx.flat(id)])
 }
 
-// ValidSectors returns the PPAs of the live sectors of a chunk, in order.
-func (v *Validity) ValidSectors(id ocssd.ChunkID) []ocssd.PPA {
+// ValidSectors appends the PPAs of the live sectors of a chunk, in order,
+// to dst and returns the extended slice, so a caller that passes its own
+// scratch (scratch[:0]) reuses it from call to call.
+func (v *Validity) ValidSectors(dst []ocssd.PPA, id ocssd.ChunkID) []ocssd.PPA {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	bm := v.bitmap[id]
-	if bm == nil {
-		return nil
-	}
-	out := make([]ocssd.PPA, 0, v.valid[id])
-	for s := 0; s < v.geo.SectorsPerChunk(); s++ {
-		if bm[s/64]&(1<<uint(s%64)) != 0 {
-			out = append(out, id.PPAOf(s))
+	for w, word := range v.bitmap[v.idx.flat(id)] {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, id.PPAOf(w*64+bits.TrailingZeros64(word)))
 		}
 	}
-	return out
+	return dst
 }
 
 // Drop forgets all state for a chunk (after it is reset).
 func (v *Validity) Drop(id ocssd.ChunkID) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	delete(v.bitmap, id)
-	delete(v.valid, id)
+	c := v.idx.flat(id)
+	clear(v.bitmap[c])
+	v.valid[c] = 0
 }
 
 // InvalidCount reports dead sectors in a chunk, given how many were

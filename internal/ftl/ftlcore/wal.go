@@ -132,8 +132,6 @@ type WAL struct {
 	mu       sync.Mutex
 	segments []walSegment // in log order; last is active
 	buf      []byte       // record bytes not yet appended to media
-	syncUnit PadScratch   // the buffered tail zero-padded to a unit on sync
-	zeroUnit []byte       // one ws_min unit of zeros for segment fill
 	nextLSN  LSN
 	headLSN  LSN // smallest retained LSN
 	appended metrics64
@@ -158,7 +156,6 @@ func NewWAL(media ox.Media, ctrl *ox.Controller, alloc *Allocator, cfg WALConfig
 		cfg.CPUPerRecordReplay = 5 * vclock.Microsecond
 	}
 	w := &WAL{media: media, ctrl: ctrl, alloc: alloc, cfg: cfg, geo: media.Geometry()}
-	w.zeroUnit = make([]byte, w.unitBytes())
 	id, err := alloc.Alloc(cfg.Target)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrWALFull, err)
@@ -236,7 +233,7 @@ func (w *WAL) Append(now vclock.Time, r Record, sync bool) (LSN, vclock.Time, er
 	unit := w.unitBytes()
 	drained := 0
 	for len(w.buf)-drained >= unit {
-		end, err = w.appendUnit(end, w.buf[drained:drained+unit])
+		end, err = w.appendUnit(end, w.buf[drained:drained+unit], 0)
 		if err != nil {
 			w.buf = w.buf[:copy(w.buf, w.buf[drained:])]
 			return lsn, end, err
@@ -254,11 +251,12 @@ func (w *WAL) Append(now vclock.Time, r Record, sync bool) (LSN, vclock.Time, er
 	return lsn, end, nil
 }
 
-// appendUnit writes one ws_min unit to the active segment. The caller
-// holds w.mu and guarantees the segment has room.
-func (w *WAL) appendUnit(now vclock.Time, unit []byte) (vclock.Time, error) {
+// appendUnit writes one ws_min unit to the active segment: data, whole
+// sectors, followed by pad zero sectors. The caller holds w.mu and
+// guarantees the segment has room.
+func (w *WAL) appendUnit(now vclock.Time, data []byte, pad int) (vclock.Time, error) {
 	seg := w.active()
-	_, end, err := w.media.Append(now, seg.chunk, unit)
+	_, end, err := w.media.AppendPadded(now, seg.chunk, data, pad)
 	if err != nil {
 		return now, err
 	}
@@ -268,12 +266,16 @@ func (w *WAL) appendUnit(now vclock.Time, unit []byte) (vclock.Time, error) {
 }
 
 // syncLocked flushes the buffered tail (padding it to a unit) and pads
-// the device stripe so every appended record is durable.
+// the device stripe so every appended record is durable. The tail's last
+// sector is completed with zeros in place, in the buffer's own backing
+// array; the unit's remaining sectors go to the device as a pad count.
 func (w *WAL) syncLocked(now vclock.Time) (vclock.Time, error) {
 	unit := w.unitBytes()
 	if len(w.buf) > 0 {
 		pad := unit - len(w.buf)
-		end, err := w.appendUnit(now, w.syncUnit.Fill(w.buf, unit))
+		tail := ZeroToSector(w.buf, w.geo.Chip.SectorSize)
+		w.buf = tail[:len(w.buf)]
+		end, err := w.appendUnit(now, tail, (unit-len(tail))/w.geo.Chip.SectorSize)
 		if err != nil {
 			return now, err
 		}
@@ -301,16 +303,16 @@ func (w *WAL) syncLocked(now vclock.Time) (vclock.Time, error) {
 }
 
 // rotateLocked syncs, fills the active segment with zero padding and
-// opens a fresh segment, so the next record starts a segment.
+// opens a fresh segment, so the next record starts a segment. The fill
+// is unit by unit, each one a pad count.
 func (w *WAL) rotateLocked(now vclock.Time) (vclock.Time, error) {
 	end, err := w.syncLocked(now)
 	if err != nil {
 		return end, err
 	}
 	seg := w.active()
-	zero := w.zeroUnit
 	for seg.written < w.geo.SectorsPerChunk() {
-		if end, err = w.appendUnit(end, zero); err != nil {
+		if end, err = w.appendUnit(end, nil, w.geo.WSMin); err != nil {
 			return end, err
 		}
 		w.nextLSN += LSN(w.unitBytes())

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/ocssd"
@@ -431,26 +430,27 @@ func TestWALTornRecordFromCrash(t *testing.T) {
 	}
 }
 
-// TestPadScratchKeepsTailZero fills the scratch with payloads of rising
-// and falling length and unit size: every returned slice is the payload
-// followed by zeros, whatever the previous, longer payload left behind.
-func TestPadScratchKeepsTailZero(t *testing.T) {
-	var p PadScratch
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 2000; i++ {
-		n := 4096 * (1 + rng.Intn(8))
-		data := make([]byte, rng.Intn(n+1))
-		for j := range data {
-			data[j] = byte(1 + rng.Intn(255))
+// TestZeroToSector completes payloads to whole sectors in their own
+// backing array, whatever earlier, longer payloads left there, and grows
+// the array only when it lacks the room.
+func TestZeroToSector(t *testing.T) {
+	const sz = 16
+	backing := bytes.Repeat([]byte{0xEE}, 3*sz)
+	for _, n := range []int{0, 1, sz - 1, sz, sz + 1, 3*sz - 1, 3 * sz} {
+		b := ZeroToSector(backing[:n], sz)
+		want := (n + sz - 1) / sz * sz
+		if len(b) != want || &b[:1][0] != &backing[0] {
+			t.Fatalf("%d bytes: got %d bytes in a new array: %v", n, len(b), &b[:1][0] != &backing[0])
 		}
-		got := p.Fill(data, n)
-		if len(got) != n || !bytes.Equal(got[:len(data)], data) {
-			t.Fatalf("fill %d: payload not at the front of %d bytes", i, len(got))
+		if !bytes.Equal(b[:n], bytes.Repeat([]byte{0xEE}, n)) || !bytes.Equal(b[n:], make([]byte, want-n)) {
+			t.Fatalf("%d bytes: payload or zero tail wrong: %x", n, b)
 		}
-		for j, v := range got[len(data):] {
-			if v != 0 {
-				t.Fatalf("fill %d: pad byte %d of %d is %#x", i, len(data)+j, n, v)
-			}
+		for i := range backing {
+			backing[i] = 0xEE
 		}
+	}
+	short := []byte{1, 2, 3}
+	if b := ZeroToSector(short[:3:3], sz); !bytes.Equal(b, append([]byte{1, 2, 3}, make([]byte, sz-3)...)) {
+		t.Fatalf("grown payload wrong: %x", b)
 	}
 }

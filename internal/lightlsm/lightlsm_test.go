@@ -219,6 +219,13 @@ func (m *walFaultMedia) Append(now vclock.Time, id ocssd.ChunkID, data []byte) (
 	return m.Media.Append(now, id, data)
 }
 
+func (m *walFaultMedia) AppendPadded(now vclock.Time, id ocssd.ChunkID, data []byte, pad int) (int, vclock.Time, error) {
+	if m.armed {
+		return 0, now, errInjectedWAL
+	}
+	return m.Media.AppendPadded(now, id, data, pad)
+}
+
 // TestCommitWALFailureLeavesTableAbortable: when the forced append of a
 // table's commit record fails, Commit reports it, the table is not
 // served, and the writer stays open so Abort returns its chunks.

@@ -241,19 +241,20 @@ func (d *Device) isZeroSector(mask []uint64, i int) bool {
 }
 
 // classify is the one look a written sector gets. data arrives as whole
-// pages (writes are ws_min multiples and ws_min is one page), the first
-// of them at page firstPage of the stripe; each page's trailing all-zero
-// sectors become its mask bits and, when img is not nil, the rest of the
-// page — zero sectors before its last non-zero one included — is copied
-// to its place in img. nand.TrailingZeroSectors scans from a page's end,
-// so no sector is checked twice and a page that ends in data costs one
-// word compare.
+// sectors from the start of page firstPage of the stripe; each page's
+// trailing all-zero sectors become its mask bits and, when img is not
+// nil, the rest of the page — zero sectors before its last non-zero one
+// included — is copied to its place in img. A page data ends inside is
+// completed by pad, whose sectors join its zero tail unlooked at.
+// nand.TrailingZeroSectors scans from the end of a page's data, so no
+// sector is checked twice and a page that ends in data costs one word
+// compare.
 func (d *Device) classify(mask []uint64, firstPage int, data, img []byte) {
 	sz, spp := d.geo.Chip.SectorSize, d.geo.Chip.SectorsPerPage
 	pageBytes := spp * sz
 	for off, p := 0, firstPage; off < len(data); off, p = off+pageBytes, p+1 {
-		page := data[off : off+pageBytes]
-		keep := spp - nand.TrailingZeroSectors(page, sz)
+		page := data[off:min(off+pageBytes, len(data))]
+		keep := len(page)/sz - nand.TrailingZeroSectors(page, sz)
 		if img != nil {
 			copy(img[p*pageBytes:], page[:keep*sz])
 		}
@@ -804,11 +805,11 @@ func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSect
 }
 
 // writeChunk appends to a chunk at its write pointer: the payload in
-// data, or — when data is nil, which is how Pad calls it — pad bytes of
-// padding, which only ever exist as a length (writers pass pad 0). Every
-// page that arrives is classified once (classify): its trailing zero
-// sectors, and every pad sector, are bits in the slot's zero mask, never
-// bytes. A whole stripe arriving with nothing buffered is programmed
+// data, whole sectors, then pad zero sectors, which only ever exist as a
+// count (Pad passes no data, Append no pad). Every data page that
+// arrives is classified once (classify): its trailing zero sectors, and
+// every pad sector, are bits in the slot's zero mask, never bytes. A
+// whole stripe of data arriving with nothing buffered is programmed
 // straight from the caller's slice, its one copy being the one into the
 // NAND pages; anything less is gathered in the chunk's stripe buffer,
 // where it stays readable, and programmed from there. Either way the
@@ -818,7 +819,7 @@ func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int
 	geo := d.geo
 	m := &pu.chunks[id.Chunk]
 	sz := geo.Chip.SectorSize
-	size := len(data) + pad
+	size := len(data) + pad*sz
 
 	switch m.state {
 	case ChunkOffline:
@@ -865,32 +866,29 @@ func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int
 		take := min(size, stripe-len(buf))
 		size -= take
 		m.wp += int32(take / sz)
+		// in is the data this stripe takes; the rest of take is pad.
+		in := data[:min(take, len(data))]
+		data = data[len(in):]
 		// img is the stripe as far as it is filled; the sectors zero
 		// marks hold no bytes in it.
 		var img []byte
 		firstPage := len(buf) / pageBytes
-		switch {
-		case data == nil:
-			// Padding is pages of zero sectors: it extends the buffer by a
-			// length and sets their bits; nobody writes it.
+		if len(buf) == 0 && len(in) == stripe && d.backend == nil {
+			// A whole stripe of data with nothing buffered bypasses the
+			// buffer. The durable backend keeps the staged path: a power
+			// cut that lands on the program persists the stripe from the
+			// buffer.
+			img = in
+			d.classify(zero, 0, img, nil)
+		} else {
 			img = buf[:len(buf)+take]
 			pu.bufs[slot] = img
-			for p := firstPage; p < len(img)/pageBytes; p++ {
+			d.classify(zero, firstPage, in, img)
+			// Whole pages of pad extend the buffer by a length and set
+			// their bits; nobody writes them.
+			for p := firstPage + (len(in)+pageBytes-1)/pageBytes; p < len(img)/pageBytes; p++ {
 				zero[p] = zeroTail(spp, 0)
 			}
-		case len(buf) == 0 && take == stripe && d.backend == nil:
-			// A whole stripe with nothing buffered bypasses the buffer. The
-			// durable backend keeps the staged path: a power cut that lands
-			// on the program persists the stripe from the buffer.
-			img = data[:take]
-			d.classify(zero, 0, img, nil)
-		default:
-			img = buf[:len(buf)+take]
-			pu.bufs[slot] = img
-			d.classify(zero, firstPage, data[:take], img)
-		}
-		if data != nil {
-			data = data[take:]
 		}
 		if len(img) == stripe {
 			// The stripe is complete, so its base is exactly one stripe
@@ -978,13 +976,27 @@ func (d *Device) VectorWrite(now vclock.Time, ppas []PPA, data []byte) (vclock.T
 
 // Append writes data at the chunk's current write pointer and returns
 // the starting sector that was assigned along with the completion time.
+// It is AppendPadded with no pad.
 func (d *Device) Append(now vclock.Time, id ChunkID, data []byte) (int, vclock.Time, error) {
+	return d.AppendPadded(now, id, data, 0)
+}
+
+// AppendPadded appends data, whole sectors, and then pad zero sectors at
+// the chunk's write pointer; together they are a ws_min multiple. The
+// device reports exactly what Append of data followed by that many zero
+// sectors reports — instants, write pointer, reads, and Stats, where the
+// pad counts in SectorsWritten, not PadSectors — but the pad is only a
+// count: no zero byte is built, copied or scanned. It returns the
+// starting sector assigned and the completion time.
+func (d *Device) AppendPadded(now vclock.Time, id ChunkID, data []byte, pad int) (int, vclock.Time, error) {
 	geo := d.geo
 	if err := d.alive(); err != nil {
 		return 0, now, err
 	}
-	if len(data) == 0 || len(data)%(geo.WSMin*geo.Chip.SectorSize) != 0 {
-		return 0, now, fmt.Errorf("%w: %d bytes", ErrWriteSize, len(data))
+	sz := geo.Chip.SectorSize
+	n := len(data)/sz + pad
+	if pad < 0 || len(data)%sz != 0 || n == 0 || n%geo.WSMin != 0 {
+		return 0, now, fmt.Errorf("%w: %d bytes", ErrWriteSize, len(data)+pad*sz)
 	}
 	if err := geo.CheckPPA(id.PPAOf(0)); err != nil {
 		return 0, now, err
@@ -992,13 +1004,13 @@ func (d *Device) Append(now vclock.Time, id ChunkID, data []byte) (int, vclock.T
 	pu := d.pu(id.Group, id.PU)
 	pu.mu.Lock()
 	start := int(pu.chunks[id.Chunk].wp)
-	end, err := d.writeChunk(now, pu, id, start, data, 0)
+	end, err := d.writeChunk(now, pu, id, start, data, pad)
 	pu.mu.Unlock()
 	if err != nil {
 		return 0, now, err
 	}
 	d.stats.vectorWrites.Add(1)
-	d.stats.sectorsWritten.Add(int64(len(data) / geo.Chip.SectorSize))
+	d.stats.sectorsWritten.Add(int64(n))
 	return start, end, nil
 }
 
@@ -1026,9 +1038,8 @@ func (d *Device) Pad(now vclock.Time, id ChunkID) (vclock.Time, error) {
 	if m.state != ChunkOpen || len(pu.buffered(m)) == 0 {
 		return now, nil // nothing buffered: already durable
 	}
-	padBytes := d.stripeBytes() - len(pu.buffered(m))
-	padSectors := padBytes / geo.Chip.SectorSize
-	end, err := d.writeChunk(now, pu, id, int(m.wp), nil, padBytes)
+	padSectors := geo.WSOpt - len(pu.buffered(m))/geo.Chip.SectorSize
+	end, err := d.writeChunk(now, pu, id, int(m.wp), nil, padSectors)
 	if err != nil {
 		return now, err
 	}

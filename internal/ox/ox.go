@@ -36,6 +36,10 @@ type Media interface {
 	// sector's bytes for the duration of its call (see ocssd.Device).
 	VectorView(now vclock.Time, ppas []ocssd.PPA, visit func(i int, sector []byte)) (vclock.Time, error)
 	Append(now vclock.Time, id ocssd.ChunkID, data []byte) (int, vclock.Time, error)
+	// AppendPadded is Append of data (whole sectors) followed by pad zero
+	// sectors, with the pad passed as a count: the zeros cost what
+	// written zeros cost in virtual time and nothing in host time.
+	AppendPadded(now vclock.Time, id ocssd.ChunkID, data []byte, pad int) (int, vclock.Time, error)
 	Pad(now vclock.Time, id ocssd.ChunkID) (vclock.Time, error)
 	Reset(now vclock.Time, id ocssd.ChunkID) (vclock.Time, error)
 	Copy(now vclock.Time, src []ocssd.PPA, dst ocssd.ChunkID) (int, vclock.Time, error)

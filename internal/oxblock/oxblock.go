@@ -138,16 +138,14 @@ type Device struct {
 	epoch    uint64
 	lastCkpt vclock.Time
 	nextTx   uint64
-	gcMoves  []byte      // pending RecGCMove payload for the victim in flight
+	gcMoves  []byte      // pending RecGCMove payload for the victim in flight, reused
 	gcEnd    vclock.Time // virtual completion of the background collector
 	stats    Stats
 	offl     *offload.Engine
 
-	// Scratch guarded by mu: Write's payload zero-padded to a ws_min unit
-	// and its commit record's mapping updates, and the PPAs of a write
-	// (filled by the stripe writer) or of a read's mapped pages. No callee
-	// keeps a reference past its call.
-	padded ftlcore.PadScratch
+	// Scratch guarded by mu: Write's commit record's mapping updates, and
+	// the PPAs of a write (filled by the stripe writer) or of a read's
+	// mapped pages. No callee keeps a reference past its call.
 	commit []byte
 	ppas   []ocssd.PPA
 }
@@ -398,13 +396,10 @@ func (d *Device) Write(now vclock.Time, lpn int64, data []byte) (vclock.Time, er
 	d.ctrl.NoteUserIO()
 
 	// Data path: stripe the payload across open chunks. The stripe
-	// writer needs ws_min multiples; pad the tail sectors with zeros and
-	// map only the real pages.
-	padded := data
-	if rem := pages % d.geo.WSMin; rem != 0 {
-		padded = d.padded.Fill(data, (pages+d.geo.WSMin-rem)*secSize)
-	}
-	ppas, end, err := d.writer.Append(now, padded, d.ppas[:0])
+	// writer needs ws_min multiples; the tail sectors are padded with
+	// zeros, passed as a count, and only the real pages are mapped.
+	pad := (d.geo.WSMin - pages%d.geo.WSMin) % d.geo.WSMin
+	ppas, end, err := d.writer.Append(now, data, pad, d.ppas[:0])
 	d.ppas = ppas
 	if err != nil {
 		return now, err
@@ -655,14 +650,14 @@ func (d *Device) persistGCMoves(now vclock.Time, victim ocssd.ChunkID) (vclock.T
 	if len(d.gcMoves) == 0 {
 		return now, nil
 	}
-	payload := d.gcMoves
-	d.gcMoves = nil
 	d.nextTx++
 	_, end, err := d.wal.Append(now, ftlcore.Record{
 		Type:    ftlcore.RecGCMove,
 		TxID:    d.nextTx,
-		Payload: payload,
+		Payload: d.gcMoves,
 	}, true)
+	// The WAL copied the payload, so the next victim's moves reuse it.
+	d.gcMoves = d.gcMoves[:0]
 	return end, err
 }
 

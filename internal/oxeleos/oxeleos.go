@@ -84,9 +84,10 @@ type Store struct {
 	// so Clean must never reclaim them.
 	recoveredSegs map[ocssd.ChunkID]bool
 	stats         Stats
-	// ppas is Flush's scratch for the PPAs the stripe writer assigns,
-	// guarded by mu.
+	// Flush's scratch, guarded by mu: the PPAs the stripe writer assigns,
+	// and a buffer that ends inside a sector, completed with zeros.
 	ppas []ocssd.PPA
+	tail []byte
 }
 
 // RecoveryReport summarizes one crash recovery.
@@ -247,14 +248,16 @@ func (s *Store) Flush(now vclock.Time, buf []byte, pages []PageDesc) (vclock.Tim
 	// Copy 2: FTL → device (DMA staging).
 	end = s.ctrl.CopyToDevice(end, int64(len(buf)))
 
-	// Pad the tail to a ws_min multiple and append to the striped log.
-	unit := s.geo.WSMin * secSize
+	// Pad the tail to a ws_min multiple, as a count of zero sectors, and
+	// append to the striped log. Only a buffer ending inside a sector is
+	// staged, to complete that sector without writing to the caller's.
 	payload := buf
-	if rem := len(buf) % unit; rem != 0 {
-		payload = make([]byte, len(buf)+unit-rem)
-		copy(payload, buf)
+	if len(buf)%secSize != 0 {
+		s.tail = ftlcore.ZeroToSector(append(s.tail[:0], buf...), secSize)
+		payload = s.tail
 	}
-	ppas, end, err := s.writer.Append(end, payload, s.ppas[:0])
+	pad := (s.geo.WSMin - len(payload)/secSize%s.geo.WSMin) % s.geo.WSMin
+	ppas, end, err := s.writer.Append(end, payload, pad, s.ppas[:0])
 	s.ppas = ppas
 	if err != nil {
 		return end, err
