@@ -9,10 +9,11 @@
 // A Chip is a pure state machine: timing is exposed as durations that the
 // device layer (internal/ocssd) composes with channel and chip resources.
 //
-// Contents cost host memory only where they are not zero: a page stores
-// its bytes up to its last non-zero sector, so an all-zero sector past it
-// — a pad page, the unwritten tail of a 4 KB write padded to a page — is
-// deduplicated into one shared zero sector, not stored.
+// Contents are reference-counted, immutable sectors (Sector): a page
+// holds one reference per sector, an all-zero sector — a pad page, the
+// unwritten tail of a 4 KB write padded to a page — is a nil reference
+// that costs no memory, and a sector moved elsewhere on the device is a
+// pointer moved, not bytes copied.
 package nand
 
 import (
@@ -22,6 +23,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/vclock"
 )
@@ -176,18 +179,42 @@ var (
 	ErrDataSize         = errors.New("nand: payload size does not match page size")
 )
 
-// page is the stored state of one page: a prefix of its bytes, every byte
-// past which reads as zero — normally the page minus its trailing all-zero
-// sectors, so a page of zeros stores nothing and a page with one sector
-// of data stores one sector. Whether a page is programmed is not stored:
-// pages program strictly in order, so it is exactly pg < block.next.
-// Erase keeps the buffer's capacity, so program/erase cycles (GC, chunk
-// resets) reuse page storage; the memory retained is bounded by the
-// prefixes the pages last held (an empty prefix releases the buffer, see
-// program).
-type page struct {
+// Sector is one stored sector: SectorSize bytes, written once — after it
+// leaves its chip's free list and before its first holder gets it — and
+// immutable from then on. Pages, and the device's stripe buffers above
+// them, hold sectors by reference, so moving a sector into a page, or to
+// another chunk in a device-side copy, moves a pointer, not bytes. The
+// holders are counted: when the last one lets go, wherever that is, the
+// sector returns to the free list of the chip that stored it, so a chip
+// gets back what it hands out. A nil *Sector is a zero sector, which
+// costs no memory.
+type Sector struct {
+	// refs counts the holders, atomically: holders on different chips
+	// take different locks. Store sets it with a plain write, while the
+	// sector is still its alone: an atomic one is a locked instruction,
+	// which would wait for the streaming stores before it to drain.
+	refs int32
+	home *Chip
 	data []byte
-	oob  []byte
+}
+
+// Bytes returns the sector's contents, nil for the zero sector. They are
+// shared with every other holder and must not be written.
+func (s *Sector) Bytes() []byte {
+	if s == nil {
+		return nil
+	}
+	return s.data
+}
+
+// Retain adds a holder to s and returns s; a nil (zero) sector stays nil.
+// Only a holder, or a caller that keeps the sector's page from being
+// erased, may retain it.
+func (s *Sector) Retain() *Sector {
+	if s != nil {
+		atomic.AddInt32(&s.refs, 1)
+	}
+	return s
 }
 
 type block struct {
@@ -195,7 +222,17 @@ type block struct {
 	erases int
 	bad    bool
 	grown  bool // bad grew during use (vs factory)
-	pages  []page
+	// sectors holds the block's pages, sector s of page pg at
+	// pg*SectorsPerPage+s, one held reference each (nil: zero sector).
+	// Whether a page is programmed is not stored: pages program strictly
+	// in order, so it is exactly pg < next, and every sector of a page at
+	// or past next is nil.
+	sectors []*Sector
+	// bytes holds the address of each sector's bytes beside its
+	// reference, nil beside nil, so a read reaches the bytes without
+	// loading the sector: one cache miss less per sector read.
+	bytes []*byte
+	oob   [][]byte // per page, nil until a page is programmed with OOB bytes
 }
 
 // Stats aggregates chip operation counts.
@@ -216,12 +253,31 @@ type Chip struct {
 	timing TimingProfile
 	rel    Reliability
 
-	mu       sync.Mutex
-	planes   [][]block // [plane][block]
-	rng      *rand.Rand
-	stats    Stats
-	zeroPage []byte // shared zeros: every all-zero page and unstored sector reads it
+	mu     sync.Mutex
+	planes [][]block // [plane][block]
+	rng    *rand.Rand
+	stats  Stats
+
+	// freeMu guards free, the chip's released sectors kept for reuse, up
+	// to maxFree of them; the rest go back to the Go heap. It is a leaf
+	// lock: a sector is released under whichever chip's mu its last
+	// holder held.
+	freeMu  sync.Mutex
+	free    []*Sector
+	maxFree int
+	headers []Sector // unused headers of the chip's last header slab
 }
+
+// headerSlab is how many sector headers a chip allocates at once.
+const headerSlab = 64
+
+// freeBlocks is how many blocks on every plane a chip's free list holds
+// the sectors of: garbage collection resets several chunks of one chip
+// before the writes that follow consume what they freed. (On the stack
+// benchmark's block_overwrite_gc, a list of one block per plane left
+// 0.67 allocations per operation, two 0.42, four 0.30 and sixty-four
+// 0.30; four holds the live heap at 237 MB, where one took 286.)
+const freeBlocks = 4
 
 // New creates a chip with the given geometry, timing and reliability
 // model. The seed drives all failure injection deterministically.
@@ -234,17 +290,22 @@ func New(geo Geometry, timing TimingProfile, rel Reliability, seed int64) (*Chip
 			len(timing.Program), geo.Cell.BitsPerCell())
 	}
 	c := &Chip{
-		geo:    geo,
-		timing: timing,
-		rel:    rel,
-		rng:    rand.New(rand.NewSource(seed)),
+		geo:     geo,
+		timing:  timing,
+		rel:     rel,
+		rng:     rand.New(rand.NewSource(seed)),
+		maxFree: freeBlocks * geo.Planes * geo.PagesPerBlock * geo.SectorsPerPage,
 	}
+	perBlock := geo.PagesPerBlock * geo.SectorsPerPage
+	sectors := make([]*Sector, geo.Planes*geo.BlocksPerPlane*perBlock)
+	addrs := make([]*byte, len(sectors))
 	c.planes = make([][]block, geo.Planes)
 	for p := range c.planes {
 		c.planes[p] = make([]block, geo.BlocksPerPlane)
 		for b := range c.planes[p] {
 			blk := &c.planes[p][b]
-			blk.pages = make([]page, geo.PagesPerBlock)
+			blk.sectors, sectors = sectors[:perBlock:perBlock], sectors[perBlock:]
+			blk.bytes, addrs = addrs[:perBlock:perBlock], addrs[perBlock:]
 			if rel.FactoryBadRate > 0 && c.rng.Float64() < rel.FactoryBadRate {
 				blk.bad = true
 				c.stats.FactoryBad++
@@ -319,17 +380,123 @@ func (c *Chip) WritePointer(plane, blk int) int {
 	return c.planes[plane][blk].next
 }
 
+// page returns the sector slots of page pg of b.
+func (c *Chip) page(b *block, pg int) []*Sector {
+	spp := c.geo.SectorsPerPage
+	return b.sectors[pg*spp : (pg+1)*spp : (pg+1)*spp]
+}
+
+// Store copies data, whole sectors, into sectors of this chip's and
+// writes one held reference per sector to out: out[i] holds sector i of
+// data, nil where that sector is all zeros. The caller owns the
+// references, to hand to ProgramSectors or to Release. It is the one
+// copy a written byte gets. A sector recycled from the free list is
+// filled with streaming stores, fenced once before Store returns: it was
+// last written an erase cycle ago and has most likely left the cache. A
+// new sector is memory the kernel has just zeroed through the cache, and
+// is filled with a plain copy.
+func (c *Chip) Store(out []*Sector, data []byte) {
+	sz := c.geo.SectorSize
+	streamed := false
+	var fresh []Sector // new sectors for the rest of data, side by side
+	c.freeMu.Lock()
+	for i := range out {
+		src := data[i*sz : (i+1)*sz]
+		if isZero(src) {
+			out[i] = nil
+			continue
+		}
+		var s *Sector
+		if n := len(c.free); n > 0 {
+			s = c.free[n-1]
+			c.free[n-1] = nil
+			c.free = c.free[:n-1]
+			storeCopy(s.data, src)
+			streamed = true
+		} else {
+			if len(fresh) == 0 {
+				fresh = c.newSectors(data[i*sz:])
+			}
+			s = &fresh[0]
+			fresh = fresh[1:]
+			copy(s.data, src)
+		}
+		s.refs = 1
+		out[i] = s
+	}
+	c.freeMu.Unlock()
+	if streamed {
+		storeFence()
+	}
+}
+
+// newSectors returns a new sector for each non-zero sector of data, in
+// one allocation for all their buffers however many sectors a Store
+// call needs (a LightLSM block or a ZNS append is a stripe of them):
+// sectors stored together are mostly released together, so sharing an
+// allocation keeps little memory alive past its sectors. The headers
+// come from a slab of headerSlab, shared across calls. Caller holds
+// c.freeMu.
+func (c *Chip) newSectors(data []byte) []Sector {
+	sz := c.geo.SectorSize
+	n := 0
+	for off := 0; off < len(data); off += sz {
+		if !isZero(data[off : off+sz]) {
+			n++
+		}
+	}
+	if len(c.headers) < n {
+		c.headers = make([]Sector, max(n, headerSlab))
+	}
+	sectors := c.headers[:n:n]
+	c.headers = c.headers[n:]
+	buf := make([]byte, n*sz)
+	for i := range sectors {
+		sectors[i].home = c
+		sectors[i].data = buf[i*sz : (i+1)*sz : (i+1)*sz]
+	}
+	return sectors
+}
+
+// Release drops the caller's reference in each sector of sectors and
+// sets it nil; nil entries are skipped. A sector whose last holder this
+// was joins its chip's free list, unless that is full.
+func Release(sectors []*Sector) {
+	var home *Chip // whose freeMu is held
+	for i, s := range sectors {
+		if s == nil {
+			continue
+		}
+		sectors[i] = nil
+		if atomic.AddInt32(&s.refs, -1) != 0 {
+			continue
+		}
+		if s.home != home {
+			if home != nil {
+				home.freeMu.Unlock()
+			}
+			home = s.home
+			home.freeMu.Lock()
+		}
+		if len(home.free) < home.maxFree {
+			home.free = append(home.free, s)
+		} else {
+			// Let the buffer go; the header may share a slab with
+			// sectors still in use.
+			s.data = nil
+		}
+	}
+	if home != nil {
+		home.freeMu.Unlock()
+	}
+}
+
 // Program writes one full page (data payload plus optional OOB bytes).
 // It enforces: the block is not bad, the page is the block's next
 // sequential page, and the payload is exactly one page. A program
 // failure (injected) marks the block grown-bad and returns ErrProgramFail.
-//
-// Zero sectors are deduplicated: the page's trailing all-zero sectors
-// are cut off and only the rest is stored, copied once into a buffer of
-// exactly that size, so host-written zeros cost no simulator memory,
-// whether they fill the page or only its tail. A caller that already
-// knows where a page's non-zero sectors end uses ProgramPrefix (or
-// ProgramZero) and skips the scan.
+// The page's sectors are stored as Store stores them, so an all-zero
+// sector costs no memory.
 func (c *Chip) Program(plane, blk, pg int, data, oob []byte) error {
 	if err := c.checkAddr(plane, blk, pg); err != nil {
 		return err
@@ -340,39 +507,45 @@ func (c *Chip) Program(plane, blk, pg int, data, oob []byte) error {
 	if len(oob) > c.geo.OOBPerPage {
 		return fmt.Errorf("%w: oob %d exceeds %d", ErrDataSize, len(oob), c.geo.OOBPerPage)
 	}
-	sz := c.geo.SectorSize
-	return c.program(plane, blk, pg, data[:len(data)-TrailingZeroSectors(data, sz)*sz], oob)
-}
-
-// ProgramPrefix programs one page with no OOB whose bytes are prefix
-// followed by zeros: exactly Program of that page with nil OOB — same
-// rules, same failure injection, same counters, same reads — without the
-// page being built or scanned. prefix is a whole number of sectors, at
-// most a page; it need not be minimal (zero sectors inside it are stored
-// as bytes).
-func (c *Chip) ProgramPrefix(plane, blk, pg int, prefix []byte) error {
-	if err := c.checkAddr(plane, blk, pg); err != nil {
-		return err
-	}
-	if len(prefix) > c.geo.PageBytes() || len(prefix)%c.geo.SectorSize != 0 {
-		return fmt.Errorf("%w: prefix of %d bytes", ErrDataSize, len(prefix))
-	}
-	return c.program(plane, blk, pg, prefix, nil)
-}
-
-// ProgramZero programs one page of zeros with no OOB: ProgramPrefix with
-// an empty prefix, so no zero page is ever built, scanned or copied.
-func (c *Chip) ProgramZero(plane, blk, pg int) error {
-	return c.ProgramPrefix(plane, blk, pg, nil)
-}
-
-// program is the one program body: it stores prefix, the page's bytes up
-// to where every further byte is zero. The address and sizes are already
-// validated.
-func (c *Chip) program(plane, blk, pg int, prefix, oob []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	b := &c.planes[plane][blk]
+	if err := c.admit(b, pg); err != nil {
+		return err
+	}
+	c.Store(c.page(b, pg), data)
+	c.programmed(b, pg, oob)
+	return nil
+}
+
+// ProgramSectors programs one page with no OOB from held sector
+// references, one per sector of the page, nil for a zero sector: exactly
+// Program of the bytes they hold — same rules, same failure injection,
+// same counters, same reads — with no byte copied. On success the page
+// takes the references over and every entry of sectors is set nil; on
+// an error the caller still holds them.
+func (c *Chip) ProgramSectors(plane, blk, pg int, sectors []*Sector) error {
+	if err := c.checkAddr(plane, blk, pg); err != nil {
+		return err
+	}
+	if len(sectors) != c.geo.SectorsPerPage {
+		return fmt.Errorf("%w: %d sectors, want %d", ErrDataSize, len(sectors), c.geo.SectorsPerPage)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := &c.planes[plane][blk]
+	if err := c.admit(b, pg); err != nil {
+		return err
+	}
+	copy(c.page(b, pg), sectors)
+	clear(sectors)
+	c.programmed(b, pg, nil)
+	return nil
+}
+
+// admit checks the program rules for page pg of b and draws the failure
+// injection; a failure retires the block. Caller holds c.mu.
+func (c *Chip) admit(b *block, pg int) error {
 	if b.bad {
 		return ErrBadBlock
 	}
@@ -383,45 +556,39 @@ func (c *Chip) program(plane, blk, pg int, prefix, oob []byte) error {
 		return ErrOutOfOrder
 	}
 	if c.rel.ProgramFailRate > 0 && c.rng.Float64() < c.rel.ProgramFailRate {
-		b.bad = true
-		b.grown = true
-		c.stats.GrownBad++
+		c.retire(b)
 		return ErrProgramFail
 	}
-	p := &b.pages[pg]
-	switch {
-	case len(prefix) == 0:
-		// A page of zeros stores nothing, and lets go of any buffer
-		// retained from a previous program/erase cycle.
-		p.data = nil
-	case cap(p.data) < len(prefix):
-		// A new buffer is usually memory the kernel has just faulted in
-		// and zeroed through the cache: a plain copy hits those lines,
-		// where streaming stores would evict them and write each twice.
-		p.data = append([]byte(nil), prefix...)
-	default:
-		// A reused buffer was last written one erase cycle ago, so it has
-		// usually left the cache: streaming stores skip reading it back.
-		p.data = p.data[:len(prefix)]
-		storeCopy(p.data, prefix)
-	}
-	p.oob = append(p.oob[:0], oob...)
-	b.next++
-	c.stats.Programs++
 	return nil
 }
 
-// TrailingZeroSectors returns how many of page's last sectors, of
-// sectorSize bytes each, are all zero: cut them off and what is left is
-// the page's non-zero-sector prefix, empty for a page of zeros. It scans
-// from the last sector back, so a page that ends in data costs one word
-// compare.
-func TrailingZeroSectors(page []byte, sectorSize int) int {
-	k := 0
-	for end := len(page); end > 0 && isZero(page[end-sectorSize:end]); end -= sectorSize {
-		k++
+// programmed completes the program of page pg of b, whose sectors are in
+// place. Caller holds c.mu.
+func (c *Chip) programmed(b *block, pg int, oob []byte) {
+	spp := c.geo.SectorsPerPage
+	for i, s := range c.page(b, pg) {
+		if s != nil {
+			b.bytes[pg*spp+i] = unsafe.SliceData(s.data)
+		}
 	}
-	return k
+	if len(oob) > 0 && b.oob == nil {
+		b.oob = make([][]byte, c.geo.PagesPerBlock)
+	}
+	if b.oob != nil {
+		b.oob[pg] = append(b.oob[pg][:0], oob...)
+	}
+	b.next++
+	c.stats.Programs++
+}
+
+// retire marks b grown-bad and releases its sectors: a bad block is
+// never read again. Caller holds c.mu.
+func (c *Chip) retire(b *block) {
+	b.bad = true
+	b.grown = true
+	c.stats.GrownBad++
+	Release(b.sectors)
+	clear(b.bytes)
 }
 
 // isZero reports whether b is all zeros. Real payloads almost always
@@ -446,82 +613,94 @@ func isZero(b []byte) bool {
 // (§2.1: "All paired pages must be written before one of them can be
 // read"). The returned error may be a correctable bit error injection,
 // reported as nil with the BitErrors counter incremented (the device
-// corrects it via ECC but pays the accounting).
-//
-// A page stored as a partial prefix is widened to a whole page the first
-// time it is read whole (one allocation; the page then stores its zero
-// tail as bytes until it is programmed again); an all-zero page reads
-// the chip's shared zero page. ReadSectors, the device's read, never
-// widens anything.
+// corrects it via ECC but pays the accounting). The page is assembled
+// from its sectors into a new buffer; ReadBytes, the device's read,
+// copies nothing.
 func (c *Chip) Read(plane, blk, pg int) (data, oob []byte, err error) {
 	if err := c.checkAddr(plane, blk, pg); err != nil {
 		return nil, nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, err := c.sense(plane, blk, pg)
+	b, err := c.sense(plane, blk, pg)
 	if err != nil {
 		return nil, nil, err
 	}
-	switch n := c.geo.PageBytes(); len(p.data) {
-	case n:
-	case 0:
-		return c.zeros(), p.oob, nil
-	default:
-		full := make([]byte, n)
-		copy(full, p.data)
-		p.data = full
+	sz := c.geo.SectorSize
+	data = make([]byte, c.geo.PageBytes())
+	for i, s := range c.page(b, pg) {
+		copy(data[i*sz:], s.Bytes())
 	}
-	return p.data, p.oob, nil
-}
-
-// ReadSector returns one sector of a page, costing exactly what Read of
-// the page costs: same checks, same counters, same bit-error draw. It is
-// ReadSectors of one sector.
-func (c *Chip) ReadSector(plane, blk, pg, sector int) ([]byte, error) {
-	var out [1][]byte
-	if err := c.ReadSectors(plane, blk, pg, sector, out[:]); err != nil {
-		return nil, err
+	if b.oob != nil {
+		oob = b.oob[pg]
 	}
-	return out[0], nil
+	return data, oob, nil
 }
 
 // ReadSectors reads len(out) consecutive sectors of one page, starting
-// at sector first, under one lock, and costs exactly what that many
-// ReadSector calls cost: each sector is sensed once, in order, with its
-// own read count and bit-error draw. out[i] receives sector first+i; a
-// sector past the page's stored prefix is the chip's shared zero sector.
-// The slices are chip memory: they must not be written. On an error out
-// is left as it was and nothing is counted or drawn.
-func (c *Chip) ReadSectors(plane, blk, pg, first int, out [][]byte) error {
-	if err := c.checkAddr(plane, blk, pg); err != nil {
-		return err
-	}
-	if first < 0 || len(out) == 0 || first+len(out) > c.geo.SectorsPerPage {
-		return ErrAddress
-	}
+// at sector first, under one lock: each sector is sensed once, in order,
+// with its own read count and bit-error draw, exactly as that many
+// one-sector reads would be. out[i] receives the page's reference to
+// sector first+i, nil for a zero sector. The references stay the page's:
+// they are valid until the block is erased, and a caller that keeps one
+// past that retains it (Sector.Retain). On an error out is left as it
+// was and nothing is counted or drawn.
+func (c *Chip) ReadSectors(plane, blk, pg, first int, out []*Sector) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sz := c.geo.SectorSize
+	b, err := c.senseRun(plane, blk, pg, first, len(out))
+	if err != nil {
+		return err
+	}
+	copy(out, c.page(b, pg)[first:])
+	return nil
+}
+
+// ReadBytes is ReadSectors handing out each sector's bytes instead of
+// its reference — the page's memory, nil for a zero sector, valid until
+// the block is erased and not to be written — at the same cost: same
+// checks, counters and bit-error draws.
+func (c *Chip) ReadBytes(plane, blk, pg, first int, out [][]byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b, err := c.senseRun(plane, blk, pg, first, len(out))
+	if err != nil {
+		return err
+	}
+	sz, at := c.geo.SectorSize, pg*c.geo.SectorsPerPage+first
 	for i := range out {
-		p, err := c.sense(plane, blk, pg)
-		if err != nil {
-			return err // only the first sense can fail: the page is the same
-		}
-		off := (first + i) * sz
-		if off+sz > len(p.data) {
-			out[i] = c.zeros()[:sz:sz]
-		} else {
-			out[i] = p.data[off : off+sz : off+sz]
+		out[i] = nil
+		if p := b.bytes[at+i]; p != nil {
+			out[i] = unsafe.Slice(p, sz)
 		}
 	}
 	return nil
 }
 
-// sense is the array read shared by Read and ReadSectors: it enforces
+// senseRun checks a run of n sectors of one page from sector first and
+// senses each once, in order: the read of ReadSectors and ReadBytes.
+// Caller holds c.mu.
+func (c *Chip) senseRun(plane, blk, pg, first, n int) (*block, error) {
+	if err := c.checkAddr(plane, blk, pg); err != nil {
+		return nil, err
+	}
+	if first < 0 || n == 0 || first+n > c.geo.SectorsPerPage {
+		return nil, ErrAddress
+	}
+	var b *block
+	for range n {
+		var err error
+		if b, err = c.sense(plane, blk, pg); err != nil {
+			return nil, err // only the first sense can fail: the page is the same
+		}
+	}
+	return b, nil
+}
+
+// sense is the array read shared by Read and senseRun: it enforces
 // the read rules, draws the bit-error injection and counts the read.
 // Caller holds c.mu.
-func (c *Chip) sense(plane, blk, pg int) (*page, error) {
+func (c *Chip) sense(plane, blk, pg int) (*block, error) {
 	b := &c.planes[plane][blk]
 	if b.bad {
 		return nil, ErrBadBlock
@@ -545,19 +724,12 @@ func (c *Chip) sense(plane, blk, pg int) (*page, error) {
 		}
 	}
 	c.stats.Reads++
-	return &b.pages[pg], nil
+	return b, nil
 }
 
-// zeros returns the chip's shared zero page. Caller holds c.mu.
-func (c *Chip) zeros() []byte {
-	if c.zeroPage == nil {
-		c.zeroPage = make([]byte, c.geo.PageBytes())
-	}
-	return c.zeroPage
-}
-
-// Erase erases one block on one plane, resetting its write pointer.
-// Exceeding the endurance limit marks the block grown-bad.
+// Erase erases one block on one plane, resetting its write pointer and
+// releasing its sectors. Exceeding the endurance limit marks the block
+// grown-bad.
 func (c *Chip) Erase(plane, blk int) error {
 	if err := c.checkAddr(plane, blk, 0); err != nil {
 		return err
@@ -570,13 +742,11 @@ func (c *Chip) Erase(plane, blk int) error {
 	}
 	b.erases++
 	if c.rel.Endurance > 0 && b.erases > c.rel.Endurance {
-		b.bad = true
-		b.grown = true
-		c.stats.GrownBad++
+		c.retire(b)
 		return ErrWornOut
 	}
-	// The pages keep their buffers for the next programs, which overwrite
-	// them; resetting the write pointer is what unwrites them.
+	Release(b.sectors[:b.next*c.geo.SectorsPerPage])
+	clear(b.bytes[:b.next*c.geo.SectorsPerPage])
 	b.next = 0
 	c.stats.Erases++
 	return nil
@@ -600,11 +770,8 @@ func (c *Chip) MarkBad(plane, blk int) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b := &c.planes[plane][blk]
-	if !b.bad {
-		b.bad = true
-		b.grown = true
-		c.stats.GrownBad++
+	if b := &c.planes[plane][blk]; !b.bad {
+		c.retire(b)
 	}
 	return nil
 }

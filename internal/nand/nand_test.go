@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -556,9 +557,9 @@ func TestDurationForHelper(t *testing.T) {
 // TestProgramZeroEquivalence drives two chips with the same seed through
 // one random sequence of program attempts — in order, out of order, onto
 // programmed pages, out of range, onto blocks the injected failures
-// retired — one with ProgramZero, one with Program of a zero page. Every
-// error, counter, write pointer and read-back must agree: ProgramZero is
-// Program minus the bytes.
+// retired — one with ProgramSectors of nil (zero) sectors, one with
+// Program of a zero page. Every error, counter, write pointer and
+// read-back must agree: a page of nil references is a page of zeros.
 func TestProgramZeroEquivalence(t *testing.T) {
 	geo := testGeo(TLC, 2)
 	rel := Reliability{ProgramFailRate: 0.05}
@@ -586,10 +587,10 @@ func TestProgramZeroEquivalence(t *testing.T) {
 			}
 			continue
 		}
-		ea := a.ProgramZero(plane, blk, pg)
+		ea := a.ProgramSectors(plane, blk, pg, make([]*Sector, geo.SectorsPerPage))
 		eb := b.Program(plane, blk, pg, zeros, nil)
 		if !sameErr(ea, eb) {
-			t.Fatalf("op %d program %d/%d/%d: ProgramZero %v, Program(zeros) %v", i, plane, blk, pg, ea, eb)
+			t.Fatalf("op %d program %d/%d/%d: ProgramSectors(nil) %v, Program(zeros) %v", i, plane, blk, pg, ea, eb)
 		}
 	}
 	if a.Stats() != b.Stats() {
@@ -615,6 +616,9 @@ func TestProgramZeroEquivalence(t *testing.T) {
 			}
 		}
 	}
+	if n := len(b.free); n != 0 {
+		t.Fatalf("programs of zeros stored %d sectors", n)
+	}
 }
 
 func sameErr(a, b error) bool {
@@ -625,43 +629,117 @@ func sameErr(a, b error) bool {
 }
 
 // TestZeroProgramsReleasePageBuffer pins the memory rule the 512-PU scale
-// sweep relies on: a page that held data keeps its buffer across an
-// erase for reuse, but programming zeros over it — by ProgramZero or by a
-// payload that scans as zero — lets the buffer go. A page whose tail is
-// zero stores only its non-zero sectors, in a buffer of exactly that size.
+// sweep relies on, on sectors: a page that held data hands its sectors
+// to the chip's free list when it is erased, and the next program of
+// data takes them back from there; a zero sector — a page of zeros, by
+// Program or by ProgramSectors of nil, or the zero tail of a page —
+// holds no sector at all, so a page with one sector of data stores one.
 func TestZeroProgramsReleasePageBuffer(t *testing.T) {
 	c := newChip(t, SLC, 1)
 	geo := c.Geometry()
+	spp := geo.SectorsPerPage
 	for pg := 0; pg < 2; pg++ {
 		if err := c.Program(0, 0, pg, pageData(geo, 0xAB), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if n := len(c.free); n != 0 {
+		t.Fatalf("%d free sectors before any erase", n)
+	}
 	if err := c.Erase(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	pages := c.planes[0][0].pages
-	if cap(pages[0].data) == 0 || cap(pages[1].data) == 0 {
-		t.Fatal("erase should retain page buffers for reuse")
+	if n := len(c.free); n != 2*spp {
+		t.Fatalf("erase freed %d sectors, want %d", n, 2*spp)
 	}
-	if err := c.ProgramZero(0, 0, 0); err != nil {
+	stored := func(pg int) (n int) {
+		for _, s := range c.page(&c.planes[0][0], pg) {
+			if s != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if err := c.ProgramSectors(0, 0, 0, make([]*Sector, spp)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Program(0, 0, 1, make([]byte, geo.PageBytes()), nil); err != nil {
 		t.Fatal(err)
 	}
 	for pg := 0; pg < 2; pg++ {
-		if pages[pg].data != nil {
-			t.Fatalf("page %d: zero program kept its %d-byte buffer", pg, cap(pages[pg].data))
+		if n := stored(pg); n != 0 {
+			t.Fatalf("page %d of zeros stores %d sectors", pg, n)
 		}
+	}
+	if n := len(c.free); n != 2*spp {
+		t.Fatalf("programs of zeros took %d sectors off the free list", 2*spp-n)
 	}
 	head := make([]byte, geo.PageBytes())
 	copy(head, pageData(geo, 0xCD)[:geo.SectorSize])
 	if err := c.Program(0, 0, 2, head, nil); err != nil {
 		t.Fatal(err)
 	}
-	if p := pages[2]; len(p.data) != geo.SectorSize || cap(p.data) != geo.SectorSize {
-		t.Fatalf("one sector of data stored as %d bytes in a %d-byte buffer", len(p.data), cap(p.data))
+	if n := stored(2); n != 1 {
+		t.Fatalf("one sector of data stored as %d sectors", n)
+	}
+	if n := len(c.free); n != 2*spp-1 {
+		t.Fatalf("one sector of data took %d sectors off the free list, want 1", 2*spp-n)
+	}
+}
+
+// TestChurnAllocatesNothing pins the free list's two promises: steady
+// program/erase churn — pages of data programmed through Program and
+// through Store and ProgramSectors, some shared with a second page,
+// every block erased when full — allocates nothing once the free list
+// has filled, and the list never holds more than its bound.
+func TestChurnAllocatesNothing(t *testing.T) {
+	geo := testGeo(SLC, 2)
+	c, err := New(geo, DefaultTiming(SLC), Reliability{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := pageData(geo, 0x3C)
+	held := make([]*Sector, geo.SectorsPerPage)
+	blk := 0
+	cycle := func() {
+		for p := 0; p < geo.Planes; p++ {
+			for pg := 0; pg < geo.PagesPerBlock; pg++ {
+				var err error
+				switch pg % 3 {
+				case 0:
+					err = c.Program(p, blk, pg, page, nil)
+				case 1:
+					c.Store(held, page)
+					err = c.ProgramSectors(p, blk, pg, held)
+				default: // the previous page's sectors, shared
+					if err = c.ReadSectors(p, blk, pg-1, 0, held); err == nil {
+						for _, s := range held {
+							s.Retain()
+						}
+						err = c.ProgramSectors(p, blk, pg, held)
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Erase(p, blk); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(c.free); n > c.maxFree {
+				t.Fatalf("free list holds %d sectors, bound %d", n, c.maxFree)
+			}
+		}
+		blk = (blk + 1) % geo.BlocksPerPlane
+	}
+	for i := 0; i < 2*geo.BlocksPerPlane; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("program/erase churn allocates %.1f times per cycle", n)
+	}
+	if c.maxFree != freeBlocks*geo.Planes*geo.PagesPerBlock*geo.SectorsPerPage {
+		t.Fatalf("free-list bound %d, want %d blocks on every plane", c.maxFree, freeBlocks)
 	}
 }
 
@@ -685,7 +763,8 @@ func TestIsZero(t *testing.T) {
 
 // modelChip is the reference FuzzChipAgainstModel holds a Chip to: the
 // same rules and the same seeded draws in the same order, over plain
-// full pages — no prefixes, no shared zeros, no reused buffers.
+// full pages — no sector references, no nil zero sectors, no recycled
+// sectors.
 type modelChip struct {
 	geo    Geometry
 	rel    Reliability
@@ -817,20 +896,62 @@ func sameTypedErr(got, want error) bool {
 	return errors.Is(got, want)
 }
 
+// checkRefs holds the chip's reference counts to its storage: every
+// sector a page holds counts exactly the page slots, plus extra, that
+// hold it, its bytes' address sits beside it, and a sector on the free
+// list is held by nobody.
+func checkRefs(t *testing.T, c *Chip, extra map[*Sector]int) {
+	t.Helper()
+	held := map[*Sector]int{}
+	for s, n := range extra {
+		held[s] += n
+	}
+	for p := range c.planes {
+		for b := range c.planes[p] {
+			blk := &c.planes[p][b]
+			for i, s := range blk.sectors {
+				if s != nil {
+					held[s]++
+				}
+				if s == nil && blk.bytes[i] != nil || s != nil && blk.bytes[i] != &s.data[0] {
+					t.Fatalf("block %d/%d sector %d: its bytes' address is not beside its reference", p, b, i)
+				}
+			}
+		}
+	}
+	for s, n := range held {
+		if got := int(atomic.LoadInt32(&s.refs)); got != n {
+			t.Fatalf("a sector held %d times counts %d holders", n, got)
+		}
+	}
+	for _, s := range c.free {
+		if held[s] != 0 || atomic.LoadInt32(&s.refs) != 0 {
+			t.Fatalf("a free sector is held (%d holders)", atomic.LoadInt32(&s.refs))
+		}
+	}
+	if len(c.free) > c.maxFree {
+		t.Fatalf("free list holds %d sectors, bound %d", len(c.free), c.maxFree)
+	}
+}
+
 // FuzzChipAgainstModel drives a Chip and the full-page model with one
 // operation stream decoded from the input: Program of pages with
 // arbitrary zero-sector patterns (whole, trailing, interior, partly-zero
-// sectors), ProgramPrefix, ProgramZero, Erase, MarkBad, Read, ReadSector
-// and ReadSectors, at the write pointer or anywhere (out of range
-// included), with program failures, read bit errors, wear-out and
-// factory bad blocks injected. Every error, every byte read and the
-// Stats must agree: storing only a page's non-zero-sector prefix is
-// invisible.
+// sectors), ProgramSectors of sectors just stored (Store) and of sectors
+// shared with another page (read with ReadSectors and retained, as a
+// device-side copy takes them, then erased at the source or not), Erase,
+// MarkBad, Read, ReadSectors and ReadBytes, at the write pointer or
+// anywhere (out of range included), with program failures, read bit
+// errors, wear-out and factory bad blocks injected. Every error, every byte read and the
+// Stats must agree — storing sectors by reference, zero sectors as nil,
+// is invisible — and after every step each sector counts exactly its
+// holders.
 func FuzzChipAgainstModel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0x5, 7, 1, 0, 0, 0x3, 2, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0, 2})
 	f.Add([]byte("\x00\x00\x00\x00\x0e\x01\x00\x00\x00\x09\x02\x03\x00\x00\x00\x04\x00\x00\x00\x05\x00\x00\x03\x03\x00\x00"))
 	f.Add(bytes.Repeat([]byte{0, 0, 0, 0, 0x6, 0x41, 4, 0, 0, 0, 5, 0, 0, 2}, 12))
 	f.Add(bytes.Repeat([]byte{1, 1, 1, 0, 0xA, 0x99, 3, 1, 1, 0, 5, 1, 1, 3, 6, 1, 1, 0}, 10))
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 0, 0x13, 9, 0, 0, 1, 4, 0x21, 5, 3, 1, 0, 1, 2, 4, 1, 0, 0, 0}, 8))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		geo := Geometry{Planes: 2, BlocksPerPlane: 3, PagesPerBlock: 6, SectorsPerPage: 4, SectorSize: 64, OOBPerPage: 8, Cell: MLC}
 		rel := Reliability{Endurance: 4, FactoryBadRate: 0.1, ProgramFailRate: 0.03, ReadErrorBase: 0.05}
@@ -867,6 +988,20 @@ func FuzzChipAgainstModel(f *testing.F) {
 			}
 			return p
 		}
+		// programRefs programs held references on the chip and their
+		// bytes on the model; the chip's references are released if the
+		// program fails, as a device does.
+		programRefs := func(plane, blk, pg int, refs []*Sector) (errC, errM error) {
+			p := make([]byte, geo.PageBytes())
+			for i, s := range refs {
+				copy(p[i*sz:], s.Bytes())
+			}
+			errC = c.ProgramSectors(plane, blk, pg, refs)
+			if errC != nil {
+				Release(refs)
+			}
+			return errC, m.program(plane, blk, pg, p, nil)
+		}
 		for step := 0; len(ops) > 0; step++ {
 			op, plane, blk, pg := next()%8, next()%(geo.Planes+1), next()%(geo.BlocksPerPlane+1), next()
 			if plane < geo.Planes && blk < geo.BlocksPerPlane && pg%4 != 0 {
@@ -885,23 +1020,26 @@ func FuzzChipAgainstModel(f *testing.F) {
 				}
 				errC = c.Program(plane, blk, pg, p, oob)
 				errM = m.program(plane, blk, pg, p, oob)
-			case 2: // ProgramPrefix: k sectors of an arbitrary pattern, zeros after
+			case 2: // ProgramSectors of sectors just stored, zero ones nil
 				pat := next()
-				k := pat % (spp + 2) // spp+1 is one sector too many
-				p := page(pat>>3&0xF, 0, next())
-				if k > spp {
-					p = append(p, make([]byte, sz)...)
+				refs := make([]*Sector, spp)
+				c.Store(refs, page(pat&0xF, pat>>4, next()))
+				errC, errM = programRefs(plane, blk, pg, refs)
+			case 3: // ProgramSectors of another page's sectors, shared
+				sp, sb, spg := next()%geo.Planes, next()%geo.BlocksPerPlane, next()%geo.PagesPerBlock
+				refs := make([]*Sector, spp)
+				errC = c.ReadSectors(sp, sb, spg, 0, refs)
+				for range refs {
+					if _, _, errM = m.read(sp, sb, spg); errM != nil {
+						break
+					}
 				}
-				errC = c.ProgramPrefix(plane, blk, pg, p[:k*sz])
-				clear(p[min(k, spp)*sz:])
-				if _, aerr := m.block(plane, blk, pg); k > spp && aerr == nil {
-					errM = ErrDataSize
-				} else {
-					errM = m.program(plane, blk, pg, p[:geo.PageBytes()], nil)
+				if errC == nil && errM == nil {
+					for _, s := range refs {
+						s.Retain()
+					}
+					errC, errM = programRefs(plane, blk, pg, refs)
 				}
-			case 3:
-				errC = c.ProgramZero(plane, blk, pg)
-				errM = m.program(plane, blk, pg, make([]byte, geo.PageBytes()), nil)
 			case 4:
 				errC, errM = c.Erase(plane, blk), m.erase(plane, blk)
 			case 5:
@@ -913,13 +1051,17 @@ func FuzzChipAgainstModel(f *testing.F) {
 				if err == nil && (!bytes.Equal(got, want) || !bytes.Equal(gotOOB, wantOOB)) {
 					t.Fatalf("step %d: Read %d/%d/%d returned other bytes than were programmed", step, plane, blk, pg)
 				}
-			case 7: // ReadSector (n = 0) or ReadSectors of n sectors, each sensed once
-				s, n := next()%(spp+1), next()%(spp+1)
+			case 7: // ReadSectors or ReadBytes of n sectors, each sensed once
+				s, n, refs := next()%(spp+1), next()%(spp+1), next()%2 == 0
 				got := make([][]byte, max(n, 1))
-				if n == 0 {
-					got[0], errC = c.ReadSector(plane, blk, pg, s)
+				if refs {
+					out := make([]*Sector, len(got))
+					errC = c.ReadSectors(plane, blk, pg, s, out)
+					for i := range out {
+						got[i] = out[i].Bytes()
+					}
 				} else {
-					errC = c.ReadSectors(plane, blk, pg, s, got)
+					errC = c.ReadBytes(plane, blk, pg, s, got)
 				}
 				if _, aerr := m.block(plane, blk, pg); aerr == nil && s+len(got) > spp {
 					errM = ErrAddress
@@ -930,8 +1072,9 @@ func FuzzChipAgainstModel(f *testing.F) {
 					if errM = werr; werr != nil {
 						break
 					}
-					if errC == nil && !bytes.Equal(got[i], want[(s+i)*sz:(s+i+1)*sz]) {
-						t.Fatalf("step %d: ReadSectors %d/%d/%d/%d+%d returned other bytes than were programmed", step, plane, blk, pg, s, i)
+					sec := want[(s+i)*sz : (s+i+1)*sz]
+					if b := got[i]; errC == nil && (b == nil && !isZero(sec) || b != nil && !bytes.Equal(b, sec)) {
+						t.Fatalf("step %d: ReadSectors (refs %v) %d/%d/%d/%d+%d returned other bytes than were programmed", step, refs, plane, blk, pg, s, i)
 					}
 				}
 			}
@@ -941,6 +1084,7 @@ func FuzzChipAgainstModel(f *testing.F) {
 			if cs := c.Stats(); cs != m.stats {
 				t.Fatalf("step %d op %d: stats chip %+v, model %+v", step, op, cs, m.stats)
 			}
+			checkRefs(t, c, nil)
 		}
 	})
 }

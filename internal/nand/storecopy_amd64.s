@@ -6,8 +6,8 @@
 //
 // Copies len(dst) bytes, a positive multiple of 64, from src to the
 // 16-byte-aligned dst: unaligned 16-byte loads, non-temporal 16-byte
-// stores, 64 bytes per iteration, then SFENCE so the stores are ordered
-// before whatever the caller does next (the chip mutex's unlock).
+// stores, 64 bytes per iteration. No fence: a caller that copies many
+// sectors fences once, with storeFence.
 TEXT ·streamCopy(SB), NOSPLIT, $0-48
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -27,5 +27,9 @@ loop:
 	ADDQ   $64, DI
 	DECQ   CX
 	JNZ    loop
+	RET
+
+// func storeFence()
+TEXT ·storeFence(SB), NOSPLIT, $0-0
 	SFENCE
 	RET

@@ -23,6 +23,7 @@ func checkStoreCopy(t *testing.T, got, want []byte, dstOff, dstLen int, src []by
 	base := (64 - int(uintptr(unsafe.Pointer(unsafe.SliceData(got)))%64)) % 64
 	at := base + storeCopyGuard + dstOff
 	n := storeCopy(got[at:at+dstLen], src)
+	storeFence()
 	m := copy(want[at:at+dstLen], src)
 	if n != m {
 		t.Fatalf("dst+%d len %d, src len %d: storeCopy copied %d bytes, copy %d", dstOff, dstLen, len(src), n, m)
@@ -91,15 +92,16 @@ func FuzzStoreCopy(f *testing.F) {
 	})
 }
 
-// TestStreamingChipMatchesModel drives a chip at a page size the kernel
-// takes and the full-page model, same seed, through one seeded sequence
-// of programs (full pages with zero tails, prefixes, zero pages, in order
-// or not), erases, bad-block marks and reads, with program failures,
-// wear-out and bit errors injected. Erases leave page buffers behind, so
-// most programs refill a reused buffer with storeCopy; the model copies
-// every page into a new slice. Every error, every byte read and the Stats
-// must agree, and the source buffer is overwritten after every operation
-// to show the chip kept its own copy.
+// TestStreamingChipMatchesModel drives a chip at a sector size the
+// kernel takes and the full-page model, same seed, through one seeded
+// sequence of programs (full pages with zero tails, by Program and by
+// Store and ProgramSectors, zero pages, in order or not), erases,
+// bad-block marks and reads, with program failures, wear-out and bit
+// errors injected. Erases hand sectors to the free list, so most programs
+// refill a recycled sector with storeCopy; the model copies every page
+// into a new slice. Every error, every byte read and the Stats must
+// agree, and the source buffer is overwritten after every operation to
+// show the chip kept its own copy.
 func TestStreamingChipMatchesModel(t *testing.T) {
 	geo := testGeo(TLC, 2)
 	geo.BlocksPerPlane, geo.PagesPerBlock = 32, 6
@@ -117,6 +119,7 @@ func TestStreamingChipMatchesModel(t *testing.T) {
 		rng.Read(buf[:sectors*sz])
 		return buf
 	}
+	refs := make([]*Sector, spp)
 	for step := 0; step < 4000; step++ {
 		plane, blk := rng.Intn(geo.Planes), rng.Intn(geo.BlocksPerPlane)
 		op := rng.Intn(20)
@@ -130,11 +133,14 @@ func TestStreamingChipMatchesModel(t *testing.T) {
 			p := fill(rng.Intn(spp + 1))
 			errC, errM = c.Program(plane, blk, pg, p, nil), m.program(plane, blk, pg, p, nil)
 		case op < 12:
-			k := rng.Intn(spp + 1)
-			p := fill(k)
-			errC, errM = c.ProgramPrefix(plane, blk, pg, p[:k*sz]), m.program(plane, blk, pg, p, nil)
+			p := fill(rng.Intn(spp + 1))
+			c.Store(refs, p)
+			if errC = c.ProgramSectors(plane, blk, pg, refs); errC != nil {
+				Release(refs)
+			}
+			errM = m.program(plane, blk, pg, p, nil)
 		case op < 13:
-			errC, errM = c.ProgramZero(plane, blk, pg), m.program(plane, blk, pg, fill(0), nil)
+			errC, errM = c.ProgramSectors(plane, blk, pg, refs), m.program(plane, blk, pg, fill(0), nil)
 		case op < 15:
 			errC, errM = c.Erase(plane, blk), m.erase(plane, blk)
 		case op < 16:
@@ -150,11 +156,12 @@ func TestStreamingChipMatchesModel(t *testing.T) {
 			}
 		default:
 			s := rng.Intn(spp)
-			got, err := c.ReadSector(plane, blk, pg, s)
+			var got [1][]byte
+			err := c.ReadBytes(plane, blk, pg, s, got[:])
 			want, _, werr := m.read(plane, blk, pg)
 			errC, errM = err, werr
-			if err == nil && !bytes.Equal(got, want[s*sz:(s+1)*sz]) {
-				t.Fatalf("step %d: ReadSector %d/%d/%d/%d returned other bytes than were programmed", step, plane, blk, pg, s)
+			if b := got[0]; err == nil && (b == nil && !isZero(want[s*sz:(s+1)*sz]) || b != nil && !bytes.Equal(b, want[s*sz:(s+1)*sz])) {
+				t.Fatalf("step %d: ReadBytes %d/%d/%d/%d returned other bytes than were programmed", step, plane, blk, pg, s)
 			}
 		}
 		rng.Read(buf)
@@ -171,13 +178,12 @@ func TestStreamingChipMatchesModel(t *testing.T) {
 	}
 }
 
-// BenchmarkProgramPrefix measures the copy Chip.program makes into a
-// reused page buffer: 16 KB pages written round-robin over working sets
+// BenchmarkStoreCopy measures the copy into a recycled buffer that
+// Chip.Store makes: 16 KB pages written round-robin over working sets
 // from 1.5 MB (in cache) to 255 MB (far larger than cache), once with
-// copy, the store program used before, and once with storeCopy, the one
-// it uses now. Streaming stores lose while the pages fit in cache and
-// win once they do not.
-func BenchmarkProgramPrefix(b *testing.B) {
+// copy and once with storeCopy, fenced once at the end. Streaming stores
+// lose while the buffers fit in cache and win once they do not.
+func BenchmarkStoreCopy(b *testing.B) {
 	const pageBytes = 16 << 10
 	src := make([]byte, pageBytes)
 	rand.New(rand.NewSource(1)).Read(src)
@@ -199,6 +205,7 @@ func BenchmarkProgramPrefix(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					arm.store(pages[i%len(pages)], src)
 				}
+				storeFence()
 				b.ReportMetric(float64(b.N)*pageBytes/b.Elapsed().Seconds()/1e9, "GB/s")
 			})
 		}

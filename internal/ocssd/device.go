@@ -23,7 +23,6 @@ package ocssd
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -172,105 +171,76 @@ type chunkMeta struct {
 // units do not interfere across groups; here they do not even share a
 // lock).
 type puState struct {
-	mu        sync.Mutex
-	chunks    []chunkMeta
-	open      int      // open chunk count on this PU
-	bufs      [][]byte // stripe-buffer slots, indexed by chunkMeta.bufSlot
-	zeros     []uint64 // the slots' zero-sector masks, Device.maskWords words each
-	freeSlots []int32  // recycled slot indices
+	mu     sync.Mutex
+	chunks []chunkMeta
+	open   int // open chunk count on this PU
+	// bufs are the stripe-buffer slots, indexed by chunkMeta.bufSlot: one
+	// held reference per buffered sector, nil for a zero sector. Entries
+	// past a slot's length are nil.
+	bufs      [][]*nand.Sector
+	freeSlots []int32 // recycled slot indices
+	scratch   []byte  // one stripe the durable backend gathers sectors into
 }
 
 // getSlot assigns a stripe-buffer slot to an opening chunk, recycling a
-// released slot when one exists. A recycled slot's mask needs no
-// clearing: a page's mask word is written when the page arrives.
-// Caller holds the PU lock.
-func (p *puState) getSlot(stripeBytes, maskWords int) int32 {
+// released slot when one exists. Caller holds the PU lock.
+func (p *puState) getSlot(stripe int) int32 {
 	if n := len(p.freeSlots); n > 0 {
 		s := p.freeSlots[n-1]
 		p.freeSlots = p.freeSlots[:n-1]
-		p.bufs[s] = p.bufs[s][:0]
 		return s
 	}
-	p.bufs = append(p.bufs, make([]byte, 0, stripeBytes))
-	p.zeros = append(p.zeros, make([]uint64, maskWords)...)
+	p.bufs = append(p.bufs, make([]*nand.Sector, 0, stripe))
 	return int32(len(p.bufs) - 1)
 }
 
-// putSlot releases a chunk's stripe-buffer slot back to the free list.
-// Negative slots (chunk had no buffer) are ignored. Caller holds the PU
-// lock.
+// putSlot releases a chunk's stripe-buffer slot, and the sectors it
+// buffers, back to the free list. Negative slots (chunk had no buffer)
+// are ignored. Caller holds the PU lock.
 func (p *puState) putSlot(s int32) {
 	if s >= 0 {
+		nand.Release(p.bufs[s])
+		p.bufs[s] = p.bufs[s][:0]
 		p.freeSlots = append(p.freeSlots, s)
 	}
 }
 
 // buffered returns the chunk's partial-stripe buffer (nil when the chunk
 // holds no slot). Caller holds the PU lock.
-func (p *puState) buffered(m *chunkMeta) []byte {
+func (p *puState) buffered(m *chunkMeta) []*nand.Sector {
 	if m.bufSlot < 0 {
 		return nil
 	}
 	return p.bufs[m.bufSlot]
 }
 
-// zeroMask returns a slot's zero-sector mask, one word per page of the
-// stripe: bit k of word p set means sector k of page p is zero and holds
-// no bytes in the slot buffer (or, for a stripe programmed from the
-// caller's slice, is not to be read there). Only a page's trailing zero
-// sectors are ever marked. Caller holds the PU lock.
-func (d *Device) zeroMask(pu *puState, slot int32) []uint64 {
-	s := int(slot) * d.maskWords
-	return pu.zeros[s : s+d.maskWords]
-}
-
-// zeroTail is the mask word of a page of spp sectors that holds its first
-// keep sectors: the bits of the rest are set.
-func zeroTail(spp, keep int) uint64 {
-	return ^uint64(0) >> (64 - spp) &^ (1<<keep - 1)
-}
-
-// kept is how many leading sectors of a page of spp sectors its mask word
-// says it holds.
-func kept(word uint64, spp int) int { return min(bits.TrailingZeros64(word), spp) }
-
-// isZeroSector reports whether stripe sector i is marked zero in mask.
-func (d *Device) isZeroSector(mask []uint64, i int) bool {
-	spp := d.geo.Chip.SectorsPerPage
-	return mask[i/spp]>>(i%spp)&1 != 0
-}
-
-// classify is the one look a written sector gets. data arrives as whole
-// sectors from the start of page firstPage of the stripe; each page's
-// trailing all-zero sectors become its mask bits and, when img is not
-// nil, the rest of the page — zero sectors before its last non-zero one
-// included — is copied to its place in img. A page data ends inside is
-// completed by pad, whose sectors join its zero tail unlooked at.
-// nand.TrailingZeroSectors scans from the end of a page's data, so no
-// sector is checked twice and a page that ends in data costs one word
-// compare.
-func (d *Device) classify(mask []uint64, firstPage int, data, img []byte) {
-	sz, spp := d.geo.Chip.SectorSize, d.geo.Chip.SectorsPerPage
-	pageBytes := spp * sz
-	for off, p := 0, firstPage; off < len(data); off, p = off+pageBytes, p+1 {
-		page := data[off:min(off+pageBytes, len(data))]
-		keep := len(page)/sz - nand.TrailingZeroSectors(page, sz)
-		if img != nil {
-			copy(img[p*pageBytes:], page[:keep*sz])
+// gather copies sectors, one stripe or less, into the PU's scratch
+// stripe for the one consumer that stores sectors as bytes, the durable
+// backend: a zero sector, and every sector past the last, as zeros. It
+// returns the whole scratch stripe. Caller holds the PU lock.
+func (d *Device) gather(pu *puState, sectors []*nand.Sector) []byte {
+	if pu.scratch == nil {
+		pu.scratch = make([]byte, d.stripeBytes())
+	}
+	sz := d.geo.Chip.SectorSize
+	for i, s := range sectors {
+		if s == nil {
+			clear(pu.scratch[i*sz : (i+1)*sz])
+		} else {
+			copy(pu.scratch[i*sz:(i+1)*sz], s.Bytes())
 		}
-		mask[p] = zeroTail(spp, keep)
 	}
+	clear(pu.scratch[len(sectors)*sz:])
+	return pu.scratch
 }
 
-// clearZeroSectors writes zeros over the masked sectors of the whole
-// pages of a stripe image in device memory, for the one consumer that
-// stores sectors as bytes: the durable backend.
-func (d *Device) clearZeroSectors(img []byte, mask []uint64) {
-	sz, spp := d.geo.Chip.SectorSize, d.geo.Chip.SectorsPerPage
-	pageBytes := spp * sz
-	for p := 0; (p+1)*pageBytes <= len(img); p++ {
-		clear(img[p*pageBytes+kept(mask[p], spp)*sz : (p+1)*pageBytes])
+// sectorBytes is what a stored sector reads as: its bytes, or the shared
+// zero sector.
+func (d *Device) sectorBytes(s *nand.Sector) []byte {
+	if s == nil {
+		return d.zeroSector
 	}
+	return s.Bytes()
 }
 
 // Device is one simulated Open-Channel SSD.
@@ -285,13 +255,12 @@ type Device struct {
 
 	pus []puState // flat [group*PUsPerGroup + pu]
 
-	// maskWords is the size of one slot's zero-sector mask (one word per
-	// page of a stripe); zeroSector is what a masked sector reads as.
-	maskWords  int
-	zeroSector []byte
+	zeroSector []byte // what a zero (nil) sector reads as
 
-	// copyBufs recycles the staging buffers of device-side Copy.
-	copyBufs sync.Pool
+	// stagingMu guards staging, the free list of device-side Copy's
+	// reference arrays: a steady stream of copies allocates nothing.
+	stagingMu sync.Mutex
+	staging   [][]*nand.Sector
 
 	// backend is the durable file store (nil = in-memory only); faults
 	// is the injected-failure oracle (nil = fault-free).
@@ -368,7 +337,6 @@ func newDevice(geo Geometry, opts Options) (*Device, error) {
 		pus:      make([]puState, geo.Groups*geo.PUsPerGroup),
 		asyncC:   make(chan AsyncError, 1024),
 
-		maskWords:  geo.WSOpt / geo.Chip.SectorsPerPage,
 		zeroSector: make([]byte, geo.Chip.SectorSize),
 	}
 	var cacheBytes int64
@@ -480,7 +448,7 @@ func (d *Device) pu(g, u int) *puState { return &d.pus[g*d.geo.PUsPerGroup+u] }
 // (the pointer always leads the buffer by exactly its content). Caller
 // holds the PU lock.
 func (d *Device) bufBase(pu *puState, m *chunkMeta) int {
-	return int(m.wp) - len(pu.buffered(m))/d.geo.Chip.SectorSize
+	return int(m.wp) - len(pu.buffered(m))
 }
 
 // flatChunk is the backend/fault-injector key of a chunk: its index in
@@ -522,9 +490,9 @@ func (d *Device) Stats() Stats { return d.stats.snapshot() }
 
 // MetadataBytes reports the resident bytes of per-chunk controller
 // metadata: the packed chunk records plus the stripe-buffer slot
-// bookkeeping (slot headers and free list — slot payloads, the data
-// buffers and their zero-sector masks, are bounded by open chunks, not
-// metadata that scales with chunk count). Divide by
+// bookkeeping (slot headers and free list — slot payloads, the sector
+// references, are bounded by open chunks, not metadata that scales with
+// chunk count). Divide by
 // Geometry().TotalPUs()·ChunksPerPU for the bytes-per-chunk budget the
 // scale benchmarks gate on.
 func (d *Device) MetadataBytes() int64 {
@@ -533,7 +501,7 @@ func (d *Device) MetadataBytes() int64 {
 		pu := &d.pus[i]
 		pu.mu.Lock()
 		total += int64(cap(pu.chunks)) * int64(unsafe.Sizeof(chunkMeta{}))
-		total += int64(cap(pu.bufs)) * int64(unsafe.Sizeof([]byte(nil)))
+		total += int64(cap(pu.bufs)) * int64(unsafe.Sizeof([]*nand.Sector(nil)))
 		total += int64(cap(pu.freeSlots)) * int64(unsafe.Sizeof(int32(0)))
 		pu.mu.Unlock()
 	}
@@ -623,7 +591,6 @@ func (d *Device) die(cur *puState) {
 			return
 		}
 		if d.opts.PowerLossProtected {
-			scratch := make([]byte, d.stripeBytes())
 			spc := d.geo.SectorsPerChunk()
 			for g := 0; g < d.geo.Groups; g++ {
 				for u := 0; u < d.geo.PUsPerGroup; u++ {
@@ -638,11 +605,8 @@ func (d *Device) die(cur *puState) {
 							continue
 						}
 						base := d.bufBase(pu, m)
-						n := copy(scratch, buf)
-						clear(scratch[n:])
-						d.clearZeroSectors(scratch[:n], d.zeroMask(pu, m.bufSlot))
 						flat := d.flatChunk(ChunkID{g, u, c})
-						d.backend.writeData(flat, base, scratch)
+						d.backend.writeData(flat, base, d.gather(pu, buf))
 						st := ChunkOpen
 						if base+d.geo.WSOpt == spc {
 							st = ChunkClosed
@@ -662,7 +626,8 @@ func (d *Device) die(cur *puState) {
 // dieOnProgram is a power cut landing on an in-flight stripe program.
 // With PLP the stripe completes on capacitor power; without it, at most
 // a torn prefix of the stripe's data reaches the backend — and no
-// chunk-state record, so the restored write pointer excludes it.
+// chunk-state record, so the restored write pointer excludes it. buf is
+// the stripe, gathered into bytes.
 func (d *Device) dieOnProgram(pu *puState, id ChunkID, baseSector int, buf []byte, torn int) {
 	if d.backend != nil {
 		flat := d.flatChunk(id)
@@ -726,28 +691,29 @@ func (d *Device) Report() []ChunkInfo {
 func (d *Device) stripeBytes() int { return d.geo.WSOpt * d.geo.Chip.SectorSize }
 
 // programStripe writes one complete wordline stripe (ws_opt sectors) to
-// NAND and accounts its virtual timing. buf is one stripe long, but the
-// sectors whose bit is set in zero hold no bytes there — padding and the
-// zero tails of pages are bits, not data. classify marks only a page's
-// trailing zero sectors, so each page is programmed with its unmasked
-// prefix and its masked sectors are written nowhere. Only the durable
-// backend stores zero sectors as bytes (and a power cut mid-program
-// re-reads the buffer to persist it), so that is the one case in which
-// they are cleared; a stripe from the caller's slice never meets it,
-// because a backed device stages every stripe in the buffer. The caller
-// holds the PU lock. It returns the virtual completion instant.
-func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSector int, buf []byte, zero []uint64) (vclock.Time, error) {
+// NAND and accounts its virtual timing. stripe is the chunk's stripe-
+// buffer slot, filled: one held reference per sector, nil for a zero
+// sector. Each (plane, paired) page is programmed by moving its sectors'
+// references into it, so no byte is copied; a page whose program fails
+// leaves its references, and those of the pages after it, in the slot,
+// which the chunk's retirement releases. Only the durable backend stores
+// sectors as bytes, gathered into the PU's scratch stripe before the
+// program (a power cut that lands on it persists the stripe from there).
+// The caller holds the PU lock. It returns the virtual completion
+// instant.
+func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSector int, stripe []*nand.Sector) (vclock.Time, error) {
 	geo := d.geo
 	chip := d.chips[id.Group][id.PU]
 	bits := geo.Chip.Cell.BitsPerCell()
-	sz, spp := geo.Chip.SectorSize, geo.Chip.SectorsPerPage
+	spp := geo.Chip.SectorsPerPage
+	var img []byte
 	if d.backend != nil {
-		d.clearZeroSectors(buf, zero)
+		img = d.gather(pu, stripe)
 	}
 
 	// Timing: the whole stripe crosses the channel bus once, then the
 	// chip programs bits paired pages (planes program in parallel).
-	_, xferEnd := d.channels[id.Group].Acquire(at, vclock.DurationFor(int64(len(buf)), geo.ChannelMBps))
+	_, xferEnd := d.channels[id.Group].Acquire(at, vclock.DurationFor(int64(d.stripeBytes()), geo.ChannelMBps))
 	var progDur vclock.Duration
 	firstPage := geo.locate(baseSector).page
 	for b := 0; b < bits; b++ {
@@ -759,7 +725,7 @@ func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSect
 	if d.faults != nil {
 		v := d.faults.OnOp(fault.OpProgram, uint64(d.flatChunk(id)), geo.WSOpt)
 		if v.PowerCut {
-			d.dieOnProgram(pu, id, baseSector, buf, v.TornSectors)
+			d.dieOnProgram(pu, id, baseSector, img, v.TornSectors)
 			return progEnd, fmt.Errorf("program %v: %w", id, fault.ErrPowerCut)
 		}
 		if v.Err != nil {
@@ -769,13 +735,11 @@ func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSect
 	}
 
 	// State: program each (plane, paired) page of the stripe with its
-	// non-zero-sector prefix. This is the one copy a payload byte gets,
-	// into the page that stores it.
+	// sectors' references.
 	for p := 0; p < geo.Chip.Planes; p++ {
 		for b := 0; b < bits; b++ {
 			pi := p*bits + b
-			off := pi * spp * sz
-			if err := chip.ProgramPrefix(p, id.Chunk, firstPage+b, buf[off:off+kept(zero[pi], spp)*sz]); err != nil {
+			if err := chip.ProgramSectors(p, id.Chunk, firstPage+b, stripe[pi*spp:(pi+1)*spp]); err != nil {
 				d.retireChunk(pu, id, err)
 				return progEnd, fmt.Errorf("program %v: %w", id, err)
 			}
@@ -787,7 +751,7 @@ func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSect
 	// the previous record, which covers only fully persisted data.
 	if d.backend != nil {
 		flat := d.flatChunk(id)
-		if err := d.backend.writeData(flat, baseSector, buf); err != nil {
+		if err := d.backend.writeData(flat, baseSector, img); err != nil {
 			return progEnd, err
 		}
 		st := ChunkOpen
@@ -804,22 +768,22 @@ func (d *Device) programStripe(at vclock.Time, pu *puState, id ChunkID, baseSect
 	return progEnd, nil
 }
 
-// writeChunk appends to a chunk at its write pointer: the payload in
-// data, whole sectors, then pad zero sectors, which only ever exist as a
-// count (Pad passes no data, Append no pad). Every data page that
-// arrives is classified once (classify): its trailing zero sectors, and
-// every pad sector, are bits in the slot's zero mask, never bytes. A
-// whole stripe of data arriving with nothing buffered is programmed
-// straight from the caller's slice, its one copy being the one into the
-// NAND pages; anything less is gathered in the chunk's stripe buffer,
-// where it stays readable, and programmed from there. Either way the
-// device keeps no reference to data once it returns. The caller holds
-// the PU lock. Returns the client-visible completion time.
-func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int, data []byte, pad int) (vclock.Time, error) {
+// writeChunk appends to a chunk at its write pointer: the sectors of
+// data (host bytes) or of refs (held references, from Copy) — never both
+// — then pad zero sectors, which only ever exist as a count. Each sector
+// lands in the chunk's stripe buffer as a reference: data is copied once,
+// by nand.Chip.Store, into the sectors that will store it (a zero sector
+// becomes nil, unstored); refs move in, and the entries they leave are
+// set nil, so whatever refs still holds when writeChunk returns is the
+// caller's to release; pad sectors are nil. A stripe buffer that fills
+// is programmed by moving its references into the NAND pages. The device
+// keeps no reference to data once it returns. The caller holds the PU
+// lock. Returns the client-visible completion time.
+func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int, data []byte, refs []*nand.Sector, pad int) (vclock.Time, error) {
 	geo := d.geo
 	m := &pu.chunks[id.Chunk]
 	sz := geo.Chip.SectorSize
-	size := len(data) + pad*sz
+	n := len(data)/sz + len(refs) + pad
 
 	switch m.state {
 	case ChunkOffline:
@@ -836,64 +800,51 @@ func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int
 	if m.bufSlot < 0 {
 		// Freshly opened, or restored open without a write yet: assign a
 		// stripe-buffer slot.
-		m.bufSlot = pu.getSlot(d.stripeBytes(), d.maskWords)
+		m.bufSlot = pu.getSlot(geo.WSOpt)
 	}
 	if sector != int(m.wp) {
 		return now, fmt.Errorf("%w: %v sector %d, wp %d", ErrWritePointer, id, sector, m.wp)
 	}
-	if int(m.wp)+size/sz > geo.SectorsPerChunk() {
+	if int(m.wp)+n > geo.SectorsPerChunk() {
 		return now, fmt.Errorf("%w: %v", ErrChunkFull, id)
 	}
 
 	// Client-visible cost: admission to the write-back cache (may wait
 	// for drain) plus the DRAM copy. Without a cache, the client also
 	// waits for every stripe program it completes.
+	size := int64(n) * int64(sz)
 	completeAt := now
 	if d.cache.enabled() {
-		completeAt = d.cache.admit(now, int64(size))
+		completeAt = d.cache.admit(now, size)
 	}
-	copyDur := vclock.DurationFor(int64(size), geo.CacheMBps)
-	completeAt = completeAt.Add(copyDur)
+	completeAt = completeAt.Add(vclock.DurationFor(size, geo.CacheMBps))
 
-	stripe := d.stripeBytes()
-	spp := geo.Chip.SectorsPerPage
-	pageBytes := geo.Chip.PageBytes()
+	chip := d.chips[id.Group][id.PU]
 	slot := m.bufSlot
-	zero := d.zeroMask(pu, slot)
 	var lastProg vclock.Time
-	for size > 0 {
+	for n > 0 {
 		buf := pu.bufs[slot]
-		take := min(size, stripe-len(buf))
-		size -= take
-		m.wp += int32(take / sz)
-		// in is the data this stripe takes; the rest of take is pad.
-		in := data[:min(take, len(data))]
-		data = data[len(in):]
-		// img is the stripe as far as it is filled; the sectors zero
-		// marks hold no bytes in it.
-		var img []byte
-		firstPage := len(buf) / pageBytes
-		if len(buf) == 0 && len(in) == stripe && d.backend == nil {
-			// A whole stripe of data with nothing buffered bypasses the
-			// buffer. The durable backend keeps the staged path: a power
-			// cut that lands on the program persists the stripe from the
-			// buffer.
-			img = in
-			d.classify(zero, 0, img, nil)
-		} else {
-			img = buf[:len(buf)+take]
-			pu.bufs[slot] = img
-			d.classify(zero, firstPage, in, img)
-			// Whole pages of pad extend the buffer by a length and set
-			// their bits; nobody writes them.
-			for p := firstPage + (len(in)+pageBytes-1)/pageBytes; p < len(img)/pageBytes; p++ {
-				zero[p] = zeroTail(spp, 0)
-			}
+		take := min(n, geo.WSOpt-len(buf))
+		n -= take
+		m.wp += int32(take)
+		stripe := buf[:len(buf)+take]
+		pu.bufs[slot] = stripe
+		// The sectors this stripe takes: data or refs first, then pad,
+		// whose entries are already nil.
+		in := stripe[len(buf):]
+		if len(refs) > 0 {
+			k := copy(in, refs)
+			clear(refs[:k])
+			refs = refs[k:]
+		} else if len(data) > 0 {
+			k := min(take, len(data)/sz)
+			chip.Store(in[:k], data[:k*sz])
+			data = data[k*sz:]
 		}
-		if len(img) == stripe {
+		if len(stripe) == geo.WSOpt {
 			// The stripe is complete, so its base is exactly one stripe
 			// behind the (already advanced) write pointer.
-			progEnd, err := d.programStripe(completeAt, pu, id, int(m.wp)-geo.WSOpt, img, zero)
+			progEnd, err := d.programStripe(completeAt, pu, id, int(m.wp)-geo.WSOpt, stripe)
 			if err != nil {
 				return completeAt, err
 			}
@@ -901,14 +852,14 @@ func (d *Device) writeChunk(now vclock.Time, pu *puState, id ChunkID, sector int
 				// Earlier contributions to this stripe released their
 				// holds when their own writes completed; only this
 				// write's portion is still held.
-				d.cache.occupy(progEnd, int64(take))
+				d.cache.occupy(progEnd, int64(take)*int64(sz))
 			}
 			lastProg = progEnd
-			pu.bufs[slot] = pu.bufs[slot][:0]
+			pu.bufs[slot] = stripe[:0]
 		} else if d.cache.enabled() {
 			// Partial-stripe remainder: release the hold immediately;
 			// the stripe buffer is small, bounded controller state.
-			d.cache.occupy(completeAt, int64(take))
+			d.cache.occupy(completeAt, int64(take)*int64(sz))
 		}
 	}
 	if !d.cache.enabled() && lastProg > completeAt {
@@ -959,7 +910,7 @@ func (d *Device) VectorWrite(now vclock.Time, ppas []PPA, data []byte) (vclock.T
 		sz := geo.Chip.SectorSize
 		pu := d.pu(ppas[i].Group, ppas[i].PU)
 		pu.mu.Lock()
-		t, err := d.writeChunk(now, pu, ppas[i].ChunkOf(), ppas[i].Sector, data[i*sz:j*sz], 0)
+		t, err := d.writeChunk(now, pu, ppas[i].ChunkOf(), ppas[i].Sector, data[i*sz:j*sz], nil, 0)
 		pu.mu.Unlock()
 		if err != nil {
 			return now, err
@@ -989,12 +940,18 @@ func (d *Device) Append(now vclock.Time, id ChunkID, data []byte) (int, vclock.T
 // count: no zero byte is built, copied or scanned. It returns the
 // starting sector assigned and the completion time.
 func (d *Device) AppendPadded(now vclock.Time, id ChunkID, data []byte, pad int) (int, vclock.Time, error) {
+	return d.appendSectors(now, id, data, nil, pad)
+}
+
+// appendSectors is AppendPadded of data or of refs, the held references
+// of Copy (see writeChunk).
+func (d *Device) appendSectors(now vclock.Time, id ChunkID, data []byte, refs []*nand.Sector, pad int) (int, vclock.Time, error) {
 	geo := d.geo
 	if err := d.alive(); err != nil {
 		return 0, now, err
 	}
 	sz := geo.Chip.SectorSize
-	n := len(data)/sz + pad
+	n := len(data)/sz + len(refs) + pad
 	if pad < 0 || len(data)%sz != 0 || n == 0 || n%geo.WSMin != 0 {
 		return 0, now, fmt.Errorf("%w: %d bytes", ErrWriteSize, len(data)+pad*sz)
 	}
@@ -1004,7 +961,7 @@ func (d *Device) AppendPadded(now vclock.Time, id ChunkID, data []byte, pad int)
 	pu := d.pu(id.Group, id.PU)
 	pu.mu.Lock()
 	start := int(pu.chunks[id.Chunk].wp)
-	end, err := d.writeChunk(now, pu, id, start, data, pad)
+	end, err := d.writeChunk(now, pu, id, start, data, refs, pad)
 	pu.mu.Unlock()
 	if err != nil {
 		return 0, now, err
@@ -1020,9 +977,8 @@ func (d *Device) AppendPadded(now vclock.Time, id ChunkID, data []byte, pad int)
 // padded sectors are wasted space accounted in Stats.PadSectors, and
 // they cost what a write of that many zeros costs in virtual time — cache
 // admission, DRAM copy, channel transfer, program — but in host time
-// they are only a count: no zero byte is built, copied or scanned (pad
-// sectors are bits in the slot's zero mask, and a page of them is
-// programmed with an empty prefix).
+// they are only a count: no zero byte is built, copied or scanned (a pad
+// sector is a nil reference in the stripe buffer and in the page).
 func (d *Device) Pad(now vclock.Time, id ChunkID) (vclock.Time, error) {
 	geo := d.geo
 	if err := d.alive(); err != nil {
@@ -1038,8 +994,8 @@ func (d *Device) Pad(now vclock.Time, id ChunkID) (vclock.Time, error) {
 	if m.state != ChunkOpen || len(pu.buffered(m)) == 0 {
 		return now, nil // nothing buffered: already durable
 	}
-	padSectors := geo.WSOpt - len(pu.buffered(m))/geo.Chip.SectorSize
-	end, err := d.writeChunk(now, pu, id, int(m.wp), nil, padSectors)
+	padSectors := geo.WSOpt - len(pu.buffered(m))
+	end, err := d.writeChunk(now, pu, id, int(m.wp), nil, nil, padSectors)
 	if err != nil {
 		return now, err
 	}
@@ -1107,6 +1063,14 @@ func (d *Device) VectorRead(now vclock.Time, ppas []PPA, dst []byte) (vclock.Tim
 // Sectors visited before an error are not undone; the caller discards
 // what it gathered.
 func (d *Device) VectorView(now vclock.Time, ppas []PPA, visit func(i int, sector []byte)) (vclock.Time, error) {
+	return d.view(now, ppas, visit, nil)
+}
+
+// view is the vector read loop of VectorView and Copy. It hands visit
+// each sector's bytes or, when refs is not nil (Copy), takes a reference
+// on each sector into refs[i] instead — nil for a zero sector — under the
+// sector's PU lock.
+func (d *Device) view(now vclock.Time, ppas []PPA, visit func(i int, sector []byte), refs []*nand.Sector) (vclock.Time, error) {
 	geo := &d.geo
 	if err := d.alive(); err != nil {
 		return now, err
@@ -1130,11 +1094,12 @@ func (d *Device) VectorView(now vclock.Time, ppas []PPA, visit func(i int, secto
 	// its sectors in this vector. The slice stays on the stack for
 	// typical vector sizes.
 	charged := make([]chargedPage, 0, 16)
-	// The sectors of one page run, as the chip hands them out. A run
-	// also stops at len(run) sectors, so a page of more sectors is read
-	// in several runs, all but the first finding the page charged: an
-	// array for 64 sectors made the one-sector read measurably slower,
-	// zeroing it on every call.
+	// The bytes of one page run, as the chip hands them out (Copy takes
+	// references straight into refs instead). A run also stops at
+	// len(run) sectors, so a page of more sectors is read in several
+	// runs, all but the first finding the page charged: an array for 64
+	// sectors made the one-sector read measurably slower, zeroing it on
+	// every call.
 	var run [16][]byte
 
 	i := 0
@@ -1156,9 +1121,9 @@ func (d *Device) VectorView(now vclock.Time, ppas []PPA, visit func(i int, secto
 				pu.mu.Unlock()
 				return now, fmt.Errorf("%w: %v", ErrOffline, p)
 			}
-			if p.Sector >= int(m.wp) {
+			if wp := int(m.wp); p.Sector >= wp {
 				pu.mu.Unlock()
-				return now, fmt.Errorf("%w: %v (wp %d)", ErrUnwritten, p, m.wp)
+				return now, fmt.Errorf("%w: %v (wp %d)", ErrUnwritten, p, wp)
 			}
 			// Fault injection: one media op per distinct chunk in the run.
 			if d.faults != nil && (k == i || p.Chunk != ppas[k-1].Chunk) {
@@ -1178,12 +1143,11 @@ func (d *Device) VectorView(now vclock.Time, ppas []PPA, visit func(i int, secto
 			}
 			// Still in the partial-stripe controller buffer?
 			base, buf := d.bufBase(pu, m), pu.buffered(m)
-			if m.state == ChunkOpen && p.Sector >= base && (p.Sector-base+1)*sz <= len(buf) {
-				i := p.Sector - base
-				if d.isZeroSector(d.zeroMask(pu, m.bufSlot), i) {
-					visit(k, d.zeroSector)
+			if m.state == ChunkOpen && p.Sector >= base && p.Sector-base < len(buf) {
+				if refs != nil {
+					refs[k] = buf[p.Sector-base].Retain()
 				} else {
-					visit(k, buf[i*sz:(i+1)*sz:(i+1)*sz])
+					visit(k, d.sectorBytes(buf[p.Sector-base]))
 				}
 				end = max(end, now.Add(vclock.DurationFor(int64(sz), geo.CacheMBps)))
 				cacheHits++
@@ -1206,13 +1170,24 @@ func (d *Device) VectorView(now vclock.Time, ppas []PPA, visit func(i int, secto
 			for k+n < j && n < len(run) && p.Sector+n < limit && ppas[k+n].Chunk == p.Chunk && ppas[k+n].Sector == p.Sector+n {
 				n++
 			}
-			sectors := run[:n]
-			if err := chip.ReadSectors(loc.plane, p.Chunk, loc.page, loc.sector, sectors); err != nil {
+			var err error
+			if refs != nil {
+				err = chip.ReadSectors(loc.plane, p.Chunk, loc.page, loc.sector, refs[k:k+n])
+			} else {
+				err = chip.ReadBytes(loc.plane, p.Chunk, loc.page, loc.sector, run[:n])
+			}
+			if err != nil {
 				pu.mu.Unlock()
 				return now, fmt.Errorf("read %v: %w", p, err)
 			}
-			for x, sector := range sectors {
-				visit(k+x, sector)
+			for x := range n {
+				if refs != nil {
+					refs[k+x].Retain()
+				} else if run[x] == nil {
+					visit(k+x, d.zeroSector)
+				} else {
+					visit(k+x, run[x])
+				}
 			}
 			k += n
 			// Write-back cache window: data not yet drained reads at DRAM speed.
@@ -1272,7 +1247,9 @@ func (d *Device) Reset(now vclock.Time, id ChunkID) (vclock.Time, error) {
 	case ChunkOpen:
 		pu.open--
 	}
-	// Multi-plane erase: planes erase in parallel, one erase duration.
+	// Multi-plane erase: planes erase in parallel, one erase duration. It
+	// releases the sectors of the chunk's pages, and putSlot those of its
+	// stripe buffer.
 	chip := d.chips[id.Group][id.PU]
 	_, end := d.chipRes[id.Group][id.PU].Acquire(now, chip.EraseTime())
 	// offlineHere marks the chunk grown-bad. The open count was already
@@ -1321,34 +1298,60 @@ func (d *Device) Reset(now vclock.Time, id ChunkID) (vclock.Time, error) {
 // host involvement)"). Source sectors are appended to the destination
 // chunk at its write pointer. Returns the assigned destination sectors'
 // starting index and the completion instant.
+//
+// It costs exactly what VectorRead of src followed by Append of what it
+// read, at the instant the read returns, costs — same instants, errors,
+// counters and stored bytes — but moves no byte: the read takes a
+// reference on each source sector under its PU's lock and the append
+// moves the references into the destination's stripe buffer under the
+// destination PU's lock, so the two locks are never held together, and a
+// reset of the source after the read leaves the moved sectors to their
+// other holders.
 func (d *Device) Copy(now vclock.Time, src []PPA, dst ChunkID) (int, vclock.Time, error) {
 	geo := d.geo
 	if len(src) == 0 || len(src)%geo.WSMin != 0 {
 		return 0, now, fmt.Errorf("%w: %d source sectors", ErrWriteSize, len(src))
 	}
-	sz := geo.Chip.SectorSize
-	need := len(src) * sz
-	// The pool holds *[]byte, and the pointer Get returned is the one put
-	// back: taking the address of a local here would move it to the heap
-	// on every call.
-	bp, _ := d.copyBufs.Get().(*[]byte)
-	if bp == nil || cap(*bp) < need {
-		b := make([]byte, need)
-		bp = &b
+	if err := d.alive(); err != nil {
+		return 0, now, err
 	}
-	defer d.copyBufs.Put(bp)
-	buf := (*bp)[:need]
+	refs := d.stage(len(src))
+	defer d.unstage(refs)
 	// Device-internal read of the sources (tR per page, no host channel).
-	end, err := d.VectorRead(now, src, buf)
-	if err != nil {
-		return 0, now, err
+	end, err := d.view(now, src, nil, refs)
+	if err == nil {
+		var start int
+		if start, end, err = d.appendSectors(end, dst, nil, refs, 0); err == nil {
+			d.stats.copies.Add(1)
+			return start, end, nil
+		}
 	}
-	start, end2, err := d.Append(end, dst, buf)
-	if err != nil {
-		return 0, now, err
+	// Release what the read retained and the append did not move.
+	nand.Release(refs)
+	return 0, now, err
+}
+
+// stage returns a reference array of n nil entries for Copy, recycled
+// when one is free.
+func (d *Device) stage(n int) []*nand.Sector {
+	d.stagingMu.Lock()
+	var refs []*nand.Sector
+	if k := len(d.staging); k > 0 {
+		refs = d.staging[k-1]
+		d.staging = d.staging[:k-1]
 	}
-	d.stats.copies.Add(1)
-	return start, end2, nil
+	d.stagingMu.Unlock()
+	if cap(refs) < n {
+		return make([]*nand.Sector, n)
+	}
+	return refs[:n]
+}
+
+// unstage recycles a reference array of Copy, whose entries are all nil.
+func (d *Device) unstage(refs []*nand.Sector) {
+	d.stagingMu.Lock()
+	d.staging = append(d.staging, refs)
+	d.stagingMu.Unlock()
 }
 
 // FlushAll pads every open chunk so that all appended data is programmed
@@ -1396,13 +1399,10 @@ func (d *Device) Crash() {
 				}
 				base := d.bufBase(pu, m)
 				if d.opts.PowerLossProtected {
-					// Capacitors flush the partial stripe with padding.
-					filled := len(buffered) / d.geo.Chip.SectorSize
-					zero := d.zeroMask(pu, m.bufSlot)
-					for p := filled / d.geo.Chip.SectorsPerPage; p < len(zero); p++ {
-						zero[p] = zeroTail(d.geo.Chip.SectorsPerPage, 0)
-					}
-					if _, err := d.programStripe(0, pu, ChunkID{g, u, c}, base, buffered[:d.stripeBytes()], zero); err == nil {
+					// Capacitors flush the partial stripe with padding: the
+					// slot's entries past its length are nil, zero sectors.
+					filled := len(buffered)
+					if _, err := d.programStripe(0, pu, ChunkID{g, u, c}, base, buffered[:d.geo.WSOpt]); err == nil {
 						m.wp = int32(base + d.geo.WSOpt)
 					}
 					d.stats.padSectors.Add(int64(d.geo.WSOpt - filled))

@@ -1,9 +1,3 @@
-//go:build !race
-
-// Under -race, sync.Pool drops a share of what it is handed on purpose,
-// so a pooled buffer is not reliably reused and allocation counts are
-// not the steady state's.
-
 package ocssd
 
 import (
@@ -12,10 +6,9 @@ import (
 	"repro/internal/vclock"
 )
 
-// TestCopyAllocatesNothing pins the fix to Device.Copy's staging buffer:
-// the pool gets back the pointer it handed out, so a steady-state copy
-// allocates nothing (it used to move its local slice header to the heap
-// on every call).
+// TestCopyAllocatesNothing pins Device.Copy's staging: its reference
+// array returns to the device's free list, and the sectors it moves are
+// references, so a steady-state copy allocates nothing.
 func TestCopyAllocatesNothing(t *testing.T) {
 	geo := smallGeo()
 	d := newDev(t, geo, Options{Seed: 1})

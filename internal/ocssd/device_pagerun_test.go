@@ -68,13 +68,8 @@ func referenceVectorView(d *Device, now vclock.Time, ppas []PPA, visit func(i in
 					return now, fmt.Errorf("read %v: %w", p, v.Err)
 				}
 			}
-			if base, buf := d.bufBase(pu, m), pu.buffered(m); m.state == ChunkOpen && p.Sector >= base && (p.Sector-base+1)*sz <= len(buf) {
-				i := p.Sector - base
-				if d.isZeroSector(d.zeroMask(pu, m.bufSlot), i) {
-					visit(k, d.zeroSector)
-				} else {
-					visit(k, buf[i*sz:(i+1)*sz:(i+1)*sz])
-				}
+			if base, buf := d.bufBase(pu, m), pu.buffered(m); m.state == ChunkOpen && p.Sector >= base && p.Sector-base < len(buf) {
+				visit(k, d.sectorBytes(buf[p.Sector-base]))
 				t := now.Add(vclock.DurationFor(int64(sz), geo.CacheMBps))
 				if t > end {
 					end = t
@@ -83,12 +78,12 @@ func referenceVectorView(d *Device, now vclock.Time, ppas []PPA, visit func(i in
 				continue
 			}
 			loc := geo.locate(p.Sector)
-			sector, err := d.chips[g][u].ReadSector(loc.plane, p.Chunk, loc.page, loc.sector)
-			if err != nil {
+			var sector [1]*nand.Sector
+			if err := d.chips[g][u].ReadSectors(loc.plane, p.Chunk, loc.page, loc.sector, sector[:]); err != nil {
 				pu.mu.Unlock()
 				return now, fmt.Errorf("read %v: %w", p, err)
 			}
-			visit(k, sector)
+			visit(k, d.sectorBytes(sector[0]))
 			if d.cache.enabled() && m.flushEnd > now {
 				t := now.Add(vclock.DurationFor(int64(sz), geo.CacheMBps))
 				if t > end {

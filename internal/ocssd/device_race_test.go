@@ -2,6 +2,10 @@ package ocssd
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -384,13 +388,13 @@ func TestCrossGroupTimingCommutes(t *testing.T) {
 }
 
 // TestConcurrentFullStripeAppends is the race regression for the
-// buffer-bypassing write path: one goroutine per parallel unit appends
-// whole stripes — programmed straight from the caller's slice — and a
-// sub-stripe tail plus Pad per round, rewriting its one buffer in place
-// the moment each call returns, while every goroutine also appends from
-// a single shared read-only stripe. If the device kept a caller's slice
-// past the call, -race sees the rewrite collide with the later read, and
-// the read-back at the end sees the wrong round's bytes.
+// whole-stripe write path: one goroutine per parallel unit appends
+// whole stripes — stored into sectors and programmed as references — and
+// a sub-stripe tail plus Pad per round, rewriting its one buffer in
+// place the moment each call returns, while every goroutine also appends
+// from a single shared read-only stripe. If the device kept a caller's
+// slice past the call, -race sees the rewrite collide with the later
+// read, and the read-back at the end sees the wrong round's bytes.
 func TestConcurrentFullStripeAppends(t *testing.T) {
 	geo := raceGeometry()
 	d, err := New(geo, Options{Seed: 42})
@@ -460,5 +464,182 @@ func TestConcurrentFullStripeAppends(t *testing.T) {
 	want := int64(geo.TotalPUs() * rounds * (2*geo.WSOpt + geo.WSMin))
 	if s := d.Stats(); s.SectorsWritten != want || s.PadSectors != int64(geo.TotalPUs()*rounds*(geo.WSOpt-geo.WSMin)) {
 		t.Errorf("stats %+v: want %d sectors written", s, want)
+	}
+}
+
+// TestConcurrentCrossPUCopy races device-side copies against the resets
+// that free their sources. Two copiers move sectors across parallel
+// units in opposite directions — A's source on one PU into destinations
+// on the other, B's the other way — while a rewriter resets both sources
+// and writes them anew, and readers check the destinations. Every sector
+// carries a stamp (source chunk, sector, generation) and a fill derived
+// from it, so a destination sector must hold the source sector its copy
+// named, from a generation the source held while the copy ran, intact: a
+// sector recycled while a copy still held it would show another stamp,
+// a later generation or a torn fill, and under -race the rewrite of its
+// buffer would collide with the readers.
+func TestConcurrentCrossPUCopy(t *testing.T) {
+	geo := raceGeometry()
+	d, err := New(geo, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sz, spc := geo.Chip.SectorSize, geo.SectorsPerChunk()
+	stamp := func(sec []byte, chunk, sector int, gen uint32) {
+		sec[0], sec[1] = byte(chunk), byte(sector)
+		binary.LittleEndian.PutUint32(sec[2:], gen)
+		for i := 6; i < len(sec); i++ {
+			sec[i] = byte(int(gen)*7 + chunk*13 + sector*31 + i)
+		}
+	}
+	// A source is rewritten whole, generation by generation; gen is
+	// raised before its reset, so a copy that began under generation g
+	// reads sectors of g-1 or later.
+	type source struct {
+		id  ChunkID
+		gen atomic.Uint32
+	}
+	srcA := &source{id: ChunkID{Group: 0, PU: 0, Chunk: 0}}
+	srcB := &source{id: ChunkID{Group: 1, PU: 1, Chunk: 0}}
+	write := func(s *source, gen uint32) error {
+		data := make([]byte, geo.WSOpt*sz)
+		var now vclock.Time
+		for base := 0; base < spc; base += geo.WSOpt {
+			for k := 0; k < geo.WSOpt; k++ {
+				stamp(data[k*sz:(k+1)*sz], s.id.Chunk, base+k, gen)
+			}
+			if _, _, err := d.Append(now, s.id, data); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, s := range []*source{srcA, srcB} {
+		if err := write(s, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A destination holds what its copier recorded for it: per sector,
+	// the source sector and the generations it may come from.
+	type want struct {
+		sector     int
+		minG, maxG uint32
+	}
+	type dest struct {
+		mu    sync.RWMutex
+		id    ChunkID
+		wants []want
+	}
+	dests := func(g, u int) []*dest {
+		var out []*dest
+		for c := 1; c < geo.ChunksPerPU; c++ {
+			out = append(out, &dest{id: ChunkID{Group: g, PU: u, Chunk: c}})
+		}
+		return out
+	}
+	destsA, destsB := dests(1, 1), dests(0, 0) // A's source is on PU 0.0, B's on 1.1
+	check := func(dst *dest) error {
+		dst.mu.RLock()
+		defer dst.mu.RUnlock()
+		if len(dst.wants) == 0 {
+			return nil
+		}
+		got := make([]byte, len(dst.wants)*sz)
+		if _, err := d.VectorRead(0, seqPPAs(dst.id, 0, len(dst.wants)), got); err != nil {
+			return err
+		}
+		ref := make([]byte, sz)
+		for i, w := range dst.wants {
+			sec := got[i*sz : (i+1)*sz]
+			gen := binary.LittleEndian.Uint32(sec[2:])
+			stamp(ref, int(sec[0]), int(sec[1]), gen)
+			if !bytes.Equal(sec, ref) || int(sec[1]) != w.sector || gen < w.minG || gen > w.maxG {
+				return fmt.Errorf("%v sector %d: stamp sector %d generation %d (want sector %d, generation %d..%d), fill intact %v",
+					dst.id, i, sec[1], gen, w.sector, w.minG, w.maxG, bytes.Equal(sec, ref))
+			}
+		}
+		return nil
+	}
+
+	const copies = 60
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	copier := func(s *source, ds []*dest, seed int64) {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(seed))
+		di := 0
+		for n := 0; n < copies; {
+			dst := ds[di]
+			start := rng.Intn(spc - geo.WSOpt)
+			src := seqPPAs(s.id, start, geo.WSMin*(1+rng.Intn(geo.WSOpt/geo.WSMin)))
+			dst.mu.Lock()
+			if len(dst.wants)+len(src) > spc {
+				if _, err := d.Reset(0, dst.id); err != nil {
+					t.Errorf("reset %v: %v", dst.id, err)
+				}
+				dst.wants = dst.wants[:0]
+				dst.mu.Unlock()
+				di = (di + 1) % len(ds)
+				continue
+			}
+			before := s.gen.Load()
+			at, _, err := d.Copy(0, src, dst.id)
+			after := s.gen.Load()
+			if err == nil {
+				if at != len(dst.wants) {
+					t.Errorf("copy into %v landed at %d, want %d", dst.id, at, len(dst.wants))
+				}
+				for _, p := range src {
+					dst.wants = append(dst.wants, want{sector: p.Sector, minG: max(before, 1) - 1, maxG: after})
+				}
+				n++
+			} else if !errors.Is(err, ErrUnwritten) && !errors.Is(err, ErrChunkState) {
+				t.Errorf("copy to %v: %v", dst.id, err) // the source mid-rewrite is the only excuse
+			}
+			dst.mu.Unlock()
+		}
+	}
+	wg.Add(2)
+	go copier(srcA, destsA, 1)
+	go copier(srcB, destsB, 2)
+	var rewriter sync.WaitGroup
+	rewriter.Add(1)
+	go func() {
+		defer rewriter.Done()
+		for stop.Load() == false {
+			for _, s := range []*source{srcA, srcB} {
+				gen := s.gen.Add(1)
+				if _, err := d.Reset(0, s.id); err != nil {
+					t.Errorf("reset %v: %v", s.id, err)
+					return
+				}
+				if err := write(s, gen); err != nil {
+					t.Errorf("rewrite %v: %v", s.id, err)
+					return
+				}
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		rewriter.Add(1)
+		go func(ds []*dest) {
+			defer rewriter.Done()
+			for stop.Load() == false {
+				for _, dst := range ds {
+					if err := check(dst); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}([][]*dest{destsA, destsB}[r])
+	}
+	wg.Wait()
+	stop.Store(true)
+	rewriter.Wait()
+	for _, dst := range append(destsA, destsB...) {
+		if err := check(dst); err != nil {
+			t.Error(err)
+		}
 	}
 }

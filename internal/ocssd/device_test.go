@@ -146,11 +146,6 @@ func TestGeometryValidateRejects(t *testing.T) {
 	if g.Validate() == nil {
 		t.Fatal("zero bandwidth should be rejected")
 	}
-	g = smallGeo()
-	g.Chip.SectorsPerPage = 65
-	if Finish(g).Validate() == nil {
-		t.Fatal("a page wider than its 64-bit zero mask should be rejected")
-	}
 }
 
 func TestLocateCoversChunkExactlyOnce(t *testing.T) {

@@ -65,11 +65,11 @@ func TestDeviceNeverRetainsCallerSlice(t *testing.T) {
 }
 
 // TestBypassedStripeIsOnMediaTailIsInBuffer pins where a write's sectors
-// live once it returns. A whole stripe that found the buffer empty went
-// straight to NAND: reading it is a media read (tR plus the channel).
-// The tail that followed it sits in the controller buffer and reads at
-// DRAM cost, exactly as a sub-stripe write always has. No write cache,
-// so nothing else can serve a read at DRAM speed.
+// live once it returns. A whole stripe that found the buffer empty is
+// programmed before the write returns: reading it is a media read (tR
+// plus the channel). The tail that followed it sits in the controller
+// buffer and reads at DRAM cost, exactly as a sub-stripe write always
+// has. No write cache, so nothing else can serve a read at DRAM speed.
 func TestBypassedStripeIsOnMediaTailIsInBuffer(t *testing.T) {
 	geo := smallGeo()
 	geo.CacheMB = 0
@@ -100,14 +100,14 @@ func TestBypassedStripeIsOnMediaTailIsInBuffer(t *testing.T) {
 		t.Fatalf("tail read took %v, want the DRAM copy of one sector, %v", end.Sub(now), dram)
 	}
 
-	// The stripe: a media read, right after the write that bypassed the buffer.
+	// The stripe: a media read, right after the write that programmed it.
 	got = make([]byte, sz)
 	end, err = d.VectorRead(now, []PPA{id.PPAOf(5)}, got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data[5*sz:6*sz]) {
-		t.Fatal("bypassed stripe read back wrong")
+		t.Fatal("programmed stripe read back wrong")
 	}
 	if s := d.Stats(); s.CacheHitReads != int64(geo.WSMin) || s.MediaReads != 1 {
 		t.Fatalf("stripe read: %d buffer hits, %d media reads; want %d, 1", s.CacheHitReads, s.MediaReads, geo.WSMin)

@@ -106,9 +106,6 @@ func (g Geometry) Validate() error {
 	case g.ChunksPerPU > g.Chip.BlocksPerPlane:
 		return fmt.Errorf("ocssd: %d chunks per PU exceed %d blocks per plane",
 			g.ChunksPerPU, g.Chip.BlocksPerPlane)
-	case g.Chip.SectorsPerPage > 64:
-		// A page's zero-sector mask is one 64-bit word.
-		return fmt.Errorf("ocssd: at most 64 sectors per page, got %d", g.Chip.SectorsPerPage)
 	case g.WSMin != g.Chip.SectorsPerPage:
 		return fmt.Errorf("ocssd: ws_min %d must equal sectors per page %d", g.WSMin, g.Chip.SectorsPerPage)
 	case g.WSOpt != g.Chip.SectorsPerPage*g.Chip.Cell.BitsPerCell()*g.Chip.Planes:
