@@ -634,6 +634,7 @@ func crashstormZNS(cfg CrashstormConfig, dir string) (CrashstormPoint, error) {
 
 		// Oracle check: restored write pointers exclude torn stripes
 		// and cover exactly the acknowledged appends.
+		data := make([]byte, blockBytes)
 		for z := 0; z < t.Zones(); z++ {
 			if pendingReset[z] {
 				// The cut hit mid-reset: state is indeterminate, so
@@ -655,7 +656,7 @@ func crashstormZNS(cfg CrashstormConfig, dir string) (CrashstormPoint, error) {
 					cycle, z, info.WP, want, len(oracle[z]))
 			}
 			for b, fill := range oracle[z] {
-				data, end, err := t.Read(now, z, int64(b)*blockBytes, blockBytes)
+				end, err := t.ReadInto(now, z, int64(b)*blockBytes, data)
 				if err != nil {
 					return p, fmt.Errorf("cycle %d: zone %d block %d: %w", cycle, z, b, err)
 				}

@@ -127,7 +127,7 @@ func TestBlockNamespaceMatchesDirect(t *testing.T) {
 		}
 		c := do(&Command{Op: OpRead, NSID: nsid, LPN: 16, Pages: 8}, now)
 		times = append(times, c.Done)
-		reads = append(reads, c.Data)
+		reads = append(reads, bytes.Clone(c.Data)) // lent until the next reap
 		c = do(&Command{Op: OpTrim, NSID: nsid, LPN: 0, Pages: 16}, c.Done)
 		times = append(times, c.Done)
 		return times, reads
@@ -236,6 +236,14 @@ func TestZoneNamespaceOps(t *testing.T) {
 	rc := qp.MustReap()
 	if rc.Err != nil || rc.Data[0] != 0xCD {
 		t.Fatalf("zone read: %v", rc.Err)
+	}
+	// A length no zone holds (over a fabric, any client can send one) is
+	// refused before it sizes a read buffer.
+	if err := qp.Push(rc.Done, &Command{Op: OpRead, NSID: nsid, Zone: 1, Length: 1 << 50}); err != nil {
+		t.Fatal(err)
+	}
+	if c := qp.MustReap(); !errors.Is(c.Err, zns.ErrUnwritten) || c.Data != nil {
+		t.Fatalf("oversized zone read: %v, want ErrUnwritten", c.Err)
 	}
 	if err := qp.Push(rc.Done, &Command{Op: OpZoneReset, NSID: nsid, Zone: 1}); err != nil {
 		t.Fatal(err)

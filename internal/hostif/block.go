@@ -89,8 +89,9 @@ func (n *BlockNamespace) Execute(now vclock.Time, cmd *Command) Result {
 		if err := n.checkRange(cmd.LPN, cmd.Pages); err != nil {
 			return Result{End: now, Err: err}
 		}
-		data, end, err := n.dev.Read(now, n.base+cmd.LPN, cmd.Pages)
-		return Result{End: end, Err: err, Data: data}
+		dst := cmd.readBuffer(cmd.Pages * 4096)
+		end, err := n.dev.ReadInto(now, n.base+cmd.LPN, dst)
+		return cmd.readResult(end, err, dst)
 	case OpTrim:
 		if err := n.checkRange(cmd.LPN, cmd.Pages); err != nil {
 			return Result{End: now, Err: err}

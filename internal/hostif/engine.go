@@ -124,7 +124,7 @@ type execJob struct {
 // namespace adapter does all controller and media accounting itself.
 func (j execJob) run() Completion {
 	cmd := j.e.cmd
-	res := j.ns.Execute(j.e.ready, cmd)
+	res := j.qp.host.execute(j.ns, j.e.ready, cmd)
 	res.Status = StatusOf(res.Err)
 	return Completion{
 		QueueID:   j.qp.id,

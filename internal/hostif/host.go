@@ -82,6 +82,8 @@ type Host struct {
 
 	executed  atomic.Int64
 	notifiers atomic.Int32 // queue pairs with a notify handler
+
+	reads readPool // read buffers the queue pairs lend (readbuf.go)
 }
 
 // adminDepth sizes the admin queue pair (queue 0).
@@ -243,6 +245,7 @@ func (h *Host) deleteQueuePair(qid int) error {
 		return ErrQueueBusy
 	}
 	qp.closed = true
+	qp.releaseLentLocked()
 	if qp.notifyFn != nil {
 		// Drop the registration so a deleted queue never pins the
 		// host's notifier count (and with it the drain-end flush scan).
@@ -265,12 +268,18 @@ func (h *Host) Executed() int64 { return h.executed.Load() }
 // a batched executor exit. Close is the only thing that stops them —
 // there is no finalizer — so whoever builds a host with an engine must
 // Close it, or its workers (and, through them, the host and the device
-// under it) stay reachable for the life of the process. Closing a
-// serial host is a no-op; Close is idempotent. The host must be idle —
-// no Drain/Reap in progress and none issued afterwards.
+// under it) stay reachable for the life of the process. Close also
+// ends every queue pair's read-buffer loan. Close is idempotent. The
+// host must be idle — no Drain/Reap in progress and none issued
+// afterwards.
 func (h *Host) Close() {
 	if h.eng != nil {
 		h.eng.stop()
+	}
+	for _, qp := range h.queuePairs() {
+		qp.mu.Lock()
+		qp.releaseLentLocked()
+		qp.mu.Unlock()
 	}
 }
 
@@ -359,7 +368,7 @@ func (h *Host) exec(qp *QueuePair, e sqe) Completion {
 		if nsid == 0 {
 			nsid = 1
 		}
-		res = ns[nsid-1].Execute(start, cmd)
+		res = h.execute(ns[nsid-1], start, cmd)
 	}
 	if h.cfg.ChargeHostLink && res.Err == nil {
 		n := res.Transfer
@@ -422,6 +431,7 @@ func (h *Host) ReapAny() (Completion, bool) {
 	bestQP.mu.Lock()
 	c := bestQP.cq.removeAt(bestIdx)
 	bestQP.recycleLocked(c.cmd)
+	bestQP.lendLocked(&c)
 	bestQP.mu.Unlock()
 	h.execMu.Unlock()
 	h.deliver(notes)

@@ -309,6 +309,10 @@ type Command struct {
 	Descs []PageDesc
 	// Admin carries admin-command parameters (admin opcodes only).
 	Admin AdminParams
+
+	// reads is the executing host's read pool, set only while an OpRead
+	// executes (readbuf.go).
+	reads *readPool
 }
 
 // Result is what a namespace adapter reports for one executed command.
@@ -321,7 +325,9 @@ type Result struct {
 	// completion path, so namespace adapters may leave it zero.
 	Status Status
 	// Data holds read results (OpRead), or the value a searching
-	// OpTableRead found.
+	// OpTableRead found. An OX-Block or OX-ZNS read's Data is lent by
+	// its queue pair: it stays valid until the pair's next reaped
+	// completion (readbuf.go).
 	Data []byte
 	// Found and Deleted are a searching OpTableRead's answer: whether
 	// Command.Key is in the block, and whether its newest version is a
@@ -343,6 +349,9 @@ type Result struct {
 	// NamespaceIdentity, a log page value, or the created *QueuePair.
 	// Nil for data commands, so the data path never touches it.
 	Admin any
+
+	// lent marks Data as a buffer of the host's read pool.
+	lent bool
 }
 
 // Completion is one completion-queue entry.

@@ -69,6 +69,10 @@ type QueuePair struct {
 	free  []*Command
 	state map[*Command]uint8
 
+	// lent is the read buffer behind the last reaped completion's Data,
+	// back to the host's pool at the pair's next reap (readbuf.go).
+	lent []byte
+
 	// Interrupt coalescing (SetNotify): fire notifyFn per notifyEvery
 	// completions; notifyPend/notifyLast track the open batch.
 	notifyFn    func(Notification)
@@ -253,7 +257,8 @@ func (qp *QueuePair) Push(now vclock.Time, cmd *Command) error {
 
 // Reap pops the oldest completion-queue entry, first letting the host
 // execute every visible command. It reports false when the completion
-// queue is empty. Reaping recycles the completed command's arena slot.
+// queue is empty. Reaping recycles the completed command's arena slot
+// and ends the loan of the previous reaped completion's read Data.
 func (qp *QueuePair) Reap() (Completion, bool) {
 	h := qp.host
 	h.execMu.Lock()
@@ -265,6 +270,7 @@ func (qp *QueuePair) Reap() (Completion, bool) {
 	if ok {
 		c = qp.cq.pop()
 		qp.recycleLocked(c.cmd)
+		qp.lendLocked(&c)
 	}
 	qp.mu.Unlock()
 	h.execMu.Unlock()

@@ -80,8 +80,14 @@ func (n *ZoneNamespace) Execute(now vclock.Time, cmd *Command) Result {
 		end, err := n.tgt.Write(now, cmd.Zone, cmd.LPN, cmd.Data)
 		return Result{End: end, Err: err}
 	case OpRead:
-		data, end, err := n.tgt.Read(now, cmd.Zone, cmd.LPN, cmd.Length)
-		return Result{End: end, Err: err, Data: data}
+		if cmd.Length > n.tgt.ZoneCapacity() {
+			// No zone holds more; a bogus length must not size a buffer.
+			return Result{End: now, Err: fmt.Errorf("%w: [%d,+%d) beyond zone capacity %d",
+				zns.ErrUnwritten, cmd.LPN, cmd.Length, n.tgt.ZoneCapacity())}
+		}
+		dst := cmd.readBuffer(int(max(cmd.Length, 0)))
+		end, err := n.tgt.ReadInto(now, cmd.Zone, cmd.LPN, dst)
+		return cmd.readResult(end, err, dst)
 	case OpZoneReset:
 		end, err := n.tgt.Reset(now, cmd.Zone)
 		return Result{End: end, Err: err}

@@ -143,11 +143,13 @@ type Device struct {
 	stats    Stats
 	offl     *offload.Engine
 
-	// Scratch guarded by mu: Write's commit record's mapping updates, and
+	// Scratch guarded by mu: Write's commit record's mapping updates,
 	// the PPAs of a write (filled by the stripe writer) or of a read's
-	// mapped pages. No callee keeps a reference past its call.
+	// mapped pages, and the raw extent an offload scan filters. No
+	// callee keeps a reference past its call.
 	commit []byte
 	ppas   []ocssd.PPA
+	scan   []byte
 }
 
 // ckptSlots picks the reserved checkpoint chunks deterministically: slot
@@ -463,24 +465,45 @@ func (d *Device) Write(now vclock.Time, lpn int64, data []byte) (vclock.Time, er
 	return end, nil
 }
 
-// Read returns pages*4K bytes starting at lpn. Unmapped pages read as
-// zeros (block-device semantics for trimmed space).
+// Read returns pages*4K bytes starting at lpn in a fresh buffer: it
+// allocates, then calls ReadInto. Its only non-test caller is the
+// benchmark ladder; the host interface reads into buffers it lends.
 func (d *Device) Read(now vclock.Time, lpn int64, pages int) ([]byte, vclock.Time, error) {
 	if err := d.checkRange(lpn, pages); err != nil {
 		return nil, now, err
 	}
+	out := make([]byte, pages*d.geo.Chip.SectorSize)
+	end, err := d.ReadInto(now, lpn, out)
+	if err != nil {
+		return nil, end, err
+	}
+	return out, end, nil
+}
+
+// ReadInto reads len(dst)/4K pages starting at lpn into dst, which must
+// hold whole pages. Every byte of dst is written: unmapped pages read as
+// zeros (block-device semantics for trimmed space), whatever dst held
+// before. The device keeps no reference to dst.
+func (d *Device) ReadInto(now vclock.Time, lpn int64, dst []byte) (vclock.Time, error) {
+	secSize := d.geo.Chip.SectorSize
+	if len(dst) == 0 || len(dst)%secSize != 0 {
+		return now, ErrPageSize
+	}
+	if err := d.checkRange(lpn, len(dst)/secSize); err != nil {
+		return now, err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.ctrl.NoteUserIO()
-	return d.readLocked(now, lpn, pages)
+	return d.readLocked(now, lpn, dst)
 }
 
-// readLocked is the shared read path of Read and OffloadScan: mapping
-// lookups, map CPU, one vector read of the mapped pages, zero-fill for
-// unmapped ones. Caller holds mu.
-func (d *Device) readLocked(now vclock.Time, lpn int64, pages int) ([]byte, vclock.Time, error) {
+// readLocked is the shared read path of ReadInto and OffloadScan:
+// mapping lookups, map CPU, one vector read of the mapped pages into
+// dst, zeros for unmapped ones. Caller holds mu.
+func (d *Device) readLocked(now vclock.Time, lpn int64, dst []byte) (vclock.Time, error) {
 	secSize := d.geo.Chip.SectorSize
-	out := make([]byte, pages*secSize)
+	pages := len(dst) / secSize
 
 	ppas := d.ppas[:0]
 	for i := 0; i < pages; i++ {
@@ -493,19 +516,22 @@ func (d *Device) readLocked(now vclock.Time, lpn int64, pages int) ([]byte, vclo
 	if len(ppas) > 0 {
 		d.noteAppIOs(ppas, now)
 		// Fully mapped (the common case): the device reads straight into
-		// the buffer that is returned. With holes, the mapped pages are
-		// read packed at the front and then spread out to their places.
+		// dst. With holes, the mapped pages are read packed at the front
+		// and then spread out to their places.
 		var err error
-		end, err = d.media.VectorRead(end, ppas, out[:len(ppas)*secSize])
+		end, err = d.media.VectorRead(end, ppas, dst[:len(ppas)*secSize])
 		if err != nil {
-			return nil, end, err
+			return end, err
 		}
 		if len(ppas) < pages {
-			d.spreadMapped(out, lpn, pages, len(ppas))
+			d.spreadMapped(dst, lpn, pages, len(ppas))
 		}
+	} else {
+		// Nothing mapped: dst may hold an earlier read's bytes.
+		clear(dst)
 	}
 	d.stats.PagesRead += int64(pages)
-	return out, end, nil
+	return end, nil
 }
 
 // spreadMapped moves the mapped pages of an extent, read packed at the
@@ -532,14 +558,15 @@ func (d *Device) spreadMapped(out []byte, lpn int64, pages, mapped int) {
 func (d *Device) Offload() *offload.Engine { return d.offl }
 
 // OffloadScan runs a predicate-filtered range scan inside the device
-// (OpOffloadScan): the extent is read into device RAM with the exact
-// Read machinery (same mapping CPU, same media reservations), the
-// offload engine's compute unit filters it at ScanMBps, and only the
-// matching pages — framed by offload.EncodeScanResult — are returned
-// for the host link. The host-side alternative reads the whole extent
-// over the link and filters on the host; selectivity decides the
-// winner. Media faults surface as the injector's typed errors so
-// hostif.StatusOf classifies them like plain reads.
+// (OpOffloadScan): the extent is read into device RAM (scratch the
+// device keeps) with the exact ReadInto machinery (same mapping CPU,
+// same media reservations), the offload engine's compute unit filters
+// it at ScanMBps, and only the matching pages — framed by
+// offload.EncodeScanResult — are returned for the host link. The
+// host-side alternative reads the whole extent over the link and
+// filters on the host; selectivity decides the winner. Media faults
+// surface as the injector's typed errors so hostif.StatusOf classifies
+// them like plain reads.
 func (d *Device) OffloadScan(now vclock.Time, lpn int64, pages int, pred offload.Predicate) ([]byte, vclock.Time, error) {
 	if err := d.checkRange(lpn, pages); err != nil {
 		return nil, now, err
@@ -547,11 +574,15 @@ func (d *Device) OffloadScan(now vclock.Time, lpn int64, pages int, pred offload
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.ctrl.NoteUserIO()
-	raw, end, err := d.readLocked(now, lpn, pages)
+	secSize := d.geo.Chip.SectorSize
+	if n := pages * secSize; cap(d.scan) < n {
+		d.scan = make([]byte, n)
+	}
+	raw := d.scan[:pages*secSize]
+	end, err := d.readLocked(now, lpn, raw)
 	if err != nil {
 		return nil, end, fmt.Errorf("oxblock: offload scan: %w", err)
 	}
-	secSize := d.geo.Chip.SectorSize
 	end = d.offl.ScanCost(end, int64(len(raw)))
 	var idx []uint32
 	var match []byte

@@ -3,10 +3,12 @@ package oxblock
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/nand"
 	"repro/internal/ocssd"
+	"repro/internal/offload"
 	"repro/internal/ox"
 	"repro/internal/vclock"
 )
@@ -520,5 +522,121 @@ func TestWriteDoesNotRetainCallerBuffer(t *testing.T) {
 			t.Fatalf("write %d (%d pages) changed after the caller reused its buffer", i, pages)
 		}
 		lpn += int64(pages)
+	}
+}
+
+// TestReadIntoDirtyDestination reads into a destination pre-filled with
+// 0xFF, as a recycled buffer would be, on one of two twin devices and
+// into a fresh buffer on the other: a fully mapped extent, one with
+// trimmed pages and one never written must give the same bytes and the
+// same instants either way.
+func TestReadIntoDirtyDestination(t *testing.T) {
+	var twins [2]*Device
+	var now vclock.Time
+	for i := range twins {
+		d, start := newBlockDev(t, testRig(t, 1), Config{LogicalPages: 2048})
+		end, err := d.Write(start, 0, pagesOf(8, 0x11))
+		if err == nil {
+			end, err = d.Write(end, 16, pagesOf(8, 0x22))
+		}
+		if err == nil {
+			end, err = d.Trim(end, 18, 3)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		twins[i], now = d, end
+	}
+	for _, c := range []struct {
+		name  string
+		lpn   int64
+		pages int
+	}{
+		{"mapped", 0, 8},
+		{"trimmed", 16, 8},
+		{"straddling", 4, 16},
+		{"never-written", 500, 4},
+	} {
+		fresh := make([]byte, c.pages*4096)
+		freshEnd, freshErr := twins[0].ReadInto(now, c.lpn, fresh)
+		dirty := bytes.Repeat([]byte{0xFF}, c.pages*4096)
+		dirtyEnd, dirtyErr := twins[1].ReadInto(now, c.lpn, dirty)
+		if freshErr != nil || dirtyErr != nil {
+			t.Fatalf("%s: %v / %v", c.name, freshErr, dirtyErr)
+		}
+		if freshEnd != dirtyEnd {
+			t.Fatalf("%s: dirty read ends at %v, fresh at %v", c.name, dirtyEnd, freshEnd)
+		}
+		if !bytes.Equal(fresh, dirty) {
+			t.Fatalf("%s: a dirty destination reads back differently", c.name)
+		}
+		now = freshEnd
+	}
+}
+
+// TestReadNeverRetainsDestination scribbles over each ReadInto
+// destination after the call: no later read may see it.
+func TestReadNeverRetainsDestination(t *testing.T) {
+	d, now := newBlockDev(t, testRig(t, 1), Config{LogicalPages: 2048})
+	now, err := d.Write(now, 0, pagesOf(4, 0x33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, err = d.Trim(now, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := pagesOf(4, 0x33)
+	clear(want[2*4096 : 3*4096])
+	for i := 0; i < 3; i++ {
+		dst := make([]byte, len(want))
+		if now, err = d.ReadInto(now, 0, dst); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("read %d returned the wrong bytes", i)
+		}
+		for j := range dst {
+			dst[j] = 0xEE
+		}
+	}
+	got, _, err := d.Read(now, 0, 4)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read after scribbling: %v, equal %v", err, bytes.Equal(got, want))
+	}
+}
+
+// TestOffloadScanReusesScratch scans twice through the device's scratch
+// extent: the second, shorter scan over a trimmed page must not see the
+// first scan's bytes.
+func TestOffloadScanReusesScratch(t *testing.T) {
+	d, now := newBlockDev(t, testRig(t, 1), Config{LogicalPages: 2048})
+	now, err := d.Write(now, 0, pagesOf(8, 0x33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, err = d.Trim(now, 5, 1); err != nil {
+		t.Fatal(err)
+	}
+	pred := offload.Predicate{Offset: 100, Mask: 0xFF, Value: 0x33}
+	for _, c := range []struct {
+		lpn   int64
+		pages int
+		want  []uint32
+	}{
+		{0, 8, []uint32{0, 1, 2, 3, 4, 6, 7}},
+		{4, 3, []uint32{0, 2}},
+	} {
+		res, end, err := d.OffloadScan(now, c.lpn, c.pages, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = end
+		_, idx, pages, err := offload.DecodeScanResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(idx) != fmt.Sprint(c.want) || !bytes.Equal(pages, pagesOf(len(c.want), 0x33)) {
+			t.Fatalf("scan [%d,+%d) matched %v, want %v", c.lpn, c.pages, idx, c.want)
+		}
 	}
 }

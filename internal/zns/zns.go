@@ -95,6 +95,11 @@ type Target struct {
 	cfg   Config
 
 	zones []zone // immutable table; per-zone state behind zone.mu
+
+	// stagingMu guards staging, the free list of ReadInto's per-block
+	// PPA lists: a steady stream of reads allocates nothing.
+	stagingMu sync.Mutex
+	staging   [][]ocssd.PPA
 }
 
 type zone struct {
@@ -344,48 +349,66 @@ func (t *Target) appendLocked(now vclock.Time, idx int, data []byte) (vclock.Tim
 	return end, nil
 }
 
-// Read returns length bytes from the zone starting at offset; the range
-// must be block-aligned and below the write pointer.
-func (t *Target) Read(now vclock.Time, idx int, offset, length int64) ([]byte, vclock.Time, error) {
+// ReadInto reads len(dst) bytes of the zone starting at offset into
+// dst; the range must be block-aligned and below the write pointer.
+// Every byte of dst is written, and the target keeps no reference to
+// it.
+func (t *Target) ReadInto(now vclock.Time, idx int, offset int64, dst []byte) (vclock.Time, error) {
 	if idx < 0 || idx >= len(t.zones) {
-		return nil, now, fmt.Errorf("%w: %d", ErrZoneRange, idx)
+		return now, fmt.Errorf("%w: %d", ErrZoneRange, idx)
 	}
 	z := &t.zones[idx]
+	length := int64(len(dst))
 	blockBytes := int64(t.BlockSize())
 	if length <= 0 || offset < 0 || offset%blockBytes != 0 || length%blockBytes != 0 {
-		return nil, now, fmt.Errorf("%w: [%d,+%d)", ErrAlignment, offset, length)
+		return now, fmt.Errorf("%w: [%d,+%d)", ErrAlignment, offset, length)
 	}
 	z.mu.Lock()
-	if offset+length > z.wp {
-		z.mu.Unlock()
-		return nil, now, fmt.Errorf("%w: [%d,+%d) past wp %d", ErrUnwritten, offset, length, z.wp)
-	}
-	type ext struct {
-		chunk ocssd.ChunkID
-		base  int
-	}
-	exts := make([]ext, 0, length/blockBytes)
-	for off := offset; off < offset+length; off += blockBytes {
-		c, base := t.locate(z, off)
-		exts = append(exts, ext{chunk: c, base: base})
-	}
+	wp := z.wp
 	z.mu.Unlock()
+	if offset+length > wp {
+		return now, fmt.Errorf("%w: [%d,+%d) past wp %d", ErrUnwritten, offset, length, wp)
+	}
 
-	out := make([]byte, length)
+	// locate reads only the zone's immutable chunk list, so the blocks
+	// are placed without the zone lock, one at a time.
+	ppas := t.stage()
+	defer t.unstage(ppas)
 	end := now
-	for i, e := range exts {
-		ppas := make([]ocssd.PPA, t.geo.WSOpt)
+	for off := int64(0); off < length; off += blockBytes {
+		chunk, base := t.locate(z, offset+off)
 		for s := range ppas {
-			ppas[s] = e.chunk.PPAOf(e.base + s)
+			ppas[s] = chunk.PPAOf(base + s)
 		}
 		var err error
-		end, err = t.media.VectorRead(end, ppas, out[int64(i)*blockBytes:int64(i+1)*blockBytes])
+		end, err = t.media.VectorRead(end, ppas, dst[off:off+blockBytes])
 		if err != nil {
-			return nil, end, fmt.Errorf("zns: zone %d read: %w", idx, err)
+			return end, fmt.Errorf("zns: zone %d read: %w", idx, err)
 		}
 	}
 	t.ctrl.NoteUserIO()
-	return out, end, nil
+	return end, nil
+}
+
+// stage returns the PPA list of one block read, recycled when one is
+// free. Zone reads on different groups run concurrently, so the list is
+// never shared.
+func (t *Target) stage() []ocssd.PPA {
+	t.stagingMu.Lock()
+	defer t.stagingMu.Unlock()
+	if k := len(t.staging); k > 0 {
+		ppas := t.staging[k-1]
+		t.staging = t.staging[:k-1]
+		return ppas
+	}
+	return make([]ocssd.PPA, t.geo.WSOpt)
+}
+
+// unstage recycles a block read's PPA list.
+func (t *Target) unstage(ppas []ocssd.PPA) {
+	t.stagingMu.Lock()
+	t.staging = append(t.staging, ppas)
+	t.stagingMu.Unlock()
 }
 
 // Reset returns the zone to empty (the ZNS reclaim primitive; chunk

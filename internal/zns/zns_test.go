@@ -38,6 +38,13 @@ func newTarget(t *testing.T) *Target {
 	return tgt
 }
 
+// readAt reads length bytes of zone idx at off into a fresh buffer.
+func readAt(tgt *Target, now vclock.Time, idx int, off, length int64) ([]byte, vclock.Time, error) {
+	dst := make([]byte, length)
+	end, err := tgt.ReadInto(now, idx, off, dst)
+	return dst, end, err
+}
+
 func blockOf(t *Target, fill byte) []byte {
 	return bytes.Repeat([]byte{fill}, t.BlockSize())
 }
@@ -75,7 +82,7 @@ func TestSequentialWriteAndRead(t *testing.T) {
 	if zi.State != ZoneOpen || zi.WP != int64(2*b) {
 		t.Fatalf("zone = %+v", zi)
 	}
-	got, _, err := tgt.Read(end, 0, 0, int64(2*b))
+	got, _, err := readAt(tgt, end, 0, 0, int64(2*b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +142,7 @@ func TestZoneFillsAndFinishes(t *testing.T) {
 		t.Fatalf("write to full zone: %v", err)
 	}
 	// All data survives.
-	got, _, err := tgt.Read(now, 1, cap-b, b)
+	got, _, err := readAt(tgt, now, 1, cap-b, b)
 	if err != nil || got[0] != byte((cap-b)/b) {
 		t.Fatalf("last block: %x %v", got[0], err)
 	}
@@ -155,7 +162,7 @@ func TestResetCycle(t *testing.T) {
 	if zi.State != ZoneEmpty || zi.WP != 0 {
 		t.Fatalf("after reset: %+v", zi)
 	}
-	if _, _, err := tgt.Read(now, 2, 0, int64(tgt.BlockSize())); !errors.Is(err, ErrUnwritten) {
+	if _, _, err := readAt(tgt, now, 2, 0, int64(tgt.BlockSize())); !errors.Is(err, ErrUnwritten) {
 		t.Fatalf("read after reset: %v", err)
 	}
 	// The zone accepts new writes from offset 0.
@@ -181,7 +188,7 @@ func TestFinishPartialZone(t *testing.T) {
 	if _, err := tgt.Write(now, 4, zi.WP, blockOf(tgt, 1)); !errors.Is(err, ErrZoneState) {
 		t.Fatalf("write to finished zone: %v", err)
 	}
-	got, _, err := tgt.Read(now, 4, 0, int64(tgt.BlockSize()))
+	got, _, err := readAt(tgt, now, 4, 0, int64(tgt.BlockSize()))
 	if err != nil || got[0] != 0x5A {
 		t.Fatalf("finished zone data: %x %v", got[0], err)
 	}
@@ -194,13 +201,13 @@ func TestReadValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := int64(tgt.BlockSize())
-	if _, _, err := tgt.Read(now, 0, 0, 2*b); !errors.Is(err, ErrUnwritten) {
+	if _, _, err := readAt(tgt, now, 0, 0, 2*b); !errors.Is(err, ErrUnwritten) {
 		t.Fatalf("read past wp: %v", err)
 	}
-	if _, _, err := tgt.Read(now, 0, 1, b); !errors.Is(err, ErrAlignment) {
+	if _, _, err := readAt(tgt, now, 0, 1, b); !errors.Is(err, ErrAlignment) {
 		t.Fatalf("misaligned read: %v", err)
 	}
-	if _, _, err := tgt.Read(now, 99, 0, b); !errors.Is(err, ErrZoneRange) {
+	if _, _, err := readAt(tgt, now, 99, 0, b); !errors.Is(err, ErrZoneRange) {
 		t.Fatalf("bad zone: %v", err)
 	}
 }
@@ -232,7 +239,7 @@ func TestZoneAppendProperty(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			got, end, err := tgt.Read(now, idx, int64(i)*int64(tgt.BlockSize()), int64(tgt.BlockSize()))
+			got, end, err := readAt(tgt, now, idx, int64(i)*int64(tgt.BlockSize()), int64(tgt.BlockSize()))
 			if err != nil || got[0] != fills[i] {
 				return false
 			}
@@ -349,7 +356,7 @@ func TestConcurrentZonesDisjointGroups(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if _, end, err = tgt.Read(end, zone, off, int64(len(data))); err != nil {
+			if _, end, err = readAt(tgt, end, zone, off, int64(len(data))); err != nil {
 				return err
 			}
 			if r == rounds-1 {
@@ -412,6 +419,81 @@ func TestConcurrentZonesDisjointGroups(t *testing.T) {
 	for x := range serial {
 		if !conc[x] {
 			t.Fatalf("serial completion %+v missing from concurrent run", x)
+		}
+	}
+}
+
+// TestReadIntoDirtyDestination reads into a destination pre-filled with
+// 0xFF, as a recycled buffer would be, on one of two twin targets and
+// into a fresh buffer on the other: one block, a multi-block extent
+// across the zone's chunks and the zone's last block must give the same
+// bytes and the same instants either way.
+func TestReadIntoDirtyDestination(t *testing.T) {
+	var twins [2]*Target
+	var now vclock.Time
+	b := int64(0)
+	for i := range twins {
+		tgt := newTarget(t)
+		b = int64(tgt.BlockSize())
+		end := vclock.Time(0)
+		for k := 0; k < 4; k++ {
+			var err error
+			if _, end, err = tgt.Append(end, 3, blockOf(tgt, byte(0x10+k))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		twins[i], now = tgt, end
+	}
+	for _, c := range []struct {
+		name     string
+		off, len int64
+	}{
+		{"one block", b, b},
+		{"multi-block", 0, 3 * b},
+		{"last block", 3 * b, b},
+	} {
+		fresh := make([]byte, c.len)
+		freshEnd, freshErr := twins[0].ReadInto(now, 3, c.off, fresh)
+		dirty := bytes.Repeat([]byte{0xFF}, int(c.len))
+		dirtyEnd, dirtyErr := twins[1].ReadInto(now, 3, c.off, dirty)
+		if freshErr != nil || dirtyErr != nil {
+			t.Fatalf("%s: %v / %v", c.name, freshErr, dirtyErr)
+		}
+		if freshEnd != dirtyEnd {
+			t.Fatalf("%s: dirty read ends at %v, fresh at %v", c.name, dirtyEnd, freshEnd)
+		}
+		if !bytes.Equal(fresh, dirty) {
+			t.Fatalf("%s: a dirty destination reads back differently", c.name)
+		}
+		for k := int64(0); k < c.len/b; k++ {
+			if fresh[k*b] != byte(0x10+c.off/b+k) {
+				t.Fatalf("%s: block %d holds %#x", c.name, k, fresh[k*b])
+			}
+		}
+		now = freshEnd
+	}
+}
+
+// TestReadNeverRetainsDestination scribbles over each ReadInto
+// destination after the call: no later read may see it.
+func TestReadNeverRetainsDestination(t *testing.T) {
+	tgt := newTarget(t)
+	b := tgt.BlockSize()
+	now, err := tgt.Write(0, 0, 0, append(blockOf(tgt, 0x44), blockOf(tgt, 0x55)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(blockOf(tgt, 0x44), blockOf(tgt, 0x55)...)
+	for i := 0; i < 3; i++ {
+		dst := make([]byte, 2*b)
+		if now, err = tgt.ReadInto(now, 0, 0, dst); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("read %d returned the wrong bytes", i)
+		}
+		for j := range dst {
+			dst[j] = 0xEE
 		}
 	}
 }
